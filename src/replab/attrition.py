@@ -339,7 +339,7 @@ def tridiagonal_det(x: float, gamma1: float, gamma2: float, n: int) -> float:
 # dynamics experiment
 
 
-def persistence_experiment(spec, sigma, x0, cfg, n_paths: int, *, workers=None):
+def persistence_experiment(spec, sigma, x0, cfg, n_paths: int):
     """Check that the maximum effort strategy keeps resurfacing under noise.
 
     Simulates the unperturbed game and records, per path, the peak frequency
@@ -371,7 +371,7 @@ def persistence_experiment(spec, sigma, x0, cfg, n_paths: int, *, workers=None):
     eps_target = 0.05
     t_start = 0.75 * cfg.n_steps * cfg.h
     stat = engine.window_max_share(n_strat - 1, t_start)
-    result = engine.batch_run(A, sig, x0, cfg, n_paths, stat, workers=workers)
+    result = engine.batch_run(A, sig, x0, cfg, n_paths, stat)
     values = result.values[np.isfinite(result.values)]
     frac = float(np.mean(values > p_n / 2.0)) if values.size else 0.0
     se = bounds.proportion_se(frac, values.size)

@@ -288,7 +288,7 @@ def extinction_rate_bound(consts: ExtinctionConstants) -> float:
 
 
 def extinction_report(A, k: int, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
-                      eps: float = 0.05, p=None, *, workers=None) -> BoundReport:
+                      eps: float = 0.05, p=None) -> BoundReport:
     """Monte Carlo check of the extinction tail bound at the horizon."""
     A = games.as_payoff_matrix(A)
     if p is None:
@@ -304,7 +304,7 @@ def extinction_report(A, k: int, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
     bound = extinction_tail_bound(consts, eps, t_end)
 
     stat = engine.share_at(k, t_end)
-    result = engine.batch_run(A, sigma, x0, cfg, n_paths, stat, workers=workers)
+    result = engine.batch_run(A, sigma, x0, cfg, n_paths, stat)
     finite = result.values[np.isfinite(result.values)]
     exceed = float(np.mean(finite > eps)) if finite.size else math.nan
     se = proportion_se(exceed, finite.size)
@@ -334,7 +334,7 @@ def extinction_report(A, k: int, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
 
 
 def almost_sure_decay_check(A, k: int, p, sigma, x0, cfg: engine.SdeConfig,
-                            n_paths: int, *, workers=None) -> BoundReport:
+                            n_paths: int) -> BoundReport:
     """Pathwise proxy for decay faster than the exponential envelope.
 
     Per path the envelope-compensated share ``x_k(t) exp((c1-c2) t - 3
@@ -349,7 +349,7 @@ def almost_sure_decay_check(A, k: int, p, sigma, x0, cfg: engine.SdeConfig,
     if not consts.condition_holds:
         raise PreconditionError("extinction-drift", "c2 < c1 must hold")
     stat = engine.decay_envelope_ratio_stat(k, consts.c1 - consts.c2, consts.sigma_max)
-    result = engine.batch_run(A, sigma, x0, cfg, n_paths, stat, workers=workers)
+    result = engine.batch_run(A, sigma, x0, cfg, n_paths, stat)
     finite = result.values[np.isfinite(result.values)]
     frac = float(np.mean(finite < 1.0)) if finite.size else math.nan
     se = proportion_se(frac, finite.size)
@@ -373,8 +373,7 @@ def almost_sure_decay_check(A, k: int, p, sigma, x0, cfg: engine.SdeConfig,
 def ess_attraction_reports(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
                            *, delta: float | None = None,
                            burn_in: float | None = None,
-                           which=("2.3a", "2.3b", "2.4", "2.8"),
-                           workers=None) -> dict[str, BoundReport]:
+                           which=("2.3a", "2.3b", "2.4", "2.8")) -> dict[str, BoundReport]:
     """One batch, several bounds around the stable mix.
 
     Shares a single set of trajectories between the occupation-fraction,
@@ -439,7 +438,7 @@ def ess_attraction_reports(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
         stats["tavg_eff"] = engine.Statistic(
             name="tavg_eff", fn=engine.time_avg_sq_distance_stat(p_eff).fn)
 
-    results = engine.batch_run_many(A, s, x0, cfg, n_paths, stats, workers=workers)
+    results = engine.batch_run_many(A, s, x0, cfg, n_paths, stats)
     slack = discretization_slack(cfg.h, float(s.max()))
     common = _inputs(A, s, x0, cfg, n_paths, delta=delta)
     out: dict[str, BoundReport] = {}
@@ -508,7 +507,7 @@ def ess_attraction_reports(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
 
 
 def stability_basin_probe(A, sigma, k: int, radius: float, cfg: engine.SdeConfig,
-                          n_paths: int, *, workers=None) -> BoundReport:
+                          n_paths: int) -> BoundReport:
     """Estimate the capture probability near a noise-robust strict equilibrium.
 
     Paths start at Euclidean distance ``radius`` from the vertex (displaced
@@ -544,7 +543,7 @@ def stability_basin_probe(A, sigma, k: int, radius: float, cfg: engine.SdeConfig
             return 1.0 if ok else 0.0
 
         stat = engine.Statistic(name=f"captured_r_{r:g}", fn=captured)
-        res = engine.batch_run(A, s, x0, cfg, n_paths, stat, workers=workers)
+        res = engine.batch_run(A, s, x0, cfg, n_paths, stat)
         finite = res.values[np.isfinite(res.values)]
         phat = float(np.mean(finite)) if finite.size else math.nan
         estimates.append(phat)
@@ -570,7 +569,7 @@ def stability_basin_probe(A, sigma, k: int, radius: float, cfg: engine.SdeConfig
 
 
 def coordination_absorption(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
-                            eps: float = 0.01, *, workers=None) -> BoundReport:
+                            eps: float = 0.01) -> BoundReport:
     """Fraction of paths ending within ``eps`` of some vertex of a coordination game."""
     A = games.as_payoff_matrix(A)
     s = games.as_noise_vector(sigma, A.shape[0])
@@ -581,7 +580,7 @@ def coordination_absorption(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
         )
     x0 = games.as_simplex_point(x0, A.shape[0], interior=True)
     stat = engine.max_final_share()
-    result = engine.batch_run(A, s, x0, cfg, n_paths, stat, workers=workers)
+    result = engine.batch_run(A, s, x0, cfg, n_paths, stat)
     finite = result.values[np.isfinite(result.values)]
     frac = float(np.mean(finite > 1.0 - eps)) if finite.size else math.nan
     se = proportion_se(frac, finite.size)
@@ -651,7 +650,7 @@ def vertex_hitting_bound(A, sigma, eps: float) -> VertexHittingBound:
 
 
 def vertex_hitting_report(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
-                          eps: float = 0.1, *, workers=None) -> BoundReport:
+                          eps: float = 0.1) -> BoundReport:
     """Check that near-fixation happens in finite time, against the loose bound.
 
     Consistent when every path reaches ``{max_k x_k >= 1 - eps}`` within the
@@ -668,7 +667,7 @@ def vertex_hitting_report(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
         "tau": engine.hitting_time_stat(region, name="tau"),
         "hit": engine.hit_flag_stat(region, name="hit"),
     }
-    results = engine.batch_run_many(A, s, x0, cfg, n_paths, stats, workers=workers)
+    results = engine.batch_run_many(A, s, x0, cfg, n_paths, stats)
     tau, hit = results["tau"], results["hit"]
     all_hit = bool(np.all(hit.values[np.isfinite(hit.values)] > 0.5))
     mean_tau = tau.mean

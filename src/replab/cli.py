@@ -204,7 +204,7 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
 
     stat = _parse_stat(args.stat, n)
-    result = engine.batch_run(A, sigma, x0, cfg, args.paths, stat, workers=args.workers)
+    result = engine.batch_run(A, sigma, x0, cfg, args.paths, stat)
     out_json = args.out + ".json"
     fileio.atomic_write_text(out_json, fileio.json_text(result.to_json_dict()))
     manifest.add_output(out_json)
@@ -227,11 +227,10 @@ def cmd_verify(args) -> int:
 
     if tag == "5.1":
         spec = load_attrition_spec(args.game)
-        n = (spec.n if isinstance(spec, attrition.ConstantAttritionSpec) else spec.n) + 1
+        n = spec.n + 1
         sigma = _parse_vector(args.sigma) if args.sigma else np.full(n, 0.05)
         x0 = _parse_vector(args.x0) if args.x0 else games.uniform_point(n)
-        report = attrition.persistence_experiment(spec, sigma, x0, cfg, args.paths,
-                                                  workers=args.workers)
+        report = attrition.persistence_experiment(spec, sigma, x0, cfg, args.paths)
     else:
         A, sigma_file, _labels = load_game(args.game)
         n = A.shape[0]
@@ -244,28 +243,24 @@ def cmd_verify(args) -> int:
         if tag in ("2.3a", "2.3b", "2.4", "2.8"):
             reports = bounds.ess_attraction_reports(
                 A, sigma, x0, cfg, args.paths, delta=args.delta,
-                burn_in=args.burn_in, which=(tag,), workers=args.workers)
+                burn_in=args.burn_in, which=(tag,))
             report = reports[tag]
         elif tag == "3.1":
             if args.k is None:
                 raise ValidationError("--k (1-based dominated strategy) is required for 3.1")
             report = bounds.extinction_report(A, args.k - 1, sigma, x0, cfg,
-                                              args.paths, eps=args.eps or 0.05,
-                                              workers=args.workers)
+                                              args.paths, eps=args.eps or 0.05)
         elif tag == "4.1":
             if args.k is None:
                 raise ValidationError("--k (1-based equilibrium strategy) is required for 4.1")
             report = bounds.stability_basin_probe(A, sigma, args.k - 1,
-                                                  args.radius, cfg, args.paths,
-                                                  workers=args.workers)
+                                                  args.radius, cfg, args.paths)
         elif tag == "4.2":
             report = bounds.coordination_absorption(A, sigma, x0, cfg, args.paths,
-                                                    eps=args.eps or 0.01,
-                                                    workers=args.workers)
+                                                    eps=args.eps or 0.01)
         else:  # 4.3
             report = bounds.vertex_hitting_report(A, sigma, x0, cfg, args.paths,
-                                                  eps=args.eps or 0.1,
-                                                  workers=args.workers)
+                                                  eps=args.eps or 0.1)
 
     out_json = args.out + ".json"
     fileio.atomic_write_text(out_json, fileio.json_text(report.to_json_dict()))
@@ -422,8 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, required=True, help="master seed (required)")
         p.add_argument("--paths", type=int, default=default_paths)
         p.add_argument("--stride", type=int, default=None, help="record every k-th step")
-        p.add_argument("--workers", type=int, default=None,
-                       help="concurrent chunks (REPLAB_WORKERS env overrides; output-invariant)")
 
     ps = sub.add_parser("simulate", help="seeded trajectories or batches")
     ps.add_argument("game", help="game JSON file")
@@ -492,3 +485,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

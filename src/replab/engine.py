@@ -16,10 +16,12 @@ the representable range; the floor is far below every tolerance used anywhere
 (extinction is reported at frequency 1e-12).
 
 Determinism contract: each path's Gaussian increments come from its own
-counter-based stream (see :mod:`replab.rng`), paths are partitioned into
-fixed-size chunks by sorted path index, and worker count only decides how many
-chunks run concurrently.  Batch output is therefore byte-identical for any
-worker count and any permutation of the requested path indices.
+counter-based stream (see :mod:`replab.rng`), and the batched SDE kernel
+updates every path's row with the same operations, so a path's values do not
+depend on which other paths share its chunk.  A batch is cut into chunks of
+sorted path indices (at most 512 paths each) that run one after another.
+Batch output is therefore byte-identical for any permutation of the requested
+path indices and any split of them into chunks or separate batches.
 
 Hitting times are detected on the step grid while integrating (no
 Brownian-bridge correction: the bias is at most one step and the acceptance
@@ -30,8 +32,6 @@ which is the step grid thinned by ``record_stride``.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -136,11 +136,20 @@ def diffusion_matrix(sigma, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# core integrators (vectorized over a chunk of paths)
+# integrators: one kernel per scheme
 
 
 def _reference_index(x0: np.ndarray) -> int:
     return int(np.argmax(x0)) if x0[-1] < 1e-6 else x0.size - 1
+
+
+def _log_ratio_start(x0, n: int, m: int):
+    """Start state, reference coordinate, the other coordinates and (m, n-1) log-ratios."""
+    x_start = games.as_simplex_point(x0, n, interior=True)
+    ref = _reference_index(x_start)
+    others = np.array([j for j in range(n) if j != ref])
+    Y = np.broadcast_to(np.log(x_start[others] / x_start[ref]), (m, n - 1)).copy()
+    return x_start, ref, others, Y
 
 
 def _states_from_log_ratios(Y: np.ndarray, ref: int, others: np.ndarray) -> np.ndarray:
@@ -153,6 +162,12 @@ def _states_from_log_ratios(Y: np.ndarray, ref: int, others: np.ndarray) -> np.n
     L /= L.sum(axis=1, keepdims=True)
     np.maximum(L, STATE_FLOOR, out=L)
     return L
+
+
+def _record_slots(cfg: SdeConfig) -> tuple[np.ndarray, dict[int, int]]:
+    """Recorded times, and the row of each recorded step."""
+    steps = cfg.record_steps()
+    return steps * cfg.h, {int(k): row for row, k in enumerate(steps)}
 
 
 class _NoiseBlocks:
@@ -182,132 +197,67 @@ class _NoiseBlocks:
 @dataclass
 class _ChunkResult:
     times: np.ndarray
-    states: np.ndarray            # (paths, records, n)
-    clamped: np.ndarray           # (paths,) bool
-    hit_steps: dict[str, np.ndarray]
-    abort_steps: np.ndarray       # (paths,) int, -1 = completed
+    states: np.ndarray                  # (paths, records, n)
+    clamped: np.ndarray                 # (paths,) bool
+    hit_steps: dict[str, np.ndarray]    # (paths,) int, -1 = never entered
 
 
-def _simulate_chunk(A, sigma, x0, cfg: SdeConfig, paths, mode: str,
-                    hit_regions: Mapping[str, Region] | None = None,
-                    z0=None) -> _ChunkResult:
+def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths,
+               hit_regions: Mapping[str, Region] | None = None) -> _ChunkResult:
+    """Euler-Maruyama in log-ratio coordinates for a chunk of seeded paths."""
     A = games.as_payoff_matrix(A)
     n = A.shape[0]
     At = np.ascontiguousarray(A.T)
     m = len(paths)
-    n_steps = cfg.n_steps
-    rec_steps = cfg.record_steps()
-    times = rec_steps * cfg.h
-    states = np.empty((m, rec_steps.size, n))
+    times, slots = _record_slots(cfg)
+    states = np.empty((m, times.size, n))
     clamped = np.zeros(m, dtype=bool)
-    abort_steps = np.full(m, -1, dtype=np.int64)
     regions = dict(hit_regions or {})
     hit_steps = {name: np.full(m, -1, dtype=np.int64) for name in regions}
     pending = {name: np.ones(m, dtype=bool) for name in regions}
 
-    if mode == "sizes":
-        z = np.array(z0, dtype=float).reshape(-1)
-        if z.size != n or not np.all(np.isfinite(z)) or np.any(z <= 0.0):
-            raise ValidationError("initial sizes must be finite and > 0")
-        x_first = z / z.sum()
-        Z = np.broadcast_to(x_first, (m, n)).copy()
-    else:
-        x_start = games.as_simplex_point(x0, n, interior=True)
-        x_first = x_start
-        ref = _reference_index(x_start)
-        others = np.array([j for j in range(n) if j != ref])
-        Y = np.broadcast_to(np.log(x_start[others] / x_start[ref]), (m, n - 1)).copy()
-
-    if mode == "sde":
-        sig = games.as_noise_vector(sigma, n)
-        half_corr = 0.5 * (sig[others] ** 2 - sig[ref] ** 2)
-        sig_o = sig[others]
-        sig_r = sig[ref]
-        noise = _NoiseBlocks(cfg.seed, paths, n, n_steps)
-    elif mode == "sizes":
-        sig = games.as_noise_vector(sigma, n)
-        noise = _NoiseBlocks(cfg.seed, paths, n, n_steps)
-    elif mode == "ode":
-        noise = None
-    else:  # pragma: no cover
-        raise ValidationError(f"unknown mode {mode!r}")
-
-    sqrt_h = math.sqrt(cfg.h)
+    x_start, ref, others, Y = _log_ratio_start(x0, n, m)
+    sig = games.as_noise_vector(sigma, n)
+    half_corr = 0.5 * (sig[others] ** 2 - sig[ref] ** 2)
+    sig_o = sig[others]
+    sig_r = sig[ref]
+    noise = _NoiseBlocks(cfg.seed, paths, n, cfg.n_steps)
     h = cfg.h
+    sqrt_h = math.sqrt(h)
     cap = cfg.y_cap
 
-    rec_ptr = 0
-    live = ~np.zeros(m, dtype=bool)
-
-    for k in range(n_steps + 1):
-        if k == 0:
-            x = np.broadcast_to(x_first, (m, n)).copy()
-        elif mode == "sizes":
-            x = Z
-        else:
-            x = _states_from_log_ratios(Y, ref, others)
-
-        if rec_ptr < rec_steps.size and k == rec_steps[rec_ptr]:
-            states[:, rec_ptr, :] = x
-            dead = abort_steps >= 0
-            if dead.any():
-                states[dead, rec_ptr, :] = np.nan
-            rec_ptr += 1
-
+    def observe(k: int, x: np.ndarray) -> None:
+        row = slots.get(k)
+        if row is not None:
+            states[:, row, :] = x
         for name, region in regions.items():
             mask = pending[name]
-            if not mask.any():
-                continue
-            inside = region.contains(x)
-            newly = mask & inside & (abort_steps < 0)
-            hit_steps[name][newly] = k
-            pending[name] &= ~inside
+            if mask.any():
+                inside = region.contains(x)
+                hit_steps[name][mask & inside] = k
+                pending[name] &= ~inside
 
-        if k == n_steps:
-            break
-
-        if mode == "ode":
-            def force(Yv):
-                xs = _states_from_log_ratios(Yv, ref, others)
-                ax = xs @ At
-                return ax[:, others] - ax[:, ref:ref + 1]
-
-            k1 = force(Y)
-            k2 = force(Y + 0.5 * h * k1)
-            k3 = force(Y + 0.5 * h * k2)
-            k4 = force(Y + h * k3)
-            Y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        elif mode == "sde":
-            xi = noise.next_step()
-            ax = x @ At
-            dY = (ax[:, others] - ax[:, ref:ref + 1] - half_corr) * h
-            dY += sqrt_h * (sig_o * xi[:, others] - sig_r * xi[:, ref:ref + 1])
-            Y += dY
-            over = (np.abs(Y) > cap).any(axis=1)
-            if over.any():
-                clamped |= over
-                np.clip(Y, -cap, cap, out=Y)
-            if not np.all(np.isfinite(Y)):
-                bad = ~np.isfinite(Y).all(axis=1)
-                raise SimulationError(
-                    f"non-finite log-ratios at step {k + 1} (t={h * (k + 1):g}) "
-                    f"for paths {[paths[i] for i in np.flatnonzero(bad)[:5]]}"
-                )
-        else:  # sizes
-            xi = noise.next_step()
-            ax = Z @ At
-            growth = 1.0 + h * ax + sqrt_h * sig * xi
-            bad = (growth <= 0.0) | ~np.isfinite(growth)
-            bad_paths = bad.any(axis=1) & live
-            if bad_paths.any():
-                abort_steps[bad_paths] = k + 1
-                live &= ~bad_paths
-                growth[bad_paths] = 1.0
-            Z = Z * growth
-            Z /= Z.sum(axis=1, keepdims=True)
-
-    return _ChunkResult(times=times, states=states, clamped=clamped,
-                        hit_steps=hit_steps, abort_steps=abort_steps)
+    x = np.broadcast_to(x_start, (m, n)).copy()
+    observe(0, x)
+    for k in range(1, cfg.n_steps + 1):
+        xi = noise.next_step()
+        ax = x @ At
+        dY = (ax[:, others] - ax[:, ref:ref + 1] - half_corr) * h
+        dY += sqrt_h * (sig_o * xi[:, others] - sig_r * xi[:, ref:ref + 1])
+        Y += dY
+        over = (np.abs(Y) > cap).any(axis=1)
+        if over.any():
+            clamped |= over
+            np.clip(Y, -cap, cap, out=Y)
+        if not np.all(np.isfinite(Y)):
+            bad = ~np.isfinite(Y).all(axis=1)
+            raise SimulationError(
+                f"non-finite log-ratios at step {k} (t={h * k:g}) "
+                f"for paths {[paths[i] for i in np.flatnonzero(bad)[:5]]}"
+            )
+        x = _states_from_log_ratios(Y, ref, others)
+        observe(k, x)
+    return _ChunkResult(times=times, states=states, clamped=clamped, hit_steps=hit_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +266,7 @@ def _simulate_chunk(A, sigma, x0, cfg: SdeConfig, paths, mode: str,
 
 def simulate_sde(A, sigma, x0, cfg: SdeConfig, path_index: int = 0) -> Trajectory:
     """Integrate the noisy dynamics from an interior state; one seeded path."""
-    res = _simulate_chunk(A, sigma, x0, cfg, [path_index], "sde")
+    res = _sde_chunk(A, sigma, x0, cfg, [path_index])
     return Trajectory(times=res.times, states=res.states[0],
                       clamped=bool(res.clamped[0]), seed=cfg.seed, path_index=path_index)
 
@@ -326,9 +276,30 @@ def simulate_ode(A, x0, cfg: SdeConfig) -> Trajectory:
 
     The seed and noise-related fields of ``cfg`` are ignored.
     """
-    res = _simulate_chunk(A, None, x0, cfg, [0], "ode")
-    return Trajectory(times=res.times, states=res.states[0],
-                      clamped=bool(res.clamped[0]), seed=cfg.seed, path_index=0)
+    A = games.as_payoff_matrix(A)
+    n = A.shape[0]
+    At = np.ascontiguousarray(A.T)
+    times, slots = _record_slots(cfg)
+    states = np.empty((times.size, n))
+    x_start, ref, others, Y = _log_ratio_start(x0, n, 1)
+    h = cfg.h
+
+    def force(Yv):
+        xs = _states_from_log_ratios(Yv, ref, others)
+        ax = xs @ At
+        return ax[:, others] - ax[:, ref:ref + 1]
+
+    states[0] = x_start
+    for k in range(1, cfg.n_steps + 1):
+        k1 = force(Y)
+        k2 = force(Y + 0.5 * h * k1)
+        k3 = force(Y + 0.5 * h * k2)
+        k4 = force(Y + h * k3)
+        Y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        row = slots.get(k)
+        if row is not None:
+            states[row] = _states_from_log_ratios(Y, ref, others)[0]
+    return Trajectory(times=times, states=states, clamped=False, seed=cfg.seed, path_index=0)
 
 
 def simulate_sizes(A, sigma, z0, cfg: SdeConfig, path_index: int = 0) -> Trajectory:
@@ -339,24 +310,44 @@ def simulate_sizes(A, sigma, z0, cfg: SdeConfig, path_index: int = 0) -> Traject
     untouched and prevents overflow of the total).  Driven by the same seed
     and path index, the increments coincide with :func:`simulate_sde`'s, so
     the two normalized paths can be compared step by step; they agree up to
-    discretization order, not exactly, because the schemes differ.
+    discretization order, not exactly, because the schemes differ.  A step
+    that would leave the positive cone raises :class:`SimulationError`.
     """
-    res = _simulate_chunk(A, sigma, None, cfg, [path_index], "sizes", z0=z0)
-    if res.abort_steps[0] >= 0:
-        step = int(res.abort_steps[0])
-        raise SimulationError(
-            f"size update left the positive cone at step {step} (t={step * cfg.h:g}); "
-            "reduce the step size or the noise"
-        )
-    return Trajectory(times=res.times, states=res.states[0],
-                      clamped=bool(res.clamped[0]), seed=cfg.seed, path_index=path_index)
+    A = games.as_payoff_matrix(A)
+    n = A.shape[0]
+    At = np.ascontiguousarray(A.T)
+    z = np.array(z0, dtype=float).reshape(-1)
+    if z.size != n or not np.all(np.isfinite(z)) or np.any(z <= 0.0):
+        raise ValidationError("initial sizes must be finite and > 0")
+    sig = games.as_noise_vector(sigma, n)
+    times, slots = _record_slots(cfg)
+    states = np.empty((times.size, n))
+    noise = _NoiseBlocks(cfg.seed, [path_index], n, cfg.n_steps)
+    h = cfg.h
+    sqrt_h = math.sqrt(h)
+
+    Z = (z / z.sum())[None, :]
+    states[0] = Z[0]
+    for k in range(1, cfg.n_steps + 1):
+        growth = 1.0 + h * (Z @ At) + sqrt_h * sig * noise.next_step()
+        if np.any(growth <= 0.0) or not np.all(np.isfinite(growth)):
+            raise SimulationError(
+                f"size update left the positive cone at step {k} (t={k * h:g}); "
+                "reduce the step size or the noise"
+            )
+        Z = Z * growth
+        Z /= Z.sum(axis=1, keepdims=True)
+        row = slots.get(k)
+        if row is not None:
+            states[row] = Z[0]
+    return Trajectory(times=times, states=states, clamped=False, seed=cfg.seed,
+                      path_index=path_index)
 
 
 def hitting_time(A, sigma, x0, cfg: SdeConfig, region: Region,
                  path_index: int = 0) -> HittingTimeResult:
     """First step-grid time at which one seeded path enters the region."""
-    res = _simulate_chunk(A, sigma, x0, cfg, [path_index], "sde",
-                          hit_regions={"target": region})
+    res = _sde_chunk(A, sigma, x0, cfg, [path_index], hit_regions={"target": region})
     step = int(res.hit_steps["target"][0])
     if step >= 0:
         return HittingTimeResult(hit=True, time=step * cfg.h)
@@ -415,8 +406,12 @@ def max_final_share() -> Statistic:
 
 
 def share_at(j: int, t: float) -> Statistic:
+    """Share of strategy ``j`` at the recorded time ``t``; an off-grid ``t`` raises."""
     def fn(tr: Trajectory) -> float:
         i = int(np.argmin(np.abs(tr.times - t)))
+        if abs(tr.times[i] - t) > 1e-9 * max(1.0, abs(t)):
+            raise ValidationError(
+                f"share_at: t={t:g} is not a recorded time (nearest {tr.times[i]:g})")
         return float(tr.states[i, j])
 
     return Statistic(name=f"share_{j}_at_{t:g}", fn=fn)
@@ -495,10 +490,15 @@ class BatchResult:
     statistic: str
     mean: float
     std_error: float
-    values: np.ndarray          # per path; NaN for aborted paths
+    values: np.ndarray          # per path, in the requested path order
     n_paths: int
     seed: int
-    aborted: int
+
+    @property
+    def aborted(self) -> int:
+        """Always 0: the log-ratio scheme that batches run cannot abort a path
+        (only :func:`simulate_sizes` can, and it raises instead)."""
+        return 0
 
     def to_json_dict(self) -> dict:
         per_path = [None if not math.isfinite(v) else float(v) for v in self.values]
@@ -512,18 +512,6 @@ class BatchResult:
         }
 
 
-def resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("REPLAB_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"REPLAB_WORKERS must be an integer, got {env!r}") from exc
-    return 1
-
-
 def _chunk_size(cfg: SdeConfig, n: int) -> int:
     records = cfg.record_steps().size
     return max(1, min(_MAX_CHUNK_PATHS, _CHUNK_FLOAT_BUDGET // max(1, records * n)))
@@ -531,8 +519,7 @@ def _chunk_size(cfg: SdeConfig, n: int) -> int:
 
 def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
                    statistics: Mapping[str, Statistic],
-                   *, workers: int | None = None,
-                   path_indices=None) -> dict[str, BatchResult]:
+                   *, path_indices=None) -> dict[str, BatchResult]:
     """Evaluate several per-path statistics over a batch of seeded paths.
 
     Path indices default to ``0..n_paths-1``; an explicit list may be given in
@@ -553,62 +540,37 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
         raise ValidationError("need at least one statistic")
 
     A = games.as_payoff_matrix(A)
-    n = A.shape[0]
     order = sorted(range(n_paths), key=lambda i: path_indices[i])
     sorted_paths = [path_indices[i] for i in order]
-    chunk = _chunk_size(cfg, n)
-    chunks = [sorted_paths[i:i + chunk] for i in range(0, n_paths, chunk)]
-
+    chunk = _chunk_size(cfg, A.shape[0])
     hit_regions = {name: st.region for name, st in statistics.items()
                    if st.kind in ("hitting_time", "hit_flag")}
-    traj_stats = {name: st for name, st in statistics.items() if st.kind == "trajectory"}
+    horizon = cfg.n_steps * cfg.h
 
-    def run_chunk(paths):
-        res = _simulate_chunk(A, sigma, x0, cfg, paths, "sde", hit_regions=hit_regions)
-        out = {}
-        horizon = cfg.n_steps * cfg.h
+    pieces: dict[str, list[np.ndarray]] = {name: [] for name in statistics}
+    for start in range(0, n_paths, chunk):
+        paths = sorted_paths[start:start + chunk]
+        res = _sde_chunk(A, sigma, x0, cfg, paths, hit_regions=hit_regions)
         for name, st in statistics.items():
-            vals = np.empty(len(paths))
             if st.kind == "hitting_time":
                 steps = res.hit_steps[name]
                 vals = np.where(steps >= 0, steps * cfg.h, horizon)
             elif st.kind == "hit_flag":
                 vals = (res.hit_steps[name] >= 0).astype(float)
             else:
-                for i, p in enumerate(paths):
-                    if res.abort_steps[i] >= 0:
-                        vals[i] = np.nan
-                        continue
-                    tr = Trajectory(times=res.times, states=res.states[i],
-                                    clamped=bool(res.clamped[i]),
-                                    seed=cfg.seed, path_index=p)
-                    vals[i] = float(st.fn(tr))
-            aborted = res.abort_steps >= 0
-            if st.kind != "trajectory" and aborted.any():
-                vals = np.where(aborted, np.nan, vals)
-            out[name] = vals
-        return out, (res.abort_steps >= 0)
-
-    n_workers = resolve_workers(workers)
-    results = [None] * len(chunks)
-    if n_workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for i, res in enumerate(pool.map(run_chunk, chunks)):
-                results[i] = res
-    else:
-        for i, paths in enumerate(chunks):
-            results[i] = run_chunk(paths)
-
-    sorted_values = {name: np.concatenate([r[0][name] for r in results])
-                     for name in statistics}
-    aborted_mask = np.concatenate([r[1] for r in results])
+                vals = np.array([
+                    float(st.fn(Trajectory(times=res.times, states=res.states[i],
+                                           clamped=bool(res.clamped[i]),
+                                           seed=cfg.seed, path_index=p)))
+                    for i, p in enumerate(paths)])
+            pieces[name].append(vals)
 
     inverse = np.empty(n_paths, dtype=np.int64)
     inverse[order] = np.arange(n_paths)
 
     out: dict[str, BatchResult] = {}
     for name in statistics:
-        values = sorted_values[name][inverse]
+        values = np.concatenate(pieces[name])[inverse]
         valid = values[np.isfinite(values)]
         mean = float(valid.mean()) if valid.size else math.nan
         if valid.size > 1:
@@ -622,16 +584,15 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
             values=values,
             n_paths=n_paths,
             seed=cfg.seed,
-            aborted=int(aborted_mask.sum()),
         )
     return out
 
 
 def batch_run(A, sigma, x0, cfg: SdeConfig, n_paths: int, statistic: Statistic,
-              *, workers: int | None = None, path_indices=None) -> BatchResult:
+              *, path_indices=None) -> BatchResult:
     """Run one statistic over a batch; see :func:`batch_run_many`."""
     res = batch_run_many(A, sigma, x0, cfg, n_paths, {statistic.name: statistic},
-                         workers=workers, path_indices=path_indices)
+                         path_indices=path_indices)
     return res[statistic.name]
 
 

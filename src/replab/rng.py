@@ -5,8 +5,8 @@ Every path owns an independent counter-based stream: path ``i`` of master seed
 pair ``(s, i)``.  Within a path the stream is consumed step-major and
 coordinate-minor, so the increment used at ``(step, coordinate)`` is a pure
 function ``G(seed, path, step, coordinate)`` of those four integers: batches
-may be evaluated in any order, split across any number of workers, or re-run
-path by path without changing a single draw.  Philox is the counter-based
+may list their paths in any order, be cut into chunks of any size, or be
+re-run path by path without changing a single draw.  Philox is the counter-based
 generator of the Random123 family and passes the standard statistical
 batteries (TestU01 SmallCrush/Crush/BigCrush).
 

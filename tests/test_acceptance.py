@@ -332,28 +332,30 @@ def test_criterion_9_persistence():
 
 
 # ---------------------------------------------------------------------------
-# 10. byte-identical reruns under any worker count
+# 10. byte-identical reruns under any chunk layout
 
 
-def test_criterion_10_determinism(tmp_path, monkeypatch):
+def test_criterion_10_determinism(tmp_path):
     game = tmp_path / "game.json"
     game.write_text(json.dumps({"n": 2, "A": [[3, 0], [5, 1]], "sigma": [0.3, 0.3]}))
 
-    def run(out, workers=None):
-        if workers is None:
-            monkeypatch.delenv("REPLAB_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("REPLAB_WORKERS", str(workers))
-        rc = cli.main(["simulate", str(game), "--seed", "77", "--T", "2",
-                       "--paths", "64", "--out", str(tmp_path / out)])
-        assert rc == 0
-        return hashlib.sha256((tmp_path / (out + ".json")).read_bytes()).hexdigest()
+    # 600 paths span two chunks at the 512-path cap
+    rc = cli.main(["simulate", str(game), "--seed", "77", "--T", "2",
+                   "--paths", "600", "--out", str(tmp_path / "b")])
+    assert rc == 0
+    per_path = json.loads((tmp_path / "b.json").read_text())["per_path"]
 
-    h1 = run("a", workers=None)
-    h2 = run("b", workers=1)
-    h3 = run("c", workers=4)
-    h4 = run("d", workers=7)
-    batch_ok = h1 == h2 == h3 == h4
+    A, sigma, _labels = cli.load_game(str(game))
+    cfg = engine.SdeConfig(h=1e-3, horizon=2.0, seed=77)
+    stat = engine.final_share(0)
+
+    def values(indices):
+        return engine.batch_run(A, sigma, [0.5, 0.5], cfg, len(indices), stat,
+                                path_indices=indices).values.tolist()
+
+    split_ok = per_path == values(range(300)) + values(range(300, 600))
+    reversed_ok = per_path == values(range(599, -1, -1))[::-1]
+    batch_ok = split_ok and reversed_ok
 
     rc = cli.main(["simulate", str(game), "--seed", "78", "--T", "1",
                    "--out", str(tmp_path / "t1")])
@@ -365,4 +367,5 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
               == hashlib.sha256((tmp_path / "t2.csv").read_bytes()).hexdigest())
 
     _line("criterion 10", batch_ok and csv_ok,
-          f"batch hash stable over worker counts {batch_ok}, trajectory rerun {csv_ok}")
+          f"600-path batch equals split batches {split_ok} and reversed batch "
+          f"{reversed_ok}, trajectory rerun {csv_ok}")

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from replab import cli
+from replab import __version__, cli, engine
 
 
 def write_game(path, A, sigma=None, labels=None):
@@ -119,14 +121,31 @@ def test_simulate_batch_json(pd_file, tmp_path):
     assert 0.0 <= payload["mean"] <= 1.0
 
 
-def test_simulate_worker_count_does_not_change_bytes(pd_file, tmp_path, monkeypatch):
-    out1 = str(tmp_path / "w1")
-    out2 = str(tmp_path / "w4")
+def test_simulate_batch_bytes_repeat_and_match_reversed_paths(pd_file, tmp_path):
+    out1 = str(tmp_path / "r1")
+    out2 = str(tmp_path / "r2")
     argv = ["simulate", pd_file, "--seed", "9", "--T", "1", "--paths", "30"]
     assert cli.main(argv + ["--out", out1]) == 0
-    monkeypatch.setenv("REPLAB_WORKERS", "4")
     assert cli.main(argv + ["--out", out2]) == 0
     assert sha(out1 + ".json") == sha(out2 + ".json")
+
+    per_path = json.loads(open(out1 + ".json").read())["per_path"]
+    A, sigma, _labels = cli.load_game(pd_file)
+    cfg = engine.SdeConfig(h=1e-3, horizon=1.0, seed=9)
+    backward = engine.batch_run(A, sigma, [0.5, 0.5], cfg, 30, engine.final_share(0),
+                                path_indices=range(29, -1, -1))
+    assert per_path == backward.values[::-1].tolist()
+
+
+@pytest.mark.parametrize("module", ["replab", "replab.cli"])
+def test_module_entry_points_print_version(module):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", module, "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"replab {__version__}"
 
 
 def test_simulate_requires_seed(pd_file, tmp_path):

@@ -184,7 +184,7 @@ def test_sizes_coupling_error_halves_with_step():
 
 def test_sizes_abort_diagnostics():
     cfg = engine.SdeConfig(h=0.5, horizon=10.0, seed=11)
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match=r"positive cone at step 2 \(t=1\)"):
         engine.simulate_sizes(np.zeros((2, 2)), [40.0, 40.0], [1.0, 1.0], cfg)
 
 
@@ -242,12 +242,13 @@ def test_batch_single_path_equals_single_run():
     assert math.isnan(batch.std_error)
 
 
-def test_batch_deterministic_across_workers_and_permutation():
+def test_batch_deterministic_across_chunk_layout_and_permutation():
     cfg = engine.SdeConfig(h=1e-3, horizon=1.0, seed=13)
     stat = engine.final_share(0)
-    one = engine.batch_run(PD, [0.3, 0.3], [0.5, 0.5], cfg, 40, stat, workers=1)
-    four = engine.batch_run(PD, [0.3, 0.3], [0.5, 0.5], cfg, 40, stat, workers=4)
-    assert np.array_equal(one.values, four.values)
+    whole = engine.batch_run(PD, [0.3, 0.3], [0.5, 0.5], cfg, 40, stat)
+    halves = [engine.batch_run(PD, [0.3, 0.3], [0.5, 0.5], cfg, 20, stat,
+                               path_indices=range(lo, lo + 20)) for lo in (0, 20)]
+    assert np.array_equal(whole.values, np.concatenate([h.values for h in halves]))
 
     forward = list(range(40))
     backward = forward[::-1]
@@ -255,18 +256,6 @@ def test_batch_deterministic_across_workers_and_permutation():
     b = engine.batch_run(PD, [0.3, 0.3], [0.5, 0.5], cfg, 40, stat, path_indices=backward)
     assert np.array_equal(np.sort(a.values), np.sort(b.values))
     assert np.array_equal(a.values, b.values[::-1])
-
-
-def test_batch_respects_workers_env(monkeypatch):
-    cfg = engine.SdeConfig(h=1e-3, horizon=1.0, seed=14)
-    stat = engine.final_share(0)
-    base = engine.batch_run(PD, [0.3, 0.3], [0.5, 0.5], cfg, 10, stat)
-    monkeypatch.setenv("REPLAB_WORKERS", "3")
-    env = engine.batch_run(PD, [0.3, 0.3], [0.5, 0.5], cfg, 10, stat)
-    assert np.array_equal(base.values, env.values)
-    monkeypatch.setenv("REPLAB_WORKERS", "zareba")
-    with pytest.raises(ValidationError):
-        engine.batch_run(PD, [0.3, 0.3], [0.5, 0.5], cfg, 10, stat)
 
 
 def test_batch_standard_error_scales():
@@ -282,16 +271,15 @@ def test_batch_standard_error_scales():
     assert 0.6 <= mean_ratio <= 0.82
 
 
-def test_batch_aborts_are_flagged_and_excluded():
-    cfg = engine.SdeConfig(h=0.5, horizon=20.0, seed=16)
-    # sizes are not batched; reproduce the abort contract through the mean API
-    from replab.engine import _simulate_chunk
-
-    res = _simulate_chunk(np.zeros((2, 2)), [20.0, 20.0], None, cfg,
-                          list(range(8)), "sizes", z0=[1.0, 1.0])
-    assert np.any(res.abort_steps >= 0)
-    dead = np.flatnonzero(res.abort_steps >= 0)
-    assert np.isnan(res.states[dead, -1, :]).all()
+def test_share_at_reads_recorded_times_and_rejects_others():
+    cfg = engine.SdeConfig(h=1e-3, horizon=1.0, seed=16, record_stride=100)
+    traj = engine.simulate_sde(PD, [0.3, 0.3], [0.5, 0.5], cfg)
+    assert engine.share_at(1, 0.3).fn(traj) == traj.states[3, 1]
+    assert engine.share_at(1, 0.3 + 1e-12).fn(traj) == traj.states[3, 1]
+    with pytest.raises(ValidationError, match="not a recorded time"):
+        engine.share_at(1, 0.35).fn(traj)
+    with pytest.raises(ValidationError, match="not a recorded time"):
+        engine.batch_run(PD, [0.3, 0.3], [0.5, 0.5], cfg, 3, engine.share_at(0, 0.55))
 
 
 def test_batch_hitting_statistics(coordination_matrix):
@@ -355,3 +343,33 @@ def test_trajectory_csv_format():
     assert lines[1] == "0,0.5,0.5"
     parsed = [float(v) for v in lines[2].split(",")]
     assert parsed == [0.5, 0.25, 0.75]
+
+
+# ---------------------------------------------------------------------------
+# golden digests, computed before the engine was split into per-scheme kernels;
+# a change means a changed kernel or a changed numpy Gaussian stream (NEP 19)
+
+GOLDEN_TRAJECTORY_SHA256 = "9f1be5c4e4cd5d9327fb59c3edd246dbf0b9896b296bd2631afb19a2749e8db4"
+GOLDEN_BATCH_SHA256 = "523c61f608df3f6f5ff5bc8e35ae15008ed676c16479dc4152632f70d9840705"
+
+
+def test_golden_trajectory_digest(mixed_dominance_matrix):
+    cfg = engine.SdeConfig(h=1e-3, horizon=1.0, seed=2005, record_stride=10)
+    traj = engine.simulate_sde(mixed_dominance_matrix, [0.3, 0.2, 0.1], [0.2, 0.3, 0.5],
+                               cfg, path_index=7)
+    assert traj.states.shape == (101, 3)
+    assert hashlib.sha256(traj.states.tobytes()).hexdigest() == GOLDEN_TRAJECTORY_SHA256
+
+
+def test_golden_batch_digest_across_chunk_boundary(mixed_dominance_matrix):
+    cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=2005, record_stride=10)
+    assert engine._chunk_size(cfg, 3) < 600          # two chunks
+    region = games.Region.coordinate_below(0, 0.3)
+    out = engine.batch_run_many(
+        mixed_dominance_matrix, [0.3, 0.2, 0.1], [1 / 3] * 3, cfg, 600,
+        {"final": engine.final_share(0), "hit": engine.hit_flag_stat(region, name="hit")})
+    assert 0.0 < out["hit"].mean < 1.0
+    h = hashlib.sha256()
+    h.update(out["final"].values.tobytes())
+    h.update(out["hit"].values.tobytes())
+    assert h.hexdigest() == GOLDEN_BATCH_SHA256
