@@ -6,8 +6,10 @@ campaign), ``attrition`` (closed-form equilibria and sweeps) and ``rerun``
 (replay a manifest).  Output is machine-first (JSON/CSV files); a short
 human-readable summary goes to standard output.
 
-Exit codes: 0 success/consistent, 1 malformed input, 2 a bound check came out
-violated, 3 inconclusive, 4 a named hypothesis or input precondition failed.
+Exit codes: 0 success/consistent, 1 malformed input (an input file or value
+that cannot be read, parsed or used as given), 2 a bound check came out
+violated, 3 inconclusive, 4 a named hypothesis or, for ``verify`` and
+``attrition``, a domain precondition of a parameter failed.
 Seeds are always explicit arguments; nothing is ever seeded from the clock.
 """
 
@@ -20,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, attrition, bounds, engine, ess, fileio, games
-from .errors import PreconditionError, SimulationError, ValidationError
+from .errors import InputError, PreconditionError, SimulationError, ValidationError
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -36,49 +38,65 @@ _VERDICT_EXIT = {"consistent": EXIT_OK, "violated": EXIT_VIOLATED,
 # input files
 
 
-def load_game(path: str):
-    """Game file: ``{"n": int, "A": [[...]], "sigma": [...], "labels": [...]?}``."""
+def _read_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
+            return json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read game file {path}: {exc}") from exc
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_game(path: str):
+    """Game file: ``{"n": int, "A": [[...]], "sigma": [...], "labels": [...]?}``.
+
+    A file that cannot be read or has the wrong structure raises
+    ``InputError``; out-of-domain values (non-finite payoffs, nonpositive
+    noise) raise ``ValidationError`` from the checks in :mod:`replab.games`.
+    """
+    raw = _read_json(path, "game file")
     try:
         n = int(raw["n"])
-        A = games.as_payoff_matrix(raw["A"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"game file {path} needs integer 'n' and matrix 'A'") from exc
-    if A.shape[0] != n:
-        raise ValidationError(f"game file {path}: 'A' is {A.shape[0]}x{A.shape[0]}, 'n' is {n}")
-    sigma = raw.get("sigma")
+        A = np.array(raw["A"], dtype=float)
+        sigma = raw.get("sigma")
+        labels = raw.get("labels")
+        sizes = (np.size(sigma) if sigma is not None else n,
+                 len(labels) if labels is not None else n)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"game file {path} needs integer 'n' and matrix 'A': {exc!r}") from exc
+    if A.shape != (n, n):
+        raise InputError(f"game file {path}: 'A' has shape {A.shape}, 'n' is {n}")
+    if sizes != (n, n):
+        raise InputError(f"game file {path}: {sizes[0]} diffusion coefficients and "
+                         f"{sizes[1]} labels for {n} strategies")
+    A = games.as_payoff_matrix(A)
     if sigma is not None:
         sigma = games.as_noise_vector(sigma, n)
-    labels = raw.get("labels")
-    if labels is not None and len(labels) != n:
-        raise ValidationError(f"game file {path}: {len(labels)} labels for {n} strategies")
     return A, sigma, labels
 
 
 def load_attrition_spec(path: str):
-    """Attrition file: general ``{"n", "costs", "rewards", "rho"}`` or constant ``{"n", "v", "rho"}``."""
+    """Attrition file: general ``{"n", "costs", "rewards", "rho"}`` or constant ``{"n", "v", "rho"}``.
+
+    A file that cannot be read or has the wrong structure raises
+    ``InputError``; parameters outside the model's domain raise
+    ``ValidationError`` from the spec constructors.
+    """
+    raw = _read_json(path, "attrition spec")
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read attrition spec {path}: {exc}") from exc
-    mode = raw.get("mode")
-    if mode == "constant" or ("v" in raw and "costs" not in raw):
-        return attrition.ConstantAttritionSpec(
-            n=int(raw["n"]), v=float(raw["v"]), rho=float(raw.get("rho", 0.0)))
-    try:
+        if raw.get("mode") == "constant" or ("v" in raw and "costs" not in raw):
+            n, v, rho = int(raw["n"]), float(raw["v"]), float(raw.get("rho", 0.0))
+            return attrition.ConstantAttritionSpec(n=n, v=v, rho=rho)
         costs = tuple(float(c) for c in raw["costs"])
         rewards = tuple(float(v) for v in raw["rewards"])
         rho = tuple(float(r) for r in raw.get("rho", [0.0] * len(costs)))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"attrition spec {path} needs 'costs', 'rewards', 'rho'") from exc
-    spec = attrition.AttritionSpec(costs=costs, rewards=rewards, rho=rho)
-    if "n" in raw and int(raw["n"]) != spec.n:
-        raise ValidationError(f"attrition spec {path}: 'n' disagrees with the cost vector")
+        spec = attrition.AttritionSpec(costs=costs, rewards=rewards, rho=rho)
+        if "n" in raw and int(raw["n"]) != spec.n:
+            raise InputError(f"attrition spec {path}: 'n' disagrees with the cost vector")
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"attrition spec {path} needs 'n' and 'v', or 'costs' and "
+                         f"'rewards': {exc!r}") from exc
     return spec
 
 
@@ -86,7 +104,7 @@ def _parse_vector(text: str) -> np.ndarray:
     try:
         return np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
-        raise ValidationError(f"cannot parse vector {text!r}") from exc
+        raise InputError(f"cannot parse vector {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +119,13 @@ def cmd_analyze(args) -> int:
     A, sigma, labels = load_game(args.game)
     n = A.shape[0]
     lam2 = games.second_eigenvalue(A)
+    cnd = games._cnd_status_of(lam2)
     report: dict = {
         "n": n,
         "labels": labels or [str(j + 1) for j in range(n)],
         "lambda2": lam2,
-        "cnd_status": games.cnd_status(A),
-        "conditionally_negative_definite": games.is_conditionally_negative_definite(A),
+        "cnd_status": cnd,
+        "conditionally_negative_definite": cnd == "negative",
     }
 
     dominance = []
@@ -220,8 +239,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     tag = args.theorem
-    if tag not in bounds.CHECK_TAGS:
-        raise ValidationError(f"unknown check {tag!r}; choose from {', '.join(bounds.CHECK_TAGS)}")
     cfg = _config_from(args)
     manifest = _manifest(args, inputs=[args.game])
 
@@ -236,7 +253,7 @@ def cmd_verify(args) -> int:
         n = A.shape[0]
         sigma = _parse_vector(args.sigma) if args.sigma else sigma_file
         if sigma is None:
-            raise ValidationError("no diffusion coefficients: set 'sigma' or pass --sigma")
+            raise InputError("no diffusion coefficients: set 'sigma' or pass --sigma")
         sigma = games.as_noise_vector(sigma, n)
         x0 = _parse_vector(args.x0) if args.x0 else games.uniform_point(n)
 
@@ -247,12 +264,12 @@ def cmd_verify(args) -> int:
             report = reports[tag]
         elif tag == "3.1":
             if args.k is None:
-                raise ValidationError("--k (1-based dominated strategy) is required for 3.1")
+                raise InputError("--k (1-based dominated strategy) is required for 3.1")
             report = bounds.extinction_report(A, args.k - 1, sigma, x0, cfg,
                                               args.paths, eps=args.eps or 0.05)
         elif tag == "4.1":
             if args.k is None:
-                raise ValidationError("--k (1-based equilibrium strategy) is required for 4.1")
+                raise InputError("--k (1-based equilibrium strategy) is required for 4.1")
             report = bounds.stability_basin_probe(A, sigma, args.k - 1,
                                                   args.radius, cfg, args.paths)
         elif tag == "4.2":
@@ -312,17 +329,20 @@ def cmd_attrition(args) -> int:
         spec = None
     else:
         if args.n is None or args.v is None:
-            raise ValidationError("give --spec FILE or both --n and --v")
+            raise InputError("give --spec FILE or both --n and --v")
         spec = attrition.ConstantAttritionSpec(n=args.n, v=args.v, rho=args.rho)
 
     manifest = _manifest(args, inputs=inputs)
 
     if args.sweep:
-        n_lo, n_hi = (int(v) for v in args.n_range.split(":"))
-        fracs = tuple(float(f) for f in args.rho_fracs.split(","))
-        specs = attrition.ess_sweep_rows(range(n_lo, n_hi + 1), fracs, v_step=args.v_step)
         if not args.out:
-            raise ValidationError("--out is required in sweep mode")
+            raise InputError("--out is required in sweep mode")
+        try:
+            n_lo, n_hi = (int(v) for v in args.n_range.split(":"))
+            fracs = tuple(float(f) for f in args.rho_fracs.split(","))
+        except ValueError as exc:
+            raise InputError(f"cannot parse --n-range lo:hi or --rho-fracs: {exc}") from exc
+        specs = attrition.ess_sweep_rows(range(n_lo, n_hi + 1), fracs, v_step=args.v_step)
         out_csv = args.out + ".csv"
         fileio.atomic_write_text(out_csv, _sweep_csv(specs))
         manifest.add_output(out_csv)
@@ -373,8 +393,10 @@ def cmd_attrition(args) -> int:
 
 
 def cmd_rerun(args) -> int:
-    data = fileio.RunManifest.load(args.manifest)
-    command = data["command"]
+    try:
+        command = list(fileio.RunManifest.load(args.manifest)["command"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"cannot read manifest {args.manifest}: {exc!r}") from exc
     print(f"replaying: replab {' '.join(command)}")
     return main(command)
 
@@ -392,7 +414,10 @@ def _manifest(args, inputs) -> fileio.RunManifest:
                   "record_points_cap": engine.MAX_RECORD_POINTS},
     )
     for path in inputs:
-        manifest.add_input(path)
+        try:
+            manifest.add_input(path)
+        except OSError as exc:
+            raise InputError(f"cannot read input file {path}: {exc}") from exc
     return manifest
 
 
@@ -469,11 +494,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValidationError as exc:
-        if args.command in ("attrition", "verify"):
-            # invalid domain inputs are precondition failures for these commands
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
         print(f"error: {exc}", file=sys.stderr)
+        if args.command in ("attrition", "verify") and not isinstance(exc, InputError):
+            # out-of-domain parameters are precondition failures for these commands
+            return EXIT_PRECONDITION
         return EXIT_BAD_INPUT
     except PreconditionError as exc:
         print(f"hypothesis failed [{exc.condition}]: {exc}", file=sys.stderr)

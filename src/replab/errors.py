@@ -9,6 +9,10 @@ class ValidationError(ReplabError, ValueError):
     """An input violates a documented invariant (shape, range, monotonicity)."""
 
 
+class InputError(ValidationError):
+    """An input file or command-line value cannot be read, parsed or used as given."""
+
+
 class PreconditionError(ReplabError, RuntimeError):
     """A named hypothesis of a bound or experiment does not hold.
 

@@ -42,7 +42,6 @@ ESS_CERTIFIED = "ESS-certified"
 ESS_REFUTED = "ESS-refuted"
 UNDETERMINED = "Undetermined"
 
-MAX_EIG_N = 64           # supported matrix order for the dense eigensolver
 MAX_DOMINANCE_N = 12     # basis enumeration in best_dominating_mix is O(C(2n, n))
 
 
@@ -170,65 +169,6 @@ class Region:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalues of small dense symmetric matrices
-
-
-def jacobi_eigh(S, *, tol: float | None = None, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns ``(w, V)`` with eigenvalues sorted descending and eigenvectors in
-    the corresponding columns of ``V``.  Sweeps stop once the off-diagonal
-    Frobenius norm falls below ``tol`` (default: 1e-13 relative to the matrix
-    scale), which pins every eigenvalue to well under 1e-12 absolute for the
-    matrix orders supported here (n <= 64).
-    """
-    A = np.array(S, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValidationError("matrix must be square")
-    if n > MAX_EIG_N:
-        raise ValidationError(f"dense Jacobi eigensolver supports n <= {MAX_EIG_N}")
-    if not np.allclose(A, A.T, atol=1e-12, rtol=0.0):
-        raise ValidationError("matrix must be symmetric")
-    A = 0.5 * (A + A.T)
-    V = np.eye(n)
-    if n == 1:
-        return A.diagonal().copy(), V
-    scale = np.abs(A).max()
-    if tol is None:
-        tol = 1e-13 * max(1.0, scale)
-    for _ in range(max_sweeps):
-        off = math.sqrt(float((np.triu(A, 1) ** 2).sum()))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= tol / (n * n):
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    w = A.diagonal().copy()
-    order = np.argsort(w)[::-1]
-    return w[order], V[:, order]
-
-
-# ---------------------------------------------------------------------------
 # attraction constants
 
 
@@ -271,13 +211,16 @@ def second_eigenvalue(A) -> float:
     """
     D = centered_symmetrization(A)
     Q = _zero_sum_basis(D.shape[0])
-    w, _ = jacobi_eigh(Q.T @ D @ Q)
-    return float(w[0])
+    return float(np.linalg.eigvalsh(Q.T @ D @ Q)[-1])
 
 
 def cnd_status(A) -> str:
     """One of ``negative`` / ``boundary`` / ``nonnegative`` for the centered form."""
-    lam2 = second_eigenvalue(A)
+    return _cnd_status_of(second_eigenvalue(A))
+
+
+def _cnd_status_of(lam2: float) -> str:
+    """``cnd_status`` from an already computed second eigenvalue."""
     if lam2 < -CND_TOL:
         return "negative"
     if lam2 <= CND_TOL:
@@ -532,8 +475,8 @@ def classify_equilibrium(A, p, *, tol: float = EQ_TOL, cone_samples: int = 10_00
     Q, _ = np.linalg.qr(E)
     Abar = 0.5 * (A + A.T)
     S = Q.T @ Abar @ Q
-    w, V = jacobi_eigh(S)
-    if w[0] < -CND_TOL:
+    w, V = np.linalg.eigh(S)
+    if w[-1] < -CND_TOL:
         return ESS_CERTIFIED
 
     zero_weight = [j for j in face if p[j] <= TIE_TOL]

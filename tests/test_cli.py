@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from replab import __version__, cli, engine
+from replab import __version__, cli, engine, games
 
 
 def write_game(path, A, sigma=None, labels=None):
@@ -58,6 +58,20 @@ def test_analyze_pd(pd_file, tmp_path, capsys):
     assert report["dominance"][0]["kind"] == "strict"
     assert report["dominance"][0]["margin"] == pytest.approx(1.0)
     assert os.path.exists(out + ".manifest.json")
+
+
+def test_analyze_computes_lambda2_once(pd_file, tmp_path, monkeypatch):
+    calls = []
+    second_eigenvalue = games.second_eigenvalue
+    monkeypatch.setattr(games, "second_eigenvalue",
+                        lambda A: calls.append(1) or second_eigenvalue(A))
+    out = str(tmp_path / "report")
+    assert cli.main(["analyze", pd_file, "--out", out]) == 0
+    report = json.loads(open(out + ".json").read())
+    assert len(calls) == 1      # the only equilibrium is a strict vertex: no CND test
+    assert report["lambda2"] == second_eigenvalue([[3, 0], [5, 1]])
+    assert report["cnd_status"] == "negative"
+    assert report["conditionally_negative_definite"] is True
 
 
 def test_analyze_mixed_dominance(mixed_file, tmp_path):
@@ -177,6 +191,31 @@ def test_verify_vacuous_radius_exits_4(attrition_game_file, tmp_path, capsys):
     assert "vacuous" in err
 
 
+def test_verify_unreadable_game_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{ not json")
+    rc = cli.main(["verify", str(bad), "--theorem", "2.4", "--seed", "3",
+                   "--out", str(tmp_path / "v")])
+    assert rc == 1
+    assert "cannot read game file" in capsys.readouterr().err
+    rc = cli.main(["verify", str(tmp_path / "missing.json"), "--theorem", "2.4",
+                   "--seed", "3", "--out", str(tmp_path / "v")])
+    assert rc == 1
+    assert "cannot read input file" in capsys.readouterr().err
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps({"n": 2, "A": [[1, 2], [3]], "sigma": [0.1, 0.1]}))
+    rc = cli.main(["verify", str(ragged), "--theorem", "2.4", "--seed", "3",
+                   "--out", str(tmp_path / "v")])
+    assert rc == 1
+
+
+def test_verify_out_of_domain_noise_in_file_exits_4(tmp_path):
+    game = write_game(tmp_path / "neg.json", [[0.5, 0], [1, -0.5]], [0.1, -0.1])
+    rc = cli.main(["verify", game, "--theorem", "2.4", "--seed", "3",
+                   "--out", str(tmp_path / "v")])
+    assert rc == 4
+
+
 def test_verify_hypothesis_failure_names_condition(pd_file, tmp_path, capsys):
     # defect's noise margin fails when sigma_2^2 exceeds the payoff gap
     rc = cli.main(["verify", pd_file, "--theorem", "4.1", "--seed", "3",
@@ -240,6 +279,17 @@ def test_attrition_invalid_rho_exits_4(capsys):
     assert cli.main(["attrition", "--n", "2", "--v", "1", "--rho", "0.6"]) == 4
 
 
+def test_attrition_spec_file_errors_exit_1(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert cli.main(["attrition", "--spec", str(missing)]) == 1
+    assert "cannot read attrition spec" in capsys.readouterr().err
+    no_v = tmp_path / "no_v.json"
+    no_v.write_text(json.dumps({"n": 2, "mode": "constant"}))
+    assert cli.main(["attrition", "--spec", str(no_v)]) == 1
+    assert cli.main(["attrition", "--sweep", "--n-range", "1-3",
+                     "--out", str(tmp_path / "s")]) == 1
+
+
 def test_attrition_general_spec(tmp_path, capsys):
     spec = tmp_path / "gen.json"
     spec.write_text(json.dumps({
@@ -276,3 +326,11 @@ def test_rerun_reproduces_outputs_byte_identically(pd_file, tmp_path):
     hashes = {p: sha(p) for p in manifest["outputs"]}
     assert cli.main(["rerun", manifest_path]) == 0
     assert {p: sha(p) for p in manifest["outputs"]} == hashes
+
+
+def test_rerun_unreadable_manifest_exits_1(tmp_path, capsys):
+    assert cli.main(["rerun", str(tmp_path / "missing.manifest.json")]) == 1
+    no_command = tmp_path / "bare.manifest.json"
+    no_command.write_text(json.dumps({"seed": 1}))
+    assert cli.main(["rerun", str(no_command)]) == 1
+    assert "cannot read manifest" in capsys.readouterr().err

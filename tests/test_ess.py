@@ -1,9 +1,14 @@
+import hashlib
+import json
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from replab import ess, games
+from replab import attrition, ess, games
 from replab.errors import PreconditionError, ValidationError
 
 
@@ -122,3 +127,77 @@ def test_cnd_games_have_exactly_one_stable_strategy():
         # two distinct stable strategies would put a nonnegative value of the
         # form on a zero-sum difference, impossible here
         assert games.second_eigenvalue(A) < 0.0
+
+
+# Digests computed with the scalar support loop (one np.linalg.solve per
+# support) that the stacked solves replaced; the outputs must not move a bit.
+GOLDEN_GRID_DIGEST = "9202bf73bd3a449d5f4b95146e3fdb01d53fd5cf8929b7d6dc39b6dd1eb1a1c1"
+GOLDEN_TESTBED_DIGESTS = {
+    "attrition_game": "36433ba9468915c05fcb9b30840c2035af699295b8347be07065120c515c92b1",
+    "coordination": "96efa6a83850e0395332c1ac45fa666330a0576e51768cef87e8caa7bd7f85d7",
+    "mixed_dominance": "aa12837b340a364b54938098c1e6a80df6d280ff650c1d168992bbb3eda538ff",
+    "prisoners_dilemma": "58d25c84c96504d5b73948993130c46754e1f9bd1c7bfa4cfdb4be7bad4beab5",
+}
+GOLDEN_TWIN_DIGEST = "98f397963196d2211ae98c50f5543ed59a1222a415d7aa969209d3fddd7e90e4"
+TESTBEDS = Path(__file__).resolve().parent.parent / "testbeds"
+# rows 0 and 1 are equal: every support holding both has a singular system
+TWIN_ROWS = np.array([[0.0, 2.0, 1.0, 3.0], [0.0, 2.0, 1.0, 3.0],
+                      [3.0, 0.0, 2.0, 1.0], [1.0, 3.0, 0.0, 2.0]])
+
+
+def reports_digest(A) -> str:
+    h = hashlib.sha256()
+    for r in ess.solve_all_equilibria(A):
+        h.update(r.strategy.tobytes())
+        h.update(json.dumps([list(r.support), r.common_payoff, r.status,
+                             r.equal_payoff_residual, r.off_support_slack]).encode())
+    return h.hexdigest()
+
+
+def test_golden_unique_ess_grid_digest():
+    h = hashlib.sha256()
+    specs = attrition.ess_sweep_rows(range(1, 9), (0.0, 0.1, 0.2, 0.4))
+    assert len(specs) == 2851
+    for spec in specs:
+        r = ess.unique_ess(attrition.perturbed_matrix(spec))
+        h.update(r.strategy.tobytes())
+        h.update(json.dumps([list(r.support), r.common_payoff, r.status]).encode())
+    assert h.hexdigest() == GOLDEN_GRID_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TESTBED_DIGESTS))
+def test_golden_testbed_reports_digest(name):
+    A = json.loads((TESTBEDS / f"{name}.json").read_text())["A"]
+    assert reports_digest(A) == GOLDEN_TESTBED_DIGESTS[name]
+
+
+def test_singular_supports_are_masked_not_the_rest():
+    # size 2 mixes the singular support (0, 1) with nonsingular ones
+    assert ess.equalize_on_support(TWIN_ROWS, [0, 1]) is None
+    assert ess.equalize_on_support(TWIN_ROWS, [1, 2]) is not None
+    reports = ess.solve_all_equilibria(TWIN_ROWS)
+    assert [(r.support, r.status) for r in reports] == [
+        ((2,), games.STRICT_NASH),
+        ((1, 2), games.ESS_REFUTED),
+        ((1, 3), games.UNDETERMINED),
+    ]
+    assert reports_digest(TWIN_ROWS) == GOLDEN_TWIN_DIGEST
+
+
+def test_rejected_supports_are_counted_per_gate(caplog):
+    with caplog.at_level(logging.DEBUG, logger="replab.ess"):
+        ess.solve_all_equilibria(TWIN_ROWS)
+    lines = [rec.getMessage() for rec in caplog.records if rec.name == "replab.ess"]
+    assert lines == [
+        "support enumeration, n = 4: 15 supports visited; rejected 4 singular, "
+        "0 non-finite, 3 negative weight, 0 residual, 5 off-support"
+    ]
+
+
+def test_stacked_blocks_match_one_block(monkeypatch):
+    rng = np.random.default_rng(11)
+    A = rng.integers(-2, 3, (7, 7)).astype(float)
+    A[3] = A[5]
+    whole = reports_digest(A)
+    monkeypatch.setattr(ess, "SUPPORT_BLOCK", 3)
+    assert reports_digest(A) == whole
