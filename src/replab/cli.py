@@ -3,8 +3,9 @@
 Subcommands: ``analyze`` (statics of a game file), ``simulate`` (seeded
 trajectories or batches), ``verify`` (one named bound check as a Monte Carlo
 campaign), ``attrition`` (closed-form equilibria and sweeps) and ``rerun``
-(replay a manifest).  Output is machine-first (JSON/CSV files); a short
-human-readable summary goes to standard output.
+(replay a manifest whose input digests still match).  Output is
+machine-first (JSON/CSV files); a short human-readable summary goes to
+standard output.
 
 Exit codes: 0 success/consistent, 1 malformed input (an input file or value
 that cannot be read, parsed or used as given), 2 a bound check came out
@@ -219,7 +220,7 @@ def cmd_simulate(args) -> int:
         manifest.add_output(out_csv)
         manifest.write(args.out + ".manifest.json")
         print(f"1 path, {traj.times.size} recorded points -> {out_csv}"
-              + (" (log-ratio cap reached)" if traj.clamped else ""))
+              + (" (log-share floor reached)" if traj.clamped else ""))
         return EXIT_OK
 
     stat = _parse_stat(args.stat, n)
@@ -229,7 +230,9 @@ def cmd_simulate(args) -> int:
     manifest.add_output(out_json)
     manifest.write(args.out + ".manifest.json")
     print(f"{args.paths} paths: {stat.name} = {result.mean:.6g} "
-          f"+- {result.std_error:.2g} (se) -> {out_json}")
+          f"+- {result.std_error:.2g} (se) -> {out_json}"
+          + (f" ({result.clamped_paths} reached the log-share floor)"
+             if result.clamped_paths else ""))
     return EXIT_OK
 
 
@@ -393,10 +396,22 @@ def cmd_attrition(args) -> int:
 
 
 def cmd_rerun(args) -> int:
+    """Replay a manifest's command once every listed input still has its recorded sha256."""
     try:
-        command = list(fileio.RunManifest.load(args.manifest)["command"])
+        manifest = fileio.RunManifest.load(args.manifest)
+        command = list(manifest["command"])
+        inputs = [(str(e["path"]), str(e["sha256"])) for e in manifest["inputs"]]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot read manifest {args.manifest}: {exc!r}") from exc
+    for path, recorded in inputs:
+        try:
+            actual = fileio.sha256_file(path)
+        except OSError as exc:
+            raise InputError(f"input file {path} listed in {args.manifest} "
+                             f"cannot be read: {exc}") from exc
+        if actual != recorded:
+            raise InputError(f"input file {path} changed since {args.manifest} was written "
+                             f"(sha256 {actual}, recorded {recorded})")
     print(f"replaying: replab {' '.join(command)}")
     return main(command)
 

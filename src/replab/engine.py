@@ -1,19 +1,18 @@
 """Seeded numerical integration of replicator dynamics on the simplex.
 
-The stochastic dynamics are integrated in log-ratio coordinates
-``Y_j = log(x_j / x_ref)``: the simplex boundary maps to infinity, so every
-state mapped back is positive and normalized by construction, and the noise in
-these coordinates is additive, which gives the Euler-Maruyama step strong
-first order here.  The reference coordinate defaults to the last strategy and
-is re-chosen once at setup (never mid-path, to keep the noise map fixed) when
-the initial weight of the last strategy is tiny.
+Both the SDE and the ODE are integrated in unnormalized log-shares
+``Z_j = log x_j + c(t)``, with ``x = softmax(Z)`` and, for the SDE,
+``dZ_j = ((A x)_j - sigma_j^2 / 2) dt + sigma_j dW_j``: the simplex boundary
+maps to minus infinity, so every state mapped back is positive and normalized
+by construction, and the additive noise gives the Euler-Maruyama step strong
+first order here.  No strategy serves as a reference coordinate.
 
-Log-ratios are clamped at ``+-y_cap`` (default 500): a frequency below
-``exp(-500)`` is physically extinct, and the clamp prevents overflow while the
-``clamped`` flag records that it happened.  Recorded frequencies are floored
-at 1e-300 so states stay strictly positive even when ratios span more than
-the representable range; the floor is far below every tolerance used anywhere
-(extinction is reported at frequency 1e-12).
+Each SDE step subtracts the row maximum from ``Z`` and floors it at
+``-y_cap`` (default 500): a share below ``exp(-500)`` times the largest is
+physically extinct, the floor keeps ``Z`` bounded, and the ``clamped`` flag
+records that it was reached.  The floor acts on each strategy alone, so the
+surviving shares keep moving.  Recorded frequencies are floored at 1e-300,
+far below every tolerance used anywhere (extinction is reported at 1e-12).
 
 Determinism contract: each path's Gaussian increments come from its own
 counter-based stream (see :mod:`replab.rng`), and the batched SDE kernel
@@ -50,7 +49,11 @@ _NOISE_BLOCK_FLOATS = 786_432      # increments drawn per refill
 
 @dataclass(frozen=True)
 class SdeConfig:
-    """Discretization, horizon and seeding of one integration run."""
+    """Discretization, horizon and seeding of one integration run.
+
+    ``y_cap`` is the depth of the log-share floor: a path is ``clamped`` once
+    some share falls below ``exp(-y_cap)`` times the largest share.
+    """
 
     h: float
     horizon: float
@@ -139,29 +142,20 @@ def diffusion_matrix(sigma, x) -> np.ndarray:
 # integrators: one kernel per scheme
 
 
-def _reference_index(x0: np.ndarray) -> int:
-    return int(np.argmax(x0)) if x0[-1] < 1e-6 else x0.size - 1
+def _shares(Z: np.ndarray) -> np.ndarray:
+    """Simplex states from log-shares whose row maximum is 0, floored at ``STATE_FLOOR``."""
+    x = np.exp(Z)
+    x /= x.sum(axis=1, keepdims=True)
+    np.maximum(x, STATE_FLOOR, out=x)
+    return x
 
 
-def _log_ratio_start(x0, n: int, m: int):
-    """Start state, reference coordinate, the other coordinates and (m, n-1) log-ratios."""
-    x_start = games.as_simplex_point(x0, n, interior=True)
-    ref = _reference_index(x_start)
-    others = np.array([j for j in range(n) if j != ref])
-    Y = np.broadcast_to(np.log(x_start[others] / x_start[ref]), (m, n - 1)).copy()
-    return x_start, ref, others, Y
-
-
-def _states_from_log_ratios(Y: np.ndarray, ref: int, others: np.ndarray) -> np.ndarray:
-    m = Y.shape[0]
-    n = Y.shape[1] + 1
-    L = np.zeros((m, n))
-    L[:, others] = Y
-    L -= L.max(axis=1, keepdims=True)
-    np.exp(L, out=L)
-    L /= L.sum(axis=1, keepdims=True)
-    np.maximum(L, STATE_FLOOR, out=L)
-    return L
+def _payoffs(x: np.ndarray, At: np.ndarray) -> np.ndarray:
+    """``x @ At``; a lone row is doubled, because BLAS gemv rounds it differently
+    from gemm for n >= 4 and a path must give the same bytes in any chunk."""
+    if x.shape[0] > 1:
+        return x @ At
+    return (np.concatenate((x, x)) @ At)[:1]
 
 
 def _record_slots(cfg: SdeConfig) -> tuple[np.ndarray, dict[int, int]]:
@@ -204,7 +198,7 @@ class _ChunkResult:
 
 def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths,
                hit_regions: Mapping[str, Region] | None = None) -> _ChunkResult:
-    """Euler-Maruyama in log-ratio coordinates for a chunk of seeded paths."""
+    """Euler-Maruyama in log-share coordinates for a chunk of seeded paths."""
     A = games.as_payoff_matrix(A)
     n = A.shape[0]
     At = np.ascontiguousarray(A.T)
@@ -216,14 +210,13 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths,
     hit_steps = {name: np.full(m, -1, dtype=np.int64) for name in regions}
     pending = {name: np.ones(m, dtype=bool) for name in regions}
 
-    x_start, ref, others, Y = _log_ratio_start(x0, n, m)
+    x_start = games.as_simplex_point(x0, n, interior=True)
+    Z = np.broadcast_to(np.log(x_start), (m, n)).copy()
     sig = games.as_noise_vector(sigma, n)
-    half_corr = 0.5 * (sig[others] ** 2 - sig[ref] ** 2)
-    sig_o = sig[others]
-    sig_r = sig[ref]
+    half_var = 0.5 * sig * sig
+    noise_scale = math.sqrt(cfg.h) * sig
     noise = _NoiseBlocks(cfg.seed, paths, n, cfg.n_steps)
     h = cfg.h
-    sqrt_h = math.sqrt(h)
     cap = cfg.y_cap
 
     def observe(k: int, x: np.ndarray) -> None:
@@ -241,21 +234,19 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths,
     observe(0, x)
     for k in range(1, cfg.n_steps + 1):
         xi = noise.next_step()
-        ax = x @ At
-        dY = (ax[:, others] - ax[:, ref:ref + 1] - half_corr) * h
-        dY += sqrt_h * (sig_o * xi[:, others] - sig_r * xi[:, ref:ref + 1])
-        Y += dY
-        over = (np.abs(Y) > cap).any(axis=1)
-        if over.any():
-            clamped |= over
-            np.clip(Y, -cap, cap, out=Y)
-        if not np.all(np.isfinite(Y)):
-            bad = ~np.isfinite(Y).all(axis=1)
-            raise SimulationError(
-                f"non-finite log-ratios at step {k} (t={h * k:g}) "
-                f"for paths {[paths[i] for i in np.flatnonzero(bad)[:5]]}"
-            )
-        x = _states_from_log_ratios(Y, ref, others)
+        Z += (_payoffs(x, At) - half_var) * h
+        Z += noise_scale * xi
+        Z -= Z.max(axis=1, keepdims=True)
+        if not Z.min() >= -cap:             # a floored share, or a non-finite one
+            bad = ~np.isfinite(Z).all(axis=1)
+            if bad.any():
+                raise SimulationError(
+                    f"non-finite log-shares at step {k} (t={h * k:g}) "
+                    f"for paths {[paths[i] for i in np.flatnonzero(bad)[:5]]}"
+                )
+            clamped |= (Z < -cap).any(axis=1)
+            np.maximum(Z, -cap, out=Z)
+        x = _shares(Z)
         observe(k, x)
     return _ChunkResult(times=times, states=states, clamped=clamped, hit_steps=hit_steps)
 
@@ -281,24 +272,23 @@ def simulate_ode(A, x0, cfg: SdeConfig) -> Trajectory:
     At = np.ascontiguousarray(A.T)
     times, slots = _record_slots(cfg)
     states = np.empty((times.size, n))
-    x_start, ref, others, Y = _log_ratio_start(x0, n, 1)
+    x_start = games.as_simplex_point(x0, n, interior=True)
+    Z = np.log(x_start)[None, :]
     h = cfg.h
 
-    def force(Yv):
-        xs = _states_from_log_ratios(Yv, ref, others)
-        ax = xs @ At
-        return ax[:, others] - ax[:, ref:ref + 1]
+    def force(Zv):
+        return _shares(Zv - Zv.max(axis=1, keepdims=True)) @ At
 
     states[0] = x_start
     for k in range(1, cfg.n_steps + 1):
-        k1 = force(Y)
-        k2 = force(Y + 0.5 * h * k1)
-        k3 = force(Y + 0.5 * h * k2)
-        k4 = force(Y + h * k3)
-        Y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = force(Z)
+        k2 = force(Z + 0.5 * h * k1)
+        k3 = force(Z + 0.5 * h * k2)
+        k4 = force(Z + h * k3)
+        Z += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         row = slots.get(k)
         if row is not None:
-            states[row] = _states_from_log_ratios(Y, ref, others)[0]
+            states[row] = _shares(Z - Z.max(axis=1, keepdims=True))[0]
     return Trajectory(times=times, states=states, clamped=False, seed=cfg.seed, path_index=0)
 
 
@@ -493,10 +483,11 @@ class BatchResult:
     values: np.ndarray          # per path, in the requested path order
     n_paths: int
     seed: int
+    clamped_paths: int = 0      # paths that reached the log-share floor
 
     @property
     def aborted(self) -> int:
-        """Always 0: the log-ratio scheme that batches run cannot abort a path
+        """Always 0: the log-share scheme that batches run cannot abort a path
         (only :func:`simulate_sizes` can, and it raises instead)."""
         return 0
 
@@ -508,6 +499,7 @@ class BatchResult:
             "std_error": self.std_error,
             "n_paths": self.n_paths,
             "seed": self.seed,
+            "clamped_paths": self.clamped_paths,
             "per_path": per_path,
         }
 
@@ -548,9 +540,11 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
     horizon = cfg.n_steps * cfg.h
 
     pieces: dict[str, list[np.ndarray]] = {name: [] for name in statistics}
+    clamped_paths = 0
     for start in range(0, n_paths, chunk):
         paths = sorted_paths[start:start + chunk]
         res = _sde_chunk(A, sigma, x0, cfg, paths, hit_regions=hit_regions)
+        clamped_paths += int(res.clamped.sum())
         for name, st in statistics.items():
             if st.kind == "hitting_time":
                 steps = res.hit_steps[name]
@@ -584,6 +578,7 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
             values=values,
             n_paths=n_paths,
             seed=cfg.seed,
+            clamped_paths=clamped_paths,
         )
     return out
 

@@ -129,10 +129,20 @@ def test_simulate_batch_json(pd_file, tmp_path):
                    "--stat", "final_share:2", "--out", out])
     assert rc == 0
     payload = json.loads(open(out + ".json").read())
-    assert set(payload) == {"statistic", "mean", "std_error", "n_paths", "seed", "per_path"}
+    assert set(payload) == {"statistic", "mean", "std_error", "n_paths", "seed",
+                            "clamped_paths", "per_path"}
     assert payload["n_paths"] == 12 and payload["seed"] == 6
+    assert payload["clamped_paths"] == 0
     assert len(payload["per_path"]) == 12
     assert 0.0 <= payload["mean"] <= 1.0
+
+
+def test_simulate_batch_reports_clamped_paths(pd_file, tmp_path, capsys):
+    out = str(tmp_path / "batch")
+    assert cli.main(["simulate", pd_file, "--seed", "3", "--h", "0.1", "--T", "600",
+                     "--paths", "4", "--stride", "6000", "--out", out]) == 0
+    assert json.loads(open(out + ".json").read())["clamped_paths"] == 4
+    assert "(4 reached the log-share floor)" in capsys.readouterr().out
 
 
 def test_simulate_batch_bytes_repeat_and_match_reversed_paths(pd_file, tmp_path):
@@ -326,6 +336,25 @@ def test_rerun_reproduces_outputs_byte_identically(pd_file, tmp_path):
     hashes = {p: sha(p) for p in manifest["outputs"]}
     assert cli.main(["rerun", manifest_path]) == 0
     assert {p: sha(p) for p in manifest["outputs"]} == hashes
+
+
+def test_rerun_refuses_changed_or_missing_inputs(pd_file, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert cli.main(["simulate", pd_file, "--seed", "11", "--T", "1", "--paths", "8",
+                     "--out", out]) == 0
+    manifest_path = out + ".manifest.json"
+    before = {p: sha(p) for p in (out + ".json", manifest_path)}
+    capsys.readouterr()
+
+    write_game(tmp_path / "pd.json", [[3, 0], [5, 2]], [0.1, 0.1], ["cooperate", "defect"])
+    assert cli.main(["rerun", manifest_path]) == 1
+    err = capsys.readouterr().err
+    assert pd_file in err and "changed" in err
+
+    os.remove(pd_file)
+    assert cli.main(["rerun", manifest_path]) == 1
+    assert pd_file in capsys.readouterr().err
+    assert {p: sha(p) for p in before} == before
 
 
 def test_rerun_unreadable_manifest_exits_1(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from replab import attrition, engine, games
+from replab import attrition, engine, games, rng
 from replab.errors import SimulationError, ValidationError
 
 PD = np.array([[3.0, 0.0], [5.0, 1.0]])
@@ -142,12 +142,74 @@ def test_clamp_flag_and_positivity():
     assert np.max(np.abs(traj.states.sum(axis=1) - 1.0)) <= 1e-12
 
 
-def test_reference_index_rechosen_for_tiny_last_weight():
+def test_tiny_last_weight_start_stays_positive_and_exact():
     cfg = engine.SdeConfig(h=1e-3, horizon=1.0, seed=2)
     x0 = np.array([0.5, 0.5 - 1e-8, 1e-8])
     traj = engine.simulate_sde(2.0 * np.eye(3), [0.1] * 3, x0, cfg)
     assert np.all(traj.states > 0.0)
     assert np.array_equal(traj.states[0], x0)
+
+
+def test_survivors_keep_moving_after_the_last_strategy_dies_out():
+    # Rows 0 and 1 are equal, so log(x_0 / x_1) is a drifted random walk that
+    # the dying strategy 2 must not freeze when it reaches the floor.
+    A = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-10.0, -10.0, -10.0]])
+    sigma = np.array([0.3, 0.2, 0.3])
+    cfg = engine.SdeConfig(h=1e-2, horizon=100.0, seed=5, record_stride=100)
+    traj = engine.simulate_sde(A, sigma, [0.2, 0.5, 0.3], cfg, path_index=3)
+    assert traj.clamped
+
+    xi = rng.path_generator(5, 3).standard_normal((cfg.n_steps, 3))
+    increments = (-0.5 * (sigma[0] ** 2 - sigma[1] ** 2) * cfg.h
+                  + math.sqrt(cfg.h) * (sigma[0] * xi[:, 0] - sigma[1] * xi[:, 1]))
+    walk = math.log(0.4) + np.concatenate([[0.0], np.cumsum(increments)])
+    log_ratio = np.log(traj.states[:, 0] / traj.states[:, 1])
+    assert np.max(np.abs(log_ratio - walk[cfg.record_steps()])) < 1e-10
+
+
+def test_overflowing_noise_raises_simulation_error():
+    cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationError, match=r"non-finite log-shares at step 1 \(t=0.01\)"):
+            engine.simulate_sde(PD, [1e200, 1e200], [0.5, 0.5], cfg)
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    A = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n * n, max_size=n * n)))
+    sigma = np.array(draw(st.lists(st.floats(0.01, 5.0), min_size=n, max_size=n)))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    tiny_at = draw(st.integers(min_value=0, max_value=n - 1))
+    tiny = draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]))
+    weights[tiny_at] = 0.0
+    x0 = weights * ((1.0 - tiny) / weights.sum())
+    x0[tiny_at] = tiny
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return A.reshape(n, n), sigma, x0, seed
+
+
+@given(kernel_cases())
+@settings(max_examples=25)
+def test_log_share_kernel_invariants(case):
+    A, sigma, x0, seed = case
+    cfg = engine.SdeConfig(h=1e-2, horizon=10.0, seed=seed, record_stride=10, y_cap=50.0)
+    a = engine.simulate_sde(A, sigma, x0, cfg, path_index=0)
+    assert np.all(np.isfinite(a.states))
+    assert np.all(a.states >= engine.STATE_FLOOR)
+    assert np.max(np.abs(a.states.sum(axis=1) - 1.0)) <= 1e-12
+
+    again = engine.simulate_sde(A, sigma, x0, cfg, path_index=0)
+    assert again.states.tobytes() == a.states.tobytes() and again.clamped == a.clamped
+
+    b = engine.simulate_sde(A, sigma, x0, cfg, path_index=1)
+    n = A.shape[0]
+    batch = engine.batch_run_many(A, sigma, x0, cfg, 2,
+                                  {f"x{j}": engine.final_share(j) for j in range(n)},
+                                  path_indices=[1, 0])
+    finals = np.array([batch[f"x{j}"].values for j in range(n)]).T
+    assert np.array_equal(finals, np.array([b.states[-1], a.states[-1]]))
+    assert batch["x0"].clamped_paths == int(a.clamped) + int(b.clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +320,23 @@ def test_batch_deterministic_across_chunk_layout_and_permutation():
     assert np.array_equal(a.values, b.values[::-1])
 
 
+def test_one_path_chunk_matches_other_layouts():
+    # With five strategies a one-row payoff product used to round differently
+    # (BLAS gemv against gemm), so path 512 alone in the last chunk of a
+    # 513-path batch, or run by itself, drifted from the same path in a pair.
+    A = np.array([[0.0, 3.0, -1.0, 2.0, 1.0], [1.0, 0.0, 2.0, -2.0, 3.0],
+                  [2.0, -1.0, 0.0, 1.0, -3.0], [-2.0, 1.0, 3.0, 0.0, 2.0],
+                  [1.0, 2.0, -2.0, 3.0, 0.0]])
+    sigma = [0.5, 1.0, 1.5, 0.8, 1.2]
+    cfg = engine.SdeConfig(h=1e-2, horizon=5.0, seed=2, record_stride=500)
+    stat = engine.final_share(0)
+    whole = engine.batch_run(A, sigma, [0.2] * 5, cfg, engine._MAX_CHUNK_PATHS + 1, stat)
+    pair = engine.batch_run(A, sigma, [0.2] * 5, cfg, 2, stat, path_indices=[512, 511])
+    alone = engine.simulate_sde(A, sigma, [0.2] * 5, cfg, path_index=512)
+    assert whole.values[512] == pair.values[0] == alone.states[-1, 0]
+    assert whole.values[511] == pair.values[1]
+
+
 def test_batch_standard_error_scales():
     cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=15)
     stat = engine.final_share(0)
@@ -294,6 +373,16 @@ def test_batch_hitting_statistics(coordination_matrix):
     assert np.all(out["hit"].values == 1.0)
     assert np.all(out["tau"].values < 60.0)
     assert out["final"].mean > 0.9
+
+
+def test_batch_counts_clamped_paths():
+    stat = engine.final_share(1)
+    long_run = engine.SdeConfig(h=1e-2, horizon=60.0, seed=20, record_stride=100, y_cap=50.0)
+    res = engine.batch_run(PD, [0.1, 0.1], [0.5, 0.5], long_run, 16, stat)
+    assert res.clamped_paths == 16
+    assert res.to_json_dict()["clamped_paths"] == 16
+    short_run = engine.SdeConfig(h=1e-2, horizon=1.0, seed=20, y_cap=50.0)
+    assert engine.batch_run(PD, [0.1, 0.1], [0.5, 0.5], short_run, 16, stat).clamped_paths == 0
 
 
 def test_drift_and_diffusion_zero_sum_bulk():
@@ -346,28 +435,61 @@ def test_trajectory_csv_format():
 
 
 # ---------------------------------------------------------------------------
-# golden digests, computed before the engine was split into per-scheme kernels;
-# a change means a changed kernel or a changed numpy Gaussian stream (NEP 19)
+# golden digests of the log-share kernel; a change means a changed kernel or a
+# changed numpy Gaussian stream (NEP 19)
 
-GOLDEN_TRAJECTORY_SHA256 = "9f1be5c4e4cd5d9327fb59c3edd246dbf0b9896b296bd2631afb19a2749e8db4"
-GOLDEN_BATCH_SHA256 = "523c61f608df3f6f5ff5bc8e35ae15008ed676c16479dc4152632f70d9840705"
+GOLDEN_TRAJECTORY_SHA256 = "fe88eade97d05007da00f01e3e9a243055d2881ed7c61815fe2b06016c44b318"
+GOLDEN_BATCH_SHA256 = "55a6c610bdb89ae1ebd0b4b5a948c9f8b8982db45f6c6a5456c46a25d20fe816"
+
+# Values of the same fixtures from the log-ratio kernel that the log-share
+# kernel replaced.  The two agree in exact arithmetic, so floats may move by
+# rounding only and the hit flags not at all.
+LOG_RATIO_KERNEL_ROWS = {
+    0: [0.2, 0.3, 0.5],
+    50: [0.15918622086735293, 0.13771367590200898, 0.7031001032306381],
+    100: [0.07995709590766921, 0.057726209999085946, 0.8623166940932449],
+}
+LOG_RATIO_KERNEL_FINALS = {0: 0.2680145831876503, 299: 0.21020680389835616,
+                           300: 0.15302132000542346, 599: 0.12571511703721347}
+LOG_RATIO_KERNEL_FINAL_SUM = 116.4674637160401
+LOG_RATIO_KERNEL_HIT_SHA256 = "ebea3e2c7034ce6583442b875f2f840b5efba35840d193f24dfdf9825168fb1c"
+
+
+def golden_trajectory(A) -> engine.Trajectory:
+    cfg = engine.SdeConfig(h=1e-3, horizon=1.0, seed=2005, record_stride=10)
+    return engine.simulate_sde(A, [0.3, 0.2, 0.1], [0.2, 0.3, 0.5], cfg, path_index=7)
+
+
+def golden_batch(A) -> dict[str, engine.BatchResult]:
+    cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=2005, record_stride=10)
+    assert engine._chunk_size(cfg, 3) < 600          # two chunks
+    region = games.Region.coordinate_below(0, 0.3)
+    return engine.batch_run_many(
+        A, [0.3, 0.2, 0.1], [1 / 3] * 3, cfg, 600,
+        {"final": engine.final_share(0), "hit": engine.hit_flag_stat(region, name="hit")})
+
+
+def test_log_share_kernel_matches_parent_kernel(mixed_dominance_matrix):
+    traj = golden_trajectory(mixed_dominance_matrix)
+    for row, expected in LOG_RATIO_KERNEL_ROWS.items():
+        assert np.max(np.abs(traj.states[row] - expected)) <= 1e-12
+    out = golden_batch(mixed_dominance_matrix)
+    finals = out["final"].values
+    for i, expected in LOG_RATIO_KERNEL_FINALS.items():
+        assert abs(finals[i] - expected) <= 1e-12
+    assert abs(finals.sum() - LOG_RATIO_KERNEL_FINAL_SUM) <= 1e-12
+    hit_digest = hashlib.sha256(out["hit"].values.tobytes()).hexdigest()
+    assert hit_digest == LOG_RATIO_KERNEL_HIT_SHA256
 
 
 def test_golden_trajectory_digest(mixed_dominance_matrix):
-    cfg = engine.SdeConfig(h=1e-3, horizon=1.0, seed=2005, record_stride=10)
-    traj = engine.simulate_sde(mixed_dominance_matrix, [0.3, 0.2, 0.1], [0.2, 0.3, 0.5],
-                               cfg, path_index=7)
+    traj = golden_trajectory(mixed_dominance_matrix)
     assert traj.states.shape == (101, 3)
     assert hashlib.sha256(traj.states.tobytes()).hexdigest() == GOLDEN_TRAJECTORY_SHA256
 
 
 def test_golden_batch_digest_across_chunk_boundary(mixed_dominance_matrix):
-    cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=2005, record_stride=10)
-    assert engine._chunk_size(cfg, 3) < 600          # two chunks
-    region = games.Region.coordinate_below(0, 0.3)
-    out = engine.batch_run_many(
-        mixed_dominance_matrix, [0.3, 0.2, 0.1], [1 / 3] * 3, cfg, 600,
-        {"final": engine.final_share(0), "hit": engine.hit_flag_stat(region, name="hit")})
+    out = golden_batch(mixed_dominance_matrix)
     assert 0.0 < out["hit"].mean < 1.0
     h = hashlib.sha256()
     h.update(out["final"].values.tobytes())
