@@ -2,7 +2,9 @@
 
 Thin driver over the CLI: each check writes a JSON report, a per-path CSV and
 a manifest under the output directory.  Exit status is the worst verdict seen
-(0 consistent, 2 violated, 3 inconclusive).
+(0 consistent, 2 violated, 3 inconclusive), except that a check exiting 1
+(malformed input or an aborted simulation) or 4 (a failed hypothesis) stops
+the run at once with that status.
 
 Usage: python scripts/run_verifications.py [--outdir results] [--seed 1] [--fast]
 """
@@ -52,7 +54,7 @@ def run_all(outdir: pathlib.Path, seed: int, fast: bool) -> int:
                 "--seed", str(seed), "--out", str(out), *flags]
         rc = replab(argv)
         print(f"  -> {tag}: exit {rc}")
-        if rc == 4:
+        if rc in (1, 4):
             return rc
         worst = max(worst, rc)
     return worst

@@ -415,6 +415,7 @@ def persistence_experiment(spec, sigma, x0, cfg, n_paths: int):
             "noise_regime_sufficient": bool(regime_ok),
         },
         per_path={stat.name: result},
+        clamped_paths=result.clamped_paths,
     )
 
 

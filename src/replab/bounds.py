@@ -74,6 +74,7 @@ class BoundReport:
     inputs: dict
     details: dict = field(default_factory=dict)
     per_path: dict = field(default_factory=dict, repr=False)   # name -> BatchResult
+    clamped_paths: int = 0            # summed over the check's batches
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,6 +85,7 @@ class BoundReport:
             "verdict": self.verdict,
             "inputs": self.inputs,
             "details": self.details,
+            "clamped_paths": self.clamped_paths,
         }
 
     def per_path_csv_text(self) -> str:
@@ -330,6 +332,7 @@ def extinction_report(A, k: int, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
             "dominating_mix": np.asarray(p, dtype=float).tolist(),
         },
         per_path={stat.name: result},
+        clamped_paths=result.clamped_paths,
     )
 
 
@@ -363,6 +366,7 @@ def almost_sure_decay_check(A, k: int, p, sigma, x0, cfg: engine.SdeConfig,
         inputs=_inputs(A, sigma, x0, cfg, n_paths, strategy=k),
         details={"rate": consts.c1 - consts.c2, "sigma_max": consts.sigma_max},
         per_path={stat.name: result},
+        clamped_paths=result.clamped_paths,
     )
 
 
@@ -435,8 +439,7 @@ def ess_attraction_reports(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
     if "2.4" in which:
         stats["tavg"] = engine.time_avg_sq_distance_stat(p)
     if "2.8" in which:
-        stats["tavg_eff"] = engine.Statistic(
-            name="tavg_eff", fn=engine.time_avg_sq_distance_stat(p_eff).fn)
+        stats["tavg_eff"] = engine.time_avg_sq_distance_stat(p_eff, name="tavg_eff")
 
     results = engine.batch_run_many(A, s, x0, cfg, n_paths, stats)
     slack = discretization_slack(cfg.h, float(s.max()))
@@ -455,6 +458,7 @@ def ess_attraction_reports(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
             inputs=dict(common, burn_in=burn_in),
             details={"kappa": kappa, "lam2": lam2, "stable_mix": p.tolist()},
             per_path={"occupation": r},
+            clamped_paths=r.clamped_paths,
         )
     if "2.3b" in which:
         bound = analytic["2.3b"]
@@ -469,6 +473,7 @@ def ess_attraction_reports(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
             details={"kappa": kappa, "lam2": lam2,
                      "kl_distance": games.kl_distance(x0, p)},
             per_path={"hitting": r},
+            clamped_paths=r.clamped_paths,
         )
     if "2.4" in which:
         bound = analytic["2.4"]
@@ -482,6 +487,7 @@ def ess_attraction_reports(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
             inputs=common,
             details={"kappa": kappa, "lam2": lam2},
             per_path={"tavg": r},
+            clamped_paths=r.clamped_paths,
         )
     if "2.8" in which:
         bound = analytic["2.8"]
@@ -498,6 +504,7 @@ def ess_attraction_reports(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
                      "gap_strictly_larger": gap_larger,
                      "noise_term_no_larger": noise_smaller},
             per_path={"tavg_eff": r},
+            clamped_paths=r.clamped_paths,
         )
     return out
 
@@ -535,14 +542,8 @@ def stability_basin_probe(A, sigma, k: int, radius: float, cfg: engine.SdeConfig
     estimates, ses, results = [], [], {}
     for r in (radius, radius / 2.0, radius / 4.0):
         x0 = target + r * direction
-        ball = games.Region.ball(target, 2.0 * r)
-
-        def captured(tr: engine.Trajectory, ball=ball) -> float:
-            inside = ball.contains(tr.states)
-            ok = bool(inside.all()) and tr.states[-1, k] > 1.0 - BASIN_FIXATION_LEVEL
-            return 1.0 if ok else 0.0
-
-        stat = engine.Statistic(name=f"captured_r_{r:g}", fn=captured)
+        stat = engine.captured_stat(games.Region.ball(target, 2.0 * r), k,
+                                    BASIN_FIXATION_LEVEL, name=f"captured_r_{r:g}")
         res = engine.batch_run(A, s, x0, cfg, n_paths, stat)
         finite = res.values[np.isfinite(res.values)]
         phat = float(np.mean(finite)) if finite.size else math.nan
@@ -565,6 +566,7 @@ def stability_basin_probe(A, sigma, k: int, radius: float, cfg: engine.SdeConfig
         details={"radii": [radius, radius / 2.0, radius / 4.0],
                  "estimates": estimates, "standard_errors": ses},
         per_path=results,
+        clamped_paths=sum(res.clamped_paths for res in results.values()),
     )
 
 
@@ -595,6 +597,7 @@ def coordination_absorption(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
         inputs=_inputs(A, s, x0, cfg, n_paths, eps=eps),
         details={"final_share_mean": result.mean},
         per_path={stat.name: result},
+        clamped_paths=result.clamped_paths,
     )
 
 
@@ -686,6 +689,7 @@ def vertex_hitting_report(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
                  "log_bound": construction.log_bound, "all_paths_hit": all_hit,
                  "fraction_within_10x_mean": frac_fast},
         per_path=results,
+        clamped_paths=tau.clamped_paths,
     )
 
 

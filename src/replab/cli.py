@@ -3,7 +3,8 @@
 Subcommands: ``analyze`` (statics of a game file), ``simulate`` (seeded
 trajectories or batches), ``verify`` (one named bound check as a Monte Carlo
 campaign), ``attrition`` (closed-form equilibria and sweeps) and ``rerun``
-(replay a manifest whose input digests still match).  Output is
+(replay a manifest whose input digests still match, and check that the
+outputs come back with their recorded digests).  Output is
 machine-first (JSON/CSV files); a short human-readable summary goes to
 standard output.
 
@@ -167,8 +168,7 @@ def cmd_analyze(args) -> int:
 
     manifest = _manifest(args, inputs=[args.game])
     out_json = args.out + ".json"
-    fileio.atomic_write_text(out_json, fileio.json_text(report))
-    manifest.add_output(out_json)
+    manifest.write_output(out_json, fileio.json_text(report))
     manifest.write(args.out + ".manifest.json")
 
     print(f"lambda2 = {lam2:.6g} ({report['cnd_status']}); "
@@ -216,8 +216,7 @@ def cmd_simulate(args) -> int:
     if args.paths == 1:
         traj = engine.simulate_sde(A, sigma, x0, cfg)
         out_csv = args.out + ".csv"
-        fileio.atomic_write_text(out_csv, engine.trajectory_csv_text(traj))
-        manifest.add_output(out_csv)
+        manifest.write_output(out_csv, engine.trajectory_csv_text(traj))
         manifest.write(args.out + ".manifest.json")
         print(f"1 path, {traj.times.size} recorded points -> {out_csv}"
               + (" (log-share floor reached)" if traj.clamped else ""))
@@ -226,8 +225,7 @@ def cmd_simulate(args) -> int:
     stat = _parse_stat(args.stat, n)
     result = engine.batch_run(A, sigma, x0, cfg, args.paths, stat)
     out_json = args.out + ".json"
-    fileio.atomic_write_text(out_json, fileio.json_text(result.to_json_dict()))
-    manifest.add_output(out_json)
+    manifest.write_output(out_json, fileio.json_text(result.to_json_dict()))
     manifest.write(args.out + ".manifest.json")
     print(f"{args.paths} paths: {stat.name} = {result.mean:.6g} "
           f"+- {result.std_error:.2g} (se) -> {out_json}"
@@ -283,15 +281,15 @@ def cmd_verify(args) -> int:
                                                   eps=args.eps or 0.1)
 
     out_json = args.out + ".json"
-    fileio.atomic_write_text(out_json, fileio.json_text(report.to_json_dict()))
-    manifest.add_output(out_json)
+    manifest.write_output(out_json, fileio.json_text(report.to_json_dict()))
     out_csv = args.out + "_paths.csv"
-    fileio.atomic_write_text(out_csv, report.per_path_csv_text())
-    manifest.add_output(out_csv)
+    manifest.write_output(out_csv, report.per_path_csv_text())
     manifest.write(args.out + ".manifest.json")
 
     print(f"{report.name}: {report.verdict} "
-          f"(analytic {report.analytic_value:.6g}, empirical {report.empirical_value:.6g})")
+          f"(analytic {report.analytic_value:.6g}, empirical {report.empirical_value:.6g})"
+          + (f" ({report.clamped_paths} paths reached the log-share floor)"
+             if report.clamped_paths else ""))
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -347,8 +345,7 @@ def cmd_attrition(args) -> int:
             raise InputError(f"cannot parse --n-range lo:hi or --rho-fracs: {exc}") from exc
         specs = attrition.ess_sweep_rows(range(n_lo, n_hi + 1), fracs, v_step=args.v_step)
         out_csv = args.out + ".csv"
-        fileio.atomic_write_text(out_csv, _sweep_csv(specs))
-        manifest.add_output(out_csv)
+        manifest.write_output(out_csv, _sweep_csv(specs))
         manifest.write(args.out + ".manifest.json")
         print(f"{len(specs)} instances -> {out_csv}")
         return EXIT_OK
@@ -365,8 +362,7 @@ def cmd_attrition(args) -> int:
             print(f"support cutoff s = {result.s}, normalizer c = {result.c:.12g}")
         if args.out:
             out_csv = args.out + ".csv"
-            fileio.atomic_write_text(out_csv, _sweep_csv([spec]))
-            manifest.add_output(out_csv)
+            manifest.write_output(out_csv, _sweep_csv([spec]))
             manifest.write(args.out + ".manifest.json")
     else:
         B = attrition.perturbed_matrix(spec)
@@ -385,8 +381,7 @@ def cmd_attrition(args) -> int:
                 "common_payoff": None if report is None else report.common_payoff,
                 "status": None if report is None else report.status,
             }
-            fileio.atomic_write_text(out_json, fileio.json_text(payload))
-            manifest.add_output(out_json)
+            manifest.write_output(out_json, fileio.json_text(payload))
             manifest.write(args.out + ".manifest.json")
     return EXIT_OK
 
@@ -396,24 +391,32 @@ def cmd_attrition(args) -> int:
 
 
 def cmd_rerun(args) -> int:
-    """Replay a manifest's command once every listed input still has its recorded sha256."""
+    """Replay a manifest's command once every listed input still has its recorded
+    sha256, then check that every output has its recorded sha256 again."""
     try:
         manifest = fileio.RunManifest.load(args.manifest)
         command = list(manifest["command"])
         inputs = [(str(e["path"]), str(e["sha256"])) for e in manifest["inputs"]]
+        outputs = [(str(p), str(d)) for p, d in dict(manifest.get("output_sha256", {})).items()]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot read manifest {args.manifest}: {exc!r}") from exc
-    for path, recorded in inputs:
+    if not outputs:
+        raise InputError(f"manifest {args.manifest} records no output digests to check")
+    _check_digests(inputs, "input file", f"changed since {args.manifest} was written")
+    print(f"replaying: replab {' '.join(command)}")
+    code = main(command)
+    _check_digests(outputs, "replayed output", f"differs from {args.manifest}")
+    return code
+
+
+def _check_digests(entries, what: str, changed: str) -> None:
+    for path, recorded in entries:
         try:
             actual = fileio.sha256_file(path)
         except OSError as exc:
-            raise InputError(f"input file {path} listed in {args.manifest} "
-                             f"cannot be read: {exc}") from exc
+            raise InputError(f"{what} {path} cannot be read: {exc}") from exc
         if actual != recorded:
-            raise InputError(f"input file {path} changed since {args.manifest} was written "
-                             f"(sha256 {actual}, recorded {recorded})")
-    print(f"replaying: replab {' '.join(command)}")
-    return main(command)
+            raise InputError(f"{what} {path} {changed} (sha256 {actual}, recorded {recorded})")
 
 
 # ---------------------------------------------------------------------------

@@ -22,17 +22,21 @@ sorted path indices (at most 512 paths each) that run one after another.
 Batch output is therefore byte-identical for any permutation of the requested
 path indices and any split of them into chunks or separate batches.
 
-Hitting times are detected on the step grid while integrating (no
-Brownian-bridge correction: the bias is at most one step and the acceptance
-slacks absorb it); all other trajectory diagnostics use the recorded grid,
-which is the step grid thinned by ``record_stride``.
+Statistics are data, not code: a :class:`Statistic` names a kind and its
+parameters.  A batch records its states one chunk at a time, as an array of
+shape (paths, records, n), and :func:`_reduce` turns that array into each
+statistic's per-path values at once; no Python runs per path.  Hitting times
+are detected on the step grid while integrating (no Brownian-bridge
+correction: the bias is at most one step and the acceptance slacks absorb
+it); every other statistic reads the recorded grid, which is the step grid
+thinned by ``record_stride``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -106,12 +110,6 @@ class Trajectory:
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-
-@dataclass(frozen=True)
-class HittingTimeResult:
-    hit: bool
-    time: float
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +191,11 @@ class _ChunkResult:
     times: np.ndarray
     states: np.ndarray                  # (paths, records, n)
     clamped: np.ndarray                 # (paths,) bool
-    hit_steps: dict[str, np.ndarray]    # (paths,) int, -1 = never entered
+    first_hit: dict[Region, np.ndarray]  # (paths,) first entry time, inf = never
 
 
 def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths,
-               hit_regions: Mapping[str, Region] | None = None) -> _ChunkResult:
+               hit_regions: Iterable[Region] = ()) -> _ChunkResult:
     """Euler-Maruyama in log-share coordinates for a chunk of seeded paths."""
     A = games.as_payoff_matrix(A)
     n = A.shape[0]
@@ -206,9 +204,8 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths,
     times, slots = _record_slots(cfg)
     states = np.empty((m, times.size, n))
     clamped = np.zeros(m, dtype=bool)
-    regions = dict(hit_regions or {})
-    hit_steps = {name: np.full(m, -1, dtype=np.int64) for name in regions}
-    pending = {name: np.ones(m, dtype=bool) for name in regions}
+    first_hit = {region: np.full(m, math.inf) for region in hit_regions}
+    pending = {region: np.ones(m, dtype=bool) for region in first_hit}
 
     x_start = games.as_simplex_point(x0, n, interior=True)
     Z = np.broadcast_to(np.log(x_start), (m, n)).copy()
@@ -223,12 +220,12 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths,
         row = slots.get(k)
         if row is not None:
             states[:, row, :] = x
-        for name, region in regions.items():
-            mask = pending[name]
+        for region, hit in first_hit.items():
+            mask = pending[region]
             if mask.any():
                 inside = region.contains(x)
-                hit_steps[name][mask & inside] = k
-                pending[name] &= ~inside
+                hit[mask & inside] = k * h
+                pending[region] &= ~inside
 
     x = np.broadcast_to(x_start, (m, n)).copy()
     observe(0, x)
@@ -248,7 +245,7 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths,
             np.maximum(Z, -cap, out=Z)
         x = _shares(Z)
         observe(k, x)
-    return _ChunkResult(times=times, states=states, clamped=clamped, hit_steps=hit_steps)
+    return _ChunkResult(times=times, states=states, clamped=clamped, first_hit=first_hit)
 
 
 # ---------------------------------------------------------------------------
@@ -334,114 +331,128 @@ def simulate_sizes(A, sigma, z0, cfg: SdeConfig, path_index: int = 0) -> Traject
                       path_index=path_index)
 
 
-def hitting_time(A, sigma, x0, cfg: SdeConfig, region: Region,
-                 path_index: int = 0) -> HittingTimeResult:
-    """First step-grid time at which one seeded path enters the region."""
-    res = _sde_chunk(A, sigma, x0, cfg, [path_index], hit_regions={"target": region})
-    step = int(res.hit_steps["target"][0])
-    if step >= 0:
-        return HittingTimeResult(hit=True, time=step * cfg.h)
-    return HittingTimeResult(hit=False, time=cfg.n_steps * cfg.h)
-
-
-# ---------------------------------------------------------------------------
-# trajectory diagnostics
-
-
-def occupation_fraction(traj: Trajectory, region: Region, t_start: float) -> float:
-    """Fraction of recorded grid points at or after ``t_start`` lying in the region."""
-    if not t_start < traj.times[-1]:
-        raise ValidationError("t_start must precede the end of the trajectory")
-    mask = traj.times >= t_start
-    return float(np.mean(region.contains(traj.states[mask])))
-
-
-def time_avg_sq_distance(traj: Trajectory, p) -> float:
-    """Trapezoidal time average of the squared Euclidean distance to ``p``."""
-    p = games.as_simplex_point(p, traj.n_strategies)
-    f = ((traj.states - p[None, :]) ** 2).sum(axis=1)
-    t = traj.times
-    if t.size == 1:
-        return float(f[0])
-    dt = np.diff(t)
-    integral = float(np.sum(0.5 * dt * (f[1:] + f[:-1])))
-    return integral / float(t[-1] - t[0])
-
-
 # ---------------------------------------------------------------------------
 # named per-path statistics
 
 
 @dataclass(frozen=True)
 class Statistic:
-    """A named per-path diagnostic for batch runs.
+    """A named per-path diagnostic for batch runs, held as plain data.
 
-    ``kind == "trajectory"`` statistics evaluate ``fn`` on the recorded path;
-    ``kind == "hitting_time"`` / ``"hit_flag"`` statistics are evaluated on
-    the step grid while integrating (finer than the recorded grid).
+    ``kind`` selects the reduction in :func:`_reduce`, and the remaining
+    fields are its parameters (``None`` where a kind does not use them).
     """
 
     name: str
-    kind: str = "trajectory"
-    fn: Callable[[Trajectory], float] | None = None
-    region: Region | None = field(default=None)
+    kind: str
+    j: int | None = None                    # strategy index
+    t: float | None = None                  # recorded time, or start of a window
+    region: Region | None = None
+    point: tuple[float, ...] | None = None
+    rate: float | None = None
+    sigma_max: float | None = None
+    level: float | None = None
+
+    @property
+    def hit_region(self) -> Region | None:
+        """The region whose first entry the kernel detects on the step grid, if any."""
+        return self.region if self.kind in ("hitting_time", "hit_flag") else None
+
+    def fn(self, traj: Trajectory) -> float:
+        """Value on one recorded path; hitting kinds detect entry on its recorded grid."""
+        first_hit = None
+        if self.hit_region is not None:
+            inside = np.flatnonzero(self.region.contains(traj.states))
+            first_hit = np.array([traj.times[inside[0]] if inside.size else math.inf])
+        return float(_reduce(self, traj.times, traj.states[None], first_hit)[0])
+
+
+def _reduce(st: Statistic, times: np.ndarray, states: np.ndarray,
+            first_hit: np.ndarray | None) -> np.ndarray:
+    """Values of ``st`` for recorded ``states`` of shape (paths, records, n).
+
+    ``first_hit`` is each path's first entry time into ``st.hit_region``
+    (``inf``: never).  The result is a fresh array, never a view of
+    ``states``, so a chunk's states are freed once it is reduced.
+    """
+    kind = st.kind
+    if kind == "final_share":
+        return states[:, -1, st.j].copy()
+    if kind == "max_final_share":
+        return states[:, -1].max(axis=1)
+    if kind == "share_at":
+        i = int(np.argmin(np.abs(times - st.t)))
+        if abs(times[i] - st.t) > 1e-9 * max(1.0, abs(st.t)):
+            raise ValidationError(
+                f"share_at: t={st.t:g} is not a recorded time (nearest {times[i]:g})")
+        return states[:, i, st.j].copy()
+    if kind == "window_max_share":
+        return states[:, times >= st.t, st.j].max(axis=1)
+    if kind == "occupation":
+        if not st.t < times[-1]:
+            raise ValidationError("t_start must precede the end of the trajectory")
+        return st.region.contains(states[:, times >= st.t]).mean(axis=1)
+    if kind == "time_avg_sq_distance":
+        p = games.as_simplex_point(st.point, states.shape[2])
+        f = ((states - p) ** 2).sum(axis=2)
+        integral = (0.5 * np.diff(times) * (f[:, 1:] + f[:, :-1])).sum(axis=1)
+        return integral / float(times[-1] - times[0])
+    if kind == "hitting_time":
+        return np.where(np.isfinite(first_hit), first_hit, times[-1])
+    if kind == "hit_flag":
+        return np.isfinite(first_hit).astype(float)
+    if kind == "decay_envelope_ratio":
+        envelope = st.rate * times
+        big = times > math.e
+        envelope[big] -= 3.0 * st.sigma_max * np.sqrt(times[big] * np.log(np.log(times[big])))
+        m = states[:, :, st.j] * np.exp(envelope)
+        half = times[-1] / 2.0
+        early = m[:, times <= half].max(axis=1)
+        return m[:, times > half].max(axis=1) / np.maximum(early, 1e-300)
+    if kind == "captured":
+        stayed = st.region.contains(states).all(axis=1)
+        return (stayed & (states[:, -1, st.j] > 1.0 - st.level)).astype(float)
+    raise ValidationError(f"unknown statistic kind {kind!r}")
 
 
 def final_share(j: int) -> Statistic:
-    return Statistic(name=f"final_share_{j}", fn=lambda tr: float(tr.states[-1, j]))
+    return Statistic(name=f"final_share_{j}", kind="final_share", j=j)
 
 
 def max_final_share() -> Statistic:
-    return Statistic(name="max_final_share", fn=lambda tr: float(tr.states[-1].max()))
+    return Statistic(name="max_final_share", kind="max_final_share")
 
 
 def share_at(j: int, t: float) -> Statistic:
     """Share of strategy ``j`` at the recorded time ``t``; an off-grid ``t`` raises."""
-    def fn(tr: Trajectory) -> float:
-        i = int(np.argmin(np.abs(tr.times - t)))
-        if abs(tr.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValidationError(
-                f"share_at: t={t:g} is not a recorded time (nearest {tr.times[i]:g})")
-        return float(tr.states[i, j])
-
-    return Statistic(name=f"share_{j}_at_{t:g}", fn=fn)
+    return Statistic(name=f"share_{j}_at_{t:g}", kind="share_at", j=j, t=t)
 
 
 def window_max_share(j: int, t_start: float) -> Statistic:
-    def fn(tr: Trajectory) -> float:
-        mask = tr.times >= t_start
-        return float(tr.states[mask, j].max())
-
-    return Statistic(name=f"max_share_{j}_from_{t_start:g}", fn=fn)
+    return Statistic(name=f"max_share_{j}_from_{t_start:g}", kind="window_max_share",
+                     j=j, t=t_start)
 
 
 def occupation_stat(region: Region, t_start: float) -> Statistic:
-    return Statistic(
-        name=f"occupation[{region.describe()}]",
-        fn=lambda tr: occupation_fraction(tr, region, t_start),
-    )
+    """Fraction of recorded grid points at or after ``t_start`` lying in the region."""
+    return Statistic(name=f"occupation[{region.describe()}]", kind="occupation",
+                     region=region, t=t_start)
 
 
-def time_avg_sq_distance_stat(p) -> Statistic:
-    p = games.as_simplex_point(p)
-    return Statistic(name="time_avg_sq_distance", fn=lambda tr: time_avg_sq_distance(tr, p))
-
-
-def peak_distance_stat(p) -> Statistic:
-    p = games.as_simplex_point(p)
-
-    def fn(tr: Trajectory) -> float:
-        return float(np.sqrt(((tr.states - p[None, :]) ** 2).sum(axis=1).max()))
-
-    return Statistic(name="peak_distance", fn=fn)
+def time_avg_sq_distance_stat(p, name: str = "time_avg_sq_distance") -> Statistic:
+    """Trapezoidal time average of the squared Euclidean distance to ``p``."""
+    point = tuple(float(v) for v in games.as_simplex_point(p))
+    return Statistic(name=name, kind="time_avg_sq_distance", point=point)
 
 
 def hitting_time_stat(region: Region, name: str | None = None) -> Statistic:
+    """First step-grid time in the region; the horizon for a path that never enters."""
     return Statistic(name=name or f"hitting_time[{region.describe()}]",
                      kind="hitting_time", region=region)
 
 
 def hit_flag_stat(region: Region, name: str | None = None) -> Statistic:
+    """1 if the path enters the region on the step grid, else 0."""
     return Statistic(name=name or f"hit[{region.describe()}]",
                      kind="hit_flag", region=region)
 
@@ -454,19 +465,15 @@ def decay_envelope_ratio_stat(k: int, rate: float, sigma_max: float) -> Statisti
     statistic is ``max M over the late half / max M over the early half`` and
     values below one indicate decay faster than the envelope.
     """
+    return Statistic(name=f"decay_envelope_ratio_{k}", kind="decay_envelope_ratio",
+                     j=k, rate=float(rate), sigma_max=float(sigma_max))
 
-    def fn(tr: Trajectory) -> float:
-        t = tr.times
-        envelope = rate * t
-        big = t > math.e
-        envelope[big] -= 3.0 * sigma_max * np.sqrt(t[big] * np.log(np.log(t[big])))
-        m = tr.states[:, k] * np.exp(envelope)
-        half = t[-1] / 2.0
-        early = float(m[t <= half].max())
-        late = float(m[t > half].max())
-        return late / max(early, 1e-300)
 
-    return Statistic(name=f"decay_envelope_ratio_{k}", fn=fn)
+def captured_stat(region: Region, j: int, level: float, name: str | None = None) -> Statistic:
+    """1 if the path never leaves the region and ends with share ``j`` above
+    ``1 - level``, else 0."""
+    return Statistic(name=name or f"captured[{region.describe()}]", kind="captured",
+                     region=region, j=j, level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -532,32 +539,23 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
         raise ValidationError("need at least one statistic")
 
     A = games.as_payoff_matrix(A)
+    n = A.shape[0]
+    times, _ = _record_slots(cfg)
+    for st in statistics.values():      # a bad statistic raises before any path runs
+        _reduce(st, times, np.empty((0, times.size, n)), np.empty(0))
     order = sorted(range(n_paths), key=lambda i: path_indices[i])
     sorted_paths = [path_indices[i] for i in order]
-    chunk = _chunk_size(cfg, A.shape[0])
-    hit_regions = {name: st.region for name, st in statistics.items()
-                   if st.kind in ("hitting_time", "hit_flag")}
-    horizon = cfg.n_steps * cfg.h
+    chunk = _chunk_size(cfg, n)
+    hit_regions = {st.hit_region for st in statistics.values()} - {None}
 
     pieces: dict[str, list[np.ndarray]] = {name: [] for name in statistics}
     clamped_paths = 0
     for start in range(0, n_paths, chunk):
-        paths = sorted_paths[start:start + chunk]
-        res = _sde_chunk(A, sigma, x0, cfg, paths, hit_regions=hit_regions)
+        res = _sde_chunk(A, sigma, x0, cfg, sorted_paths[start:start + chunk], hit_regions)
         clamped_paths += int(res.clamped.sum())
         for name, st in statistics.items():
-            if st.kind == "hitting_time":
-                steps = res.hit_steps[name]
-                vals = np.where(steps >= 0, steps * cfg.h, horizon)
-            elif st.kind == "hit_flag":
-                vals = (res.hit_steps[name] >= 0).astype(float)
-            else:
-                vals = np.array([
-                    float(st.fn(Trajectory(times=res.times, states=res.states[i],
-                                           clamped=bool(res.clamped[i]),
-                                           seed=cfg.seed, path_index=p)))
-                    for i, p in enumerate(paths)])
-            pieces[name].append(vals)
+            first_hit = res.first_hit.get(st.hit_region)
+            pieces[name].append(_reduce(st, res.times, res.states, first_hit))
 
     inverse = np.empty(n_paths, dtype=np.int64)
     inverse[order] = np.arange(n_paths)

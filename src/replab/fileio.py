@@ -3,8 +3,8 @@
 Commands never leave partial files behind: content is written to a temporary
 sibling and renamed into place only on success.  Every command also writes a
 manifest (no timestamps, nothing machine-specific) listing its argument
-vector, input digests and output paths, so replaying the manifest reproduces
-every output byte for byte.
+vector, input digests, output paths and output digests, so replaying the
+manifest can be checked to reproduce every output byte for byte.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ class RunManifest:
     seed: int | None = None
     defaults: dict = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
+    output_sha256: dict[str, str] = field(default_factory=dict)
 
     def add_input(self, path: str) -> None:
         self.inputs.append({"path": path, "sha256": sha256_file(path)})
@@ -75,7 +76,14 @@ class RunManifest:
         if path not in self.outputs:
             self.outputs.append(path)
 
+    def write_output(self, path: str, text: str) -> None:
+        """Write one output atomically and record its path and the sha256 of its bytes."""
+        atomic_write_text(path, text)
+        self.add_output(path)
+        self.output_sha256[path] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+
     def write(self, path: str) -> None:
+        """Write the manifest itself; it lists its own path but holds no digest of itself."""
         self.add_output(path)
         atomic_write_text(path, json_text({
             "command": self.command,
@@ -83,6 +91,7 @@ class RunManifest:
             "seed": self.seed,
             "defaults": self.defaults,
             "outputs": self.outputs,
+            "output_sha256": self.output_sha256,
         }))
 
     @staticmethod

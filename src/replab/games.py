@@ -140,23 +140,21 @@ class Region:
         return cls(kind="coordinate_below", index=int(index), eps=float(eps))
 
     def contains(self, states) -> np.ndarray:
-        """Vectorized membership test; accepts one state or an (m, n) stack."""
+        """Vectorized membership test over the last axis of any ``(..., n)`` stack;
+        one state of shape ``(n,)`` gives a ``bool``."""
         x = np.asarray(states, dtype=float)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
         if self.kind == "ball":
             c = np.asarray(self.center)
-            inside = ((x - c) ** 2).sum(axis=1) < self.radius**2
+            inside = ((x - c) ** 2).sum(axis=-1) < self.radius**2
         elif self.kind == "vertex":
-            inside = x[:, self.index] >= 1.0 - self.eps
+            inside = x[..., self.index] >= 1.0 - self.eps
         elif self.kind == "any_vertex":
-            inside = x.max(axis=1) >= 1.0 - self.eps
+            inside = x.max(axis=-1) >= 1.0 - self.eps
         elif self.kind == "coordinate_below":
-            inside = x[:, self.index] <= self.eps
+            inside = x[..., self.index] <= self.eps
         else:  # pragma: no cover - constructors prevent this
             raise ValidationError(f"unknown region kind {self.kind!r}")
-        return bool(inside[0]) if squeeze else inside
+        return bool(inside) if x.ndim == 1 else inside
 
     def describe(self) -> str:
         if self.kind == "ball":

@@ -297,6 +297,20 @@ def test_stability_basin_probe():
         bounds.stability_basin_probe(PD, [0.1, 0.1], 0, 0.1, cfg, 5)
 
 
+def test_reports_count_clamped_paths_over_their_batches(coordination_matrix):
+    # a fixating horizon with a shallow floor: every path reaches it
+    cfg = engine.SdeConfig(h=1e-2, horizon=60.0, seed=40, record_stride=100, y_cap=50.0)
+    probe = bounds.stability_basin_probe(PD, [0.1, 0.1], 1, 0.1, cfg, 8)
+    assert [r.clamped_paths for r in probe.per_path.values()] == [8, 8, 8]
+    assert probe.clamped_paths == 24
+    assert probe.to_json_dict()["clamped_paths"] == 24
+    absorbed = bounds.coordination_absorption(coordination_matrix, [0.1] * 3,
+                                              [0.5, 0.3, 0.2], cfg, 8)
+    assert absorbed.clamped_paths == 8
+    short = engine.SdeConfig(h=1e-2, horizon=1.0, seed=40, y_cap=50.0)
+    assert bounds.stability_basin_probe(PD, [0.1, 0.1], 1, 0.1, short, 8).clamped_paths == 0
+
+
 def test_coordination_absorption(coordination_matrix):
     cfg = engine.SdeConfig(h=1e-3, horizon=120.0, seed=37, record_stride=100)
     report = bounds.coordination_absorption(coordination_matrix, [0.1] * 3,

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -143,6 +144,14 @@ def test_simulate_batch_reports_clamped_paths(pd_file, tmp_path, capsys):
                      "--paths", "4", "--stride", "6000", "--out", out]) == 0
     assert json.loads(open(out + ".json").read())["clamped_paths"] == 4
     assert "(4 reached the log-share floor)" in capsys.readouterr().out
+
+
+def test_verify_reports_clamped_paths(pd_file, tmp_path, capsys):
+    out = str(tmp_path / "basin")
+    cli.main(["verify", pd_file, "--theorem", "4.1", "--k", "2", "--seed", "3", "--h", "0.1",
+              "--T", "600", "--paths", "4", "--stride", "6000", "--out", out])
+    assert json.loads(open(out + ".json").read())["clamped_paths"] == 12
+    assert "(12 paths reached the log-share floor)" in capsys.readouterr().out
 
 
 def test_simulate_batch_bytes_repeat_and_match_reversed_paths(pd_file, tmp_path):
@@ -357,9 +366,53 @@ def test_rerun_refuses_changed_or_missing_inputs(pd_file, tmp_path, capsys):
     assert {p: sha(p) for p in before} == before
 
 
+def test_rerun_checks_output_digests(pd_file, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert cli.main(["simulate", pd_file, "--seed", "11", "--T", "1", "--paths", "8",
+                     "--out", out]) == 0
+    manifest = json.loads(open(out + ".manifest.json").read())
+    assert manifest["output_sha256"] == {out + ".json": sha(out + ".json")}
+    capsys.readouterr()
+
+    def rerun_edited(**changes):
+        edited = {k: v for k, v in dict(manifest, **changes).items() if v is not None}
+        path = tmp_path / "edited.manifest.json"
+        path.write_text(json.dumps(edited))
+        return cli.main(["rerun", str(path)]), capsys.readouterr().err
+
+    code, err = rerun_edited(output_sha256={out + ".json": "0" * 64})
+    assert code == 1 and out + ".json" in err and "differs" in err
+    missing = str(tmp_path / "never_written.json")
+    code, err = rerun_edited(output_sha256={missing: sha(out + ".json")})
+    assert code == 1 and missing in err
+    code, err = rerun_edited(output_sha256=None)
+    assert code == 1 and "no output digests" in err
+
+
 def test_rerun_unreadable_manifest_exits_1(tmp_path, capsys):
     assert cli.main(["rerun", str(tmp_path / "missing.manifest.json")]) == 1
     no_command = tmp_path / "bare.manifest.json"
     no_command.write_text(json.dumps({"seed": 1}))
     assert cli.main(["rerun", str(no_command)]) == 1
     assert "cannot read manifest" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# driver scripts
+
+
+def test_run_verifications_stops_at_an_input_error(tmp_path, monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_verifications.py")
+    spec = importlib.util.spec_from_file_location("run_verifications", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    codes = iter([1, 2])
+    calls = []
+
+    def stub(argv):
+        calls.append(argv)
+        return next(codes, 0)
+
+    monkeypatch.setattr(script, "replab", stub)
+    assert script.run_all(tmp_path, seed=1, fast=True) == 1
+    assert len(calls) == 1

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -254,22 +255,30 @@ def test_sizes_abort_diagnostics():
 # hitting, occupation, averages
 
 
+def one_path_hit(A, cfg, region, path_index=0) -> tuple[float, float]:
+    """(hit flag, hitting time) of one seeded path."""
+    out = engine.batch_run_many(
+        A, [0.05] * 3, [1 / 3] * 3, cfg, 1,
+        {"hit": engine.hit_flag_stat(region), "tau": engine.hitting_time_stat(region)},
+        path_indices=[path_index])
+    return out["hit"].values[0], out["tau"].values[0]
+
+
 def test_hitting_time_basics(attrition_testbed_matrix):
     cfg = engine.SdeConfig(h=1e-3, horizon=1.0, seed=5)
     everything = games.Region.ball([1 / 3] * 3, 10.0)
-    res = engine.hitting_time(attrition_testbed_matrix, [0.05] * 3, [1 / 3] * 3, cfg, everything)
-    assert res.hit and res.time == 0.0
+    assert one_path_hit(attrition_testbed_matrix, cfg, everything) == (1.0, 0.0)
 
     nowhere = games.Region.ball([0.6, 0.2, 0.2], 1e-9)
-    res = engine.hitting_time(attrition_testbed_matrix, [0.05] * 3, [1 / 3] * 3, cfg, nowhere)
-    assert not res.hit and res.time == pytest.approx(1.0)
+    hit, tau = one_path_hit(attrition_testbed_matrix, cfg, nowhere)
+    assert hit == 0.0 and tau == pytest.approx(1.0)
 
 
 def test_hitting_time_state_is_inside(attrition_testbed_matrix):
     cfg = engine.SdeConfig(h=1e-3, horizon=50.0, seed=6)
     ball = games.Region.ball([0.6, 0.2, 0.2], 0.1)
-    res = engine.hitting_time(attrition_testbed_matrix, [0.05] * 3, [1 / 3] * 3, cfg, ball)
-    assert res.hit and 0.0 < res.time < 50.0
+    hit, tau = one_path_hit(attrition_testbed_matrix, cfg, ball)
+    assert hit == 1.0 and 0.0 < tau < 50.0
 
 
 def test_occupation_fraction_and_time_average():
@@ -277,18 +286,25 @@ def test_occupation_fraction_and_time_average():
     states = np.array([[0.5, 0.5], [0.6, 0.4], [0.9, 0.1], [0.95, 0.05]])
     traj = engine.Trajectory(times=times, states=states, clamped=False, seed=0)
     everything = games.Region.ball([0.5, 0.5], 10.0)
-    assert engine.occupation_fraction(traj, everything, 0.0) == 1.0
+    assert engine.occupation_stat(everything, 0.0).fn(traj) == 1.0
     corner = games.Region.vertex_neighborhood(0, 0.2)
-    assert engine.occupation_fraction(traj, corner, 0.0) == 0.5
-    assert engine.occupation_fraction(traj, corner, 2.0) == 1.0
+    assert engine.occupation_stat(corner, 0.0).fn(traj) == 0.5
+    assert engine.occupation_stat(corner, 2.0).fn(traj) == 1.0
     with pytest.raises(ValidationError):
-        engine.occupation_fraction(traj, corner, 3.0)
+        engine.occupation_stat(corner, 3.0).fn(traj)
+    assert engine.hitting_time_stat(corner).fn(traj) == 2.0
+    assert engine.hit_flag_stat(corner).fn(traj) == 1.0
+    far = games.Region.vertex_neighborhood(1, 0.2)
+    assert (engine.hitting_time_stat(far).fn(traj), engine.hit_flag_stat(far).fn(traj)) == (3.0, 0.0)
+    assert engine.captured_stat(everything, 0, 0.1).fn(traj) == 1.0
+    assert engine.captured_stat(everything, 0, 0.05).fn(traj) == 0.0     # 0.95 is not above 0.95
+    assert engine.captured_stat(games.Region.ball([0.5, 0.5], 0.2), 0, 0.1).fn(traj) == 0.0
 
     p = np.array([0.5, 0.5])
     const = engine.Trajectory(times=times, states=np.tile([0.7, 0.3], (4, 1)),
                               clamped=False, seed=0)
-    assert engine.time_avg_sq_distance(const, p) == pytest.approx(0.08)
-    assert engine.time_avg_sq_distance(const, [0.7, 0.3]) == 0.0
+    assert engine.time_avg_sq_distance_stat(p).fn(const) == pytest.approx(0.08)
+    assert engine.time_avg_sq_distance_stat([0.7, 0.3]).fn(const) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +375,64 @@ def test_share_at_reads_recorded_times_and_rejects_others():
         engine.share_at(1, 0.35).fn(traj)
     with pytest.raises(ValidationError, match="not a recorded time"):
         engine.batch_run(PD, [0.3, 0.3], [0.5, 0.5], cfg, 3, engine.share_at(0, 0.55))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (engine.share_at(0, 0.55), "not a recorded time"),
+    (engine.occupation_stat(games.Region.ball([0.5, 0.5], 0.1), 1.0), "t_start must precede"),
+])
+def test_bad_statistic_refused_before_any_path_runs(monkeypatch, bad, message):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("a path was integrated")
+
+    monkeypatch.setattr(engine, "_sde_chunk", no_integration)
+    cfg = engine.SdeConfig(h=1e-3, horizon=1.0, seed=16, record_stride=100)
+    stats = {"ok": engine.final_share(0), "bad": bad}
+    with pytest.raises(ValidationError, match=message):
+        engine.batch_run_many(PD, [0.3, 0.3], [0.5, 0.5], cfg, 600, stats)
+
+
+def every_kind(n: int, t_record: float) -> list[engine.Statistic]:
+    """One statistic of every factory, with ``captured`` and the hit flag able to go both ways."""
+    centre = games.uniform_point(n)
+    ball = games.Region.ball(centre, 0.4)
+    corner = games.Region.vertex_neighborhood(0, 0.5)
+    return [
+        engine.final_share(0),
+        engine.max_final_share(),
+        engine.share_at(1, t_record),
+        engine.window_max_share(2, 1.5),
+        engine.occupation_stat(ball, 1.0),
+        engine.time_avg_sq_distance_stat(centre),
+        engine.decay_envelope_ratio_stat(0, 0.5, 0.4),
+        engine.captured_stat(games.Region.ball(centre, 0.7), 1, 0.8, name="captured"),
+        engine.hitting_time_stat(corner, name="tau"),
+        engine.hit_flag_stat(corner, name="hit"),
+    ]
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_every_statistic_kind_matches_single_path_reduction(stride):
+    # 600 paths span two chunks; each value must equal the statistic's own
+    # reduction of the same path run alone, bit for bit.  Hitting kinds read
+    # the step grid in a batch and the recorded grid in ``fn``, so they are
+    # compared where the two grids coincide.
+    A = np.array([[0.0, 2.0, -1.0], [-1.0, 0.0, 2.0], [2.0, -1.0, 0.0]])
+    sigma, x0 = [1.2, 0.9, 1.5], games.uniform_point(3)
+    cfg = engine.SdeConfig(h=4e-2, horizon=4.0, seed=31, record_stride=stride)
+    assert engine._chunk_size(cfg, 3) < 600
+    stats = [st for st in every_kind(3, 2.8)
+             if stride == 1 or st.hit_region is None]
+    for st in stats:
+        assert pickle.loads(pickle.dumps(st)) == st
+    out = engine.batch_run_many(A, sigma, x0, cfg, 600, {st.name: st for st in stats})
+    singles = [engine.simulate_sde(A, sigma, x0, cfg, path_index=p) for p in range(600)]
+    for st in stats:
+        expected = np.array([st.fn(traj) for traj in singles])
+        assert out[st.name].values.tobytes() == expected.tobytes(), st.name
+    for name in ("captured", "hit"):
+        if name in out:
+            assert 0.0 < out[name].mean < 1.0
 
 
 def test_batch_hitting_statistics(coordination_matrix):

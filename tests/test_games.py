@@ -328,6 +328,12 @@ def test_region_membership():
     assert low.contains([0.01, 0.99]) and not low.contains([0.5, 0.5])
     states = np.array([[0.5, 0.5], [0.01, 0.99]])
     assert list(low.contains(states)) == [False, True]
+    assert isinstance(ball.contains([0.5, 0.5]), bool)
+    stack = np.array([[[0.5, 0.5], [0.01, 0.99]], [[0.97, 0.03], [0.55, 0.45]]])
+    for region in (ball, vertexish, anyv, low):
+        got = region.contains(stack)
+        assert got.shape == (2, 2)
+        assert got.tolist() == [[region.contains(s) for s in row] for row in stack]
     with pytest.raises(ValidationError):
         games.Region.ball([0.5, 0.5], 0.0)
     with pytest.raises(ValidationError):
