@@ -16,7 +16,7 @@ evaluation exists only as a test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -372,9 +372,6 @@ def persistence_experiment(spec, sigma, x0, cfg, n_paths: int):
     t_start = 0.75 * cfg.n_steps * cfg.h
     stat = engine.window_max_share(n_strat - 1, t_start)
     result = engine.batch_run(A, sig, x0, cfg, n_paths, stat)
-    values = result.values[np.isfinite(result.values)]
-    frac = float(np.mean(values > p_n / 2.0)) if values.size else 0.0
-    se = bounds.proportion_se(frac, values.size)
 
     lam2 = games.second_eigenvalue(A)
     sigma_max = float(np.max(sig))
@@ -385,21 +382,9 @@ def persistence_experiment(spec, sigma, x0, cfg, n_paths: int):
         and d0 / (abs(lam2) * max(cfg.horizon / 2.0, 1e-12)) < p_n**2 * eps_target / 16.0
     )
 
-    target = 1.0 - eps_target
-    if frac >= target - 3.0 * se:
-        verdict = "consistent"
-    elif not regime_ok:
-        verdict = "inconclusive"
-    else:
-        verdict = "violated"
-
-    return bounds.BoundReport(
-        name="5.1 persistence of maximum effort",
-        analytic_value=target,
-        empirical_value=frac,
-        standard_error=se,
-        verdict=verdict,
-        inputs={
+    report = bounds.rule_report(
+        "5.1", 1.0 - eps_target, {stat.name: result}, p_n / 2.0,
+        {
             "n": g.n,
             "sigma": sig.tolist(),
             "x0": x0.tolist(),
@@ -408,15 +393,16 @@ def persistence_experiment(spec, sigma, x0, cfg, n_paths: int):
             "seed": cfg.seed,
             "n_paths": n_paths,
         },
-        details={
+        {
             "stable_weight": p_n,
             "threshold": p_n / 2.0,
             "window_start": t_start,
             "noise_regime_sufficient": bool(regime_ok),
         },
-        per_path={stat.name: result},
-        clamped_paths=result.clamped_paths,
     )
+    if report.verdict == "violated" and not regime_ok:
+        report = replace(report, verdict="inconclusive")
+    return report
 
 
 def ess_sweep_rows(n_values, rho_fractions, v_step: float = 0.25):

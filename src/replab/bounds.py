@@ -1,10 +1,17 @@
 """Closed-form long-run bounds and their seeded Monte Carlo verification.
 
 Every bound here is an exact inequality for the continuous-time process; the
-campaigns check the discretized, finitely-sampled analogue, so a bound "holds
-empirically" when the point estimate does not cross the analytic value by
-more than three standard errors plus a discretization allowance of
-``max(h, sqrt(h) * sigma_max)``.  A ``violated`` verdict therefore signals a
+campaigns check the discretized, finitely-sampled analogue.  Each check's
+verdict rule is a row of :data:`RULES`: an estimator (the batch mean, or the
+fraction of paths above or below a threshold), the side of the analytic value
+the estimate must stay on, and a slack.  A bound "holds empirically" when the
+estimate does not cross the analytic value by more than three standard errors
+plus that slack: the discretization allowance ``max(h, sqrt(h) * sigma_max)``
+for 2.3a, 2.4, 2.8 and 3.1, the step ``h`` for 2.3b, and none for the 3.1
+decay proxy, 4.2 and 5.1.  Two checks keep rules of their own: 4.1 compares a
+ladder of three capture estimates within two combined standard errors, and
+4.3 asks every path to hit, the mean to respect the bound and 99% of paths to
+hit within ten times the mean.  A ``violated`` verdict therefore signals a
 real inconsistency, not Monte Carlo noise; ``inconclusive`` marks runs whose
 hypotheses were not checkable or that sit outside the regime a statement
 covers.
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,13 +112,66 @@ class BoundReport:
         return "\n".join(lines) + "\n"
 
 
-def _one_sided_verdict(empirical: float, limit: float, se: float, slack: float,
-                       direction: str) -> str:
-    """consistent iff the estimate respects the bound up to noise and slack."""
+class Rule(NamedTuple):
+    """How one check turns a batch into a verdict."""
+
+    name: str           # report name
+    estimator: str      # mean | above | below (fraction of finite values past the threshold)
+    direction: str      # upper: estimate <= analytic value; lower: estimate >= it
+    slack: str | None   # discretization | h | None
+
+
+RULES = {
+    "2.3a": Rule("2.3a stationary mass near the stable mix", "mean", "lower", "discretization"),
+    "2.3b": Rule("2.3b expected hitting time of the stable ball", "mean", "upper", "h"),
+    "2.4": Rule("2.4 time-averaged squared distance", "mean", "upper", "discretization"),
+    "2.8": Rule("2.8 time-averaged squared distance (effective matrix)", "mean", "upper",
+                "discretization"),
+    "3.1": Rule("3.1 dominated-strategy tail", "above", "upper", "discretization"),
+    "3.1 decay": Rule("3.1 almost-sure decay proxy", "below", "lower", None),
+    "4.2": Rule("4.2 absorption at some vertex", "above", "lower", None),
+    "5.1": Rule("5.1 persistence of maximum effort", "above", "lower", None),
+}
+
+
+def rule_report(tag: str, analytic: float, per_path: dict, threshold, inputs: dict,
+                details: dict) -> BoundReport:
+    """Apply ``RULES[tag]`` to a check's one batch, held in ``per_path`` under
+    its CSV column name.
+
+    Consistent iff the estimate respects ``analytic`` up to three standard
+    errors plus the rule's slack, which reads ``h`` and ``sigma`` from
+    ``inputs``.
+    """
+    rule = RULES[tag]
+    (result,) = per_path.values()
+    if rule.estimator == "mean":
+        estimate, se = result.mean, result.std_error
+    else:
+        finite = result.values[np.isfinite(result.values)]
+        past = finite > threshold if rule.estimator == "above" else finite < threshold
+        estimate = float(np.mean(past)) if finite.size else math.nan
+        se = proportion_se(estimate, finite.size)
+    if rule.slack == "discretization":
+        slack = discretization_slack(inputs["h"], float(np.max(inputs["sigma"])))
+    else:
+        slack = inputs["h"] if rule.slack == "h" else 0.0
     allowance = 3.0 * (se if math.isfinite(se) else 0.0) + slack
-    if direction == "upper":      # empirical should be <= limit
-        return "consistent" if empirical <= limit + allowance else "violated"
-    return "consistent" if empirical >= limit - allowance else "violated"
+    if rule.direction == "upper":
+        ok = estimate <= analytic + allowance
+    else:
+        ok = estimate >= analytic - allowance
+    return BoundReport(
+        name=rule.name,
+        analytic_value=analytic,
+        empirical_value=estimate,
+        standard_error=se,
+        verdict="consistent" if ok else "violated",
+        inputs=inputs,
+        details=details,
+        per_path=per_path,
+        clamped_paths=result.clamped_paths,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,26 +361,15 @@ def extinction_report(A, k: int, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
         p = found[0]
     x0 = games.as_simplex_point(x0, A.shape[0], interior=True)
     consts = extinction_constants(A, k, p, sigma, x0)
-    if not consts.condition_holds:
-        raise PreconditionError("extinction-drift", "c2 < c1 must hold")
     t_end = cfg.n_steps * cfg.h
     bound = extinction_tail_bound(consts, eps, t_end)
 
     stat = engine.share_at(k, t_end)
     result = engine.batch_run(A, sigma, x0, cfg, n_paths, stat)
-    finite = result.values[np.isfinite(result.values)]
-    exceed = float(np.mean(finite > eps)) if finite.size else math.nan
-    se = proportion_se(exceed, finite.size)
-    slack = discretization_slack(cfg.h, consts.sigma_max)
-    verdict = _one_sided_verdict(exceed, bound, se, slack, "upper")
-    return BoundReport(
-        name="3.1 dominated-strategy tail",
-        analytic_value=bound,
-        empirical_value=exceed,
-        standard_error=se,
-        verdict=verdict,
-        inputs=_inputs(A, sigma, x0, cfg, n_paths, strategy=k, eps=eps),
-        details={
+    return rule_report(
+        "3.1", bound, {stat.name: result}, eps,
+        _inputs(A, sigma, x0, cfg, n_paths, strategy=k, eps=eps),
+        {
             "c1": consts.c1,
             "c2": consts.c2,
             "c3": consts.c3_of_x,
@@ -327,12 +377,10 @@ def extinction_report(A, k: int, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
             "sigma_tilde_proof_tight": consts.sigma_tilde,
             "tail_bound_proof_tight": extinction_tail_bound(consts, eps, t_end, tight=True),
             "rate_bound": extinction_rate_bound(consts),
-            "mean_final_share": float(np.mean(finite)) if finite.size else math.nan,
-            "exceedances": int(np.sum(finite > eps)),
+            "mean_final_share": result.mean,
+            "exceedances": int(np.sum(result.values > eps)),
             "dominating_mix": np.asarray(p, dtype=float).tolist(),
         },
-        per_path={stat.name: result},
-        clamped_paths=result.clamped_paths,
     )
 
 
@@ -353,21 +401,9 @@ def almost_sure_decay_check(A, k: int, p, sigma, x0, cfg: engine.SdeConfig,
         raise PreconditionError("extinction-drift", "c2 < c1 must hold")
     stat = engine.decay_envelope_ratio_stat(k, consts.c1 - consts.c2, consts.sigma_max)
     result = engine.batch_run(A, sigma, x0, cfg, n_paths, stat)
-    finite = result.values[np.isfinite(result.values)]
-    frac = float(np.mean(finite < 1.0)) if finite.size else math.nan
-    se = proportion_se(frac, finite.size)
-    verdict = _one_sided_verdict(frac, 0.95, se, 0.0, "lower")
-    return BoundReport(
-        name="3.1 almost-sure decay proxy",
-        analytic_value=0.95,
-        empirical_value=frac,
-        standard_error=se,
-        verdict=verdict,
-        inputs=_inputs(A, sigma, x0, cfg, n_paths, strategy=k),
-        details={"rate": consts.c1 - consts.c2, "sigma_max": consts.sigma_max},
-        per_path={stat.name: result},
-        clamped_paths=result.clamped_paths,
-    )
+    return rule_report("3.1 decay", 0.95, {stat.name: result}, 1.0,
+                       _inputs(A, sigma, x0, cfg, n_paths, strategy=k),
+                       {"rate": consts.c1 - consts.c2, "sigma_max": consts.sigma_max})
 
 
 # ---------------------------------------------------------------------------
@@ -406,107 +442,46 @@ def ess_attraction_reports(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
     horizon = cfg.n_steps * cfg.h
     if burn_in is None:
         burn_in = DEFAULT_BURN_IN_FRACTION * horizon
+    ball = games.Region.ball(p, delta)
+    common = _inputs(A, s, x0, cfg, n_paths, delta=delta)
 
-    # analytic values first: their preconditions must refuse before any paths run
-    analytic: dict[str, float] = {}
+    # tag -> (analytic value, CSV column, statistic, inputs, details); the
+    # analytic values come first: their preconditions refuse before any path runs
+    checks = {}
     if "2.3a" in which:
         if not games.noise_below_attraction_threshold(p, s, lam2):
             raise PreconditionError(
                 "noise-below-attraction-threshold",
                 "the aggregate noise is too large for the occupation-mass statement",
             )
-        analytic["2.3a"] = stationary_mass_bound(delta, kappa, lam2)
+        checks["2.3a"] = (stationary_mass_bound(delta, kappa, lam2), "occupation",
+                          engine.occupation_stat(ball, burn_in), dict(common, burn_in=burn_in),
+                          {"kappa": kappa, "lam2": lam2, "stable_mix": p.tolist()})
     if "2.3b" in which:
-        analytic["2.3b"] = hitting_time_bound(x0, p, delta, kappa, lam2)
+        checks["2.3b"] = (hitting_time_bound(x0, p, delta, kappa, lam2), "hitting",
+                          engine.hitting_time_stat(ball, name="hitting"), common,
+                          {"kappa": kappa, "lam2": lam2, "kl_distance": games.kl_distance(x0, p)})
     if "2.4" in which:
-        analytic["2.4"] = time_average_bound(x0, p, horizon, kappa, lam2)
-    p_eff = None
-    lam2p = math.nan
+        checks["2.4"] = (time_average_bound(x0, p, horizon, kappa, lam2), "tavg",
+                         engine.time_avg_sq_distance_stat(p), common,
+                         {"kappa": kappa, "lam2": lam2})
     if "2.8" in which:
-        B = games.effective_payoff_matrix(A, s)
-        eff = ess.unique_ess(B)
+        eff = ess.unique_ess(games.effective_payoff_matrix(A, s))
         if eff is None:
             raise PreconditionError("stable-mix", "no stable strategy for the effective matrix")
         p_eff = eff.strategy
-        analytic["2.8"], lam2p = modified_time_average_bound(A, s, p_eff, x0, horizon)
-
-    ball = games.Region.ball(p, delta)
-    stats: dict[str, engine.Statistic] = {}
-    if "2.3a" in which:
-        stats["occupation"] = engine.occupation_stat(ball, burn_in)
-    if "2.3b" in which:
-        stats["hitting"] = engine.hitting_time_stat(ball, name="hitting")
-    if "2.4" in which:
-        stats["tavg"] = engine.time_avg_sq_distance_stat(p)
-    if "2.8" in which:
-        stats["tavg_eff"] = engine.time_avg_sq_distance_stat(p_eff, name="tavg_eff")
-
-    results = engine.batch_run_many(A, s, x0, cfg, n_paths, stats)
-    slack = discretization_slack(cfg.h, float(s.max()))
-    common = _inputs(A, s, x0, cfg, n_paths, delta=delta)
-    out: dict[str, BoundReport] = {}
-
-    if "2.3a" in which:
-        bound = analytic["2.3a"]
-        r = results["occupation"]
-        out["2.3a"] = BoundReport(
-            name="2.3a stationary mass near the stable mix",
-            analytic_value=bound,
-            empirical_value=r.mean,
-            standard_error=r.std_error,
-            verdict=_one_sided_verdict(r.mean, bound, r.std_error, slack, "lower"),
-            inputs=dict(common, burn_in=burn_in),
-            details={"kappa": kappa, "lam2": lam2, "stable_mix": p.tolist()},
-            per_path={"occupation": r},
-            clamped_paths=r.clamped_paths,
-        )
-    if "2.3b" in which:
-        bound = analytic["2.3b"]
-        r = results["hitting"]
-        out["2.3b"] = BoundReport(
-            name="2.3b expected hitting time of the stable ball",
-            analytic_value=bound,
-            empirical_value=r.mean,
-            standard_error=r.std_error,
-            verdict=_one_sided_verdict(r.mean, bound, r.std_error, cfg.h, "upper"),
-            inputs=common,
-            details={"kappa": kappa, "lam2": lam2,
-                     "kl_distance": games.kl_distance(x0, p)},
-            per_path={"hitting": r},
-            clamped_paths=r.clamped_paths,
-        )
-    if "2.4" in which:
-        bound = analytic["2.4"]
-        r = results["tavg"]
-        out["2.4"] = BoundReport(
-            name="2.4 time-averaged squared distance",
-            analytic_value=bound,
-            empirical_value=r.mean,
-            standard_error=r.std_error,
-            verdict=_one_sided_verdict(r.mean, bound, r.std_error, slack, "upper"),
-            inputs=common,
-            details={"kappa": kappa, "lam2": lam2},
-            per_path={"tavg": r},
-            clamped_paths=r.clamped_paths,
-        )
-    if "2.8" in which:
-        bound = analytic["2.8"]
+        bound, lam2p = modified_time_average_bound(A, s, p_eff, x0, horizon)
         gap_larger, noise_smaller = compare_attraction_constants(A, s, p_eff)
-        r = results["tavg_eff"]
-        out["2.8"] = BoundReport(
-            name="2.8 time-averaged squared distance (effective matrix)",
-            analytic_value=bound,
-            empirical_value=r.mean,
-            standard_error=r.std_error,
-            verdict=_one_sided_verdict(r.mean, bound, r.std_error, slack, "upper"),
-            inputs=common,
-            details={"lam2_prime": lam2p, "stable_mix_effective": p_eff.tolist(),
-                     "gap_strictly_larger": gap_larger,
-                     "noise_term_no_larger": noise_smaller},
-            per_path={"tavg_eff": r},
-            clamped_paths=r.clamped_paths,
-        )
-    return out
+        checks["2.8"] = (bound, "tavg_eff",
+                         engine.time_avg_sq_distance_stat(p_eff, name="tavg_eff"), common,
+                         {"lam2_prime": lam2p, "stable_mix_effective": p_eff.tolist(),
+                          "gap_strictly_larger": gap_larger,
+                          "noise_term_no_larger": noise_smaller})
+
+    results = engine.batch_run_many(A, s, x0, cfg, n_paths,
+                                    {column: stat for _, column, stat, _, _ in checks.values()})
+    return {tag: rule_report(tag, bound, {column: results[column]}, None, inputs, details)
+            for tag, (bound, column, _, inputs, details) in checks.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -583,22 +558,9 @@ def coordination_absorption(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
     x0 = games.as_simplex_point(x0, A.shape[0], interior=True)
     stat = engine.max_final_share()
     result = engine.batch_run(A, s, x0, cfg, n_paths, stat)
-    finite = result.values[np.isfinite(result.values)]
-    frac = float(np.mean(finite > 1.0 - eps)) if finite.size else math.nan
-    se = proportion_se(frac, finite.size)
-    target = 0.99
-    verdict = _one_sided_verdict(frac, target, se, 0.0, "lower")
-    return BoundReport(
-        name="4.2 absorption at some vertex",
-        analytic_value=target,
-        empirical_value=frac,
-        standard_error=se,
-        verdict=verdict,
-        inputs=_inputs(A, s, x0, cfg, n_paths, eps=eps),
-        details={"final_share_mean": result.mean},
-        per_path={stat.name: result},
-        clamped_paths=result.clamped_paths,
-    )
+    return rule_report("4.2", 0.99, {stat.name: result}, 1.0 - eps,
+                       _inputs(A, s, x0, cfg, n_paths, eps=eps),
+                       {"final_share_mean": result.mean})
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +671,3 @@ def _inputs(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int, **extra) -> dict:
     }
     info.update(extra)
     return info
-
-
-CHECK_TAGS = ("2.3a", "2.3b", "2.4", "2.8", "3.1", "4.1", "4.2", "4.3", "5.1")

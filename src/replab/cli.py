@@ -18,6 +18,8 @@ Seeds are always explicit arguments; nothing is ever seeded from the clock.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import sys
 
@@ -107,6 +109,14 @@ def _parse_vector(text: str) -> np.ndarray:
         return np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise InputError(f"cannot parse vector {text!r}") from exc
+
+
+def _sigma_arg(args, fallback):
+    """``--sigma`` if given, else ``fallback`` (the game file's, or a default)."""
+    sigma = _parse_vector(args.sigma) if args.sigma else fallback
+    if sigma is None:
+        raise InputError("no diffusion coefficients: set 'sigma' in the file or pass --sigma")
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +212,9 @@ def _parse_stat(text: str, n: int) -> engine.Statistic:
 
 
 def cmd_simulate(args) -> int:
-    A, sigma_file, _labels = load_game(args.game)
+    A, sigma, _labels = load_game(args.game)
     n = A.shape[0]
-    sigma = _parse_vector(args.sigma) if args.sigma else sigma_file
-    if sigma is None:
-        raise ValidationError("no diffusion coefficients: set 'sigma' in the file or pass --sigma")
-    sigma = games.as_noise_vector(sigma, n)
+    sigma = games.as_noise_vector(_sigma_arg(args, sigma), n)
     x0 = _parse_vector(args.x0) if args.x0 else games.uniform_point(n)
     x0 = games.as_simplex_point(x0, n, interior=True)
     cfg = _config_from(args)
@@ -238,47 +245,51 @@ def cmd_simulate(args) -> int:
 # verify
 
 
+# tag -> (module, check, check-specific flags it reads, keyword defaults).  The
+# check is looked up in its module when it runs, and a flag left out falls back
+# to the check's own default.
+_VERIFY = {
+    "2.3a": (bounds, "ess_attraction_reports", ("x0", "delta", "burn_in"), {"which": ("2.3a",)}),
+    "2.3b": (bounds, "ess_attraction_reports", ("x0", "delta"), {"which": ("2.3b",)}),
+    "2.4": (bounds, "ess_attraction_reports", ("x0",), {"which": ("2.4",)}),
+    "2.8": (bounds, "ess_attraction_reports", ("x0",), {"which": ("2.8",)}),
+    "3.1": (bounds, "extinction_report", ("x0", "k", "eps"), {}),
+    "4.1": (bounds, "stability_basin_probe", ("k", "radius"), {"radius": 0.05}),
+    "4.2": (bounds, "coordination_absorption", ("x0", "eps"), {}),
+    "4.3": (bounds, "vertex_hitting_report", ("x0", "eps"), {}),
+    "5.1": (attrition, "persistence_experiment", ("x0",), {}),
+}
+_CHECK_FLAGS = tuple(dict.fromkeys(f for row in _VERIFY.values() for f in row[2]))
+
+
 def cmd_verify(args) -> int:
     tag = args.theorem
+    module, check, flags, defaults = _VERIFY[tag]
+    given = {name: getattr(args, name) for name in _CHECK_FLAGS
+             if getattr(args, name) is not None}
+    stray = ["--" + name.replace("_", "-") for name in given if name not in flags]
+    if stray:
+        raise InputError(f"{', '.join(stray)} not read by --theorem {tag}")
+    if "k" in flags:
+        if "k" not in given:
+            raise InputError(f"--k (1-based strategy index) is required for {tag}")
+        given["k"] -= 1
     cfg = _config_from(args)
     manifest = _manifest(args, inputs=[args.game])
 
     if tag == "5.1":
         spec = load_attrition_spec(args.game)
-        n = spec.n + 1
-        sigma = _parse_vector(args.sigma) if args.sigma else np.full(n, 0.05)
-        x0 = _parse_vector(args.x0) if args.x0 else games.uniform_point(n)
-        report = attrition.persistence_experiment(spec, sigma, x0, cfg, args.paths)
+        game, n, sigma = {"spec": spec}, spec.n + 1, np.full(spec.n + 1, 0.05)
     else:
-        A, sigma_file, _labels = load_game(args.game)
-        n = A.shape[0]
-        sigma = _parse_vector(args.sigma) if args.sigma else sigma_file
-        if sigma is None:
-            raise InputError("no diffusion coefficients: set 'sigma' or pass --sigma")
-        sigma = games.as_noise_vector(sigma, n)
-        x0 = _parse_vector(args.x0) if args.x0 else games.uniform_point(n)
-
-        if tag in ("2.3a", "2.3b", "2.4", "2.8"):
-            reports = bounds.ess_attraction_reports(
-                A, sigma, x0, cfg, args.paths, delta=args.delta,
-                burn_in=args.burn_in, which=(tag,))
-            report = reports[tag]
-        elif tag == "3.1":
-            if args.k is None:
-                raise InputError("--k (1-based dominated strategy) is required for 3.1")
-            report = bounds.extinction_report(A, args.k - 1, sigma, x0, cfg,
-                                              args.paths, eps=args.eps or 0.05)
-        elif tag == "4.1":
-            if args.k is None:
-                raise InputError("--k (1-based equilibrium strategy) is required for 4.1")
-            report = bounds.stability_basin_probe(A, sigma, args.k - 1,
-                                                  args.radius, cfg, args.paths)
-        elif tag == "4.2":
-            report = bounds.coordination_absorption(A, sigma, x0, cfg, args.paths,
-                                                    eps=args.eps or 0.01)
-        else:  # 4.3
-            report = bounds.vertex_hitting_report(A, sigma, x0, cfg, args.paths,
-                                                  eps=args.eps or 0.1)
+        A, sigma, _labels = load_game(args.game)
+        game, n = {"A": A}, A.shape[0]
+    sigma = games.as_noise_vector(_sigma_arg(args, sigma), n)
+    if "x0" in flags:
+        given["x0"] = _parse_vector(given["x0"]) if "x0" in given else games.uniform_point(n)
+    report = getattr(module, check)(**game, sigma=sigma, cfg=cfg, n_paths=args.paths,
+                                    **{**defaults, **given})
+    if isinstance(report, dict):    # the attraction checks share one batch
+        report = report[tag]
 
     out_json = args.out + ".json"
     manifest.write_output(out_json, fileio.json_text(report.to_json_dict()))
@@ -439,6 +450,19 @@ def _manifest(args, inputs) -> fileio.RunManifest:
     return manifest
 
 
+@functools.cache
+def _check_help(name: str, what: str) -> str:
+    """``what`` plus, per tag reading the flag, its default or "required"."""
+    uses = []
+    for tag, (module, check, flags, defaults) in _VERIFY.items():
+        if name in flags:
+            default = defaults.get(
+                name, inspect.signature(getattr(module, check)).parameters[name].default)
+            uses.append(f"{tag}: " + ("required" if default is inspect.Parameter.empty
+                                      else f"default {default}"))
+    return f"{what} ({'; '.join(uses)})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="replab",
@@ -471,15 +495,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run one bound check as a Monte Carlo campaign")
     pv.add_argument("game", help="game JSON file (attrition spec for 5.1)")
-    pv.add_argument("--theorem", required=True, choices=list(bounds.CHECK_TAGS),
+    pv.add_argument("--theorem", required=True, choices=list(_VERIFY),
                     help="which bound to check")
     sim_flags(pv, default_paths=200)
-    pv.add_argument("--k", type=int, help="1-based strategy index (3.1, 4.1)")
-    pv.add_argument("--eps", type=float, help="threshold (3.1, 4.2, 4.3)")
-    pv.add_argument("--delta", type=float, help="ball radius (2.3a/2.3b; default 2 kappa/sqrt|lam2|)")
-    pv.add_argument("--radius", type=float, default=0.05, help="start distance (4.1)")
-    pv.add_argument("--burn-in", dest="burn_in", type=float, default=None,
-                    help="occupation burn-in (default horizon/5)")
+    pv.add_argument("--k", type=int, help=_check_help("k", "1-based strategy index"))
+    pv.add_argument("--eps", type=float, help=_check_help("eps", "threshold"))
+    pv.add_argument("--delta", type=float,
+                    help="ball radius (2.3a, 2.3b; default 2 kappa/sqrt|lam2|)")
+    pv.add_argument("--radius", type=float, help=_check_help("radius", "start distance"))
+    pv.add_argument("--burn-in", dest="burn_in", type=float,
+                    help="occupation burn-in (2.3a; default horizon/5)")
     pv.add_argument("--out", required=True, help="output prefix")
     pv.set_defaults(func=cmd_verify)
 

@@ -542,7 +542,14 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
     n = A.shape[0]
     times, _ = _record_slots(cfg)
     for st in statistics.values():      # a bad statistic raises before any path runs
-        _reduce(st, times, np.empty((0, times.size, n)), np.empty(0))
+        try:
+            _reduce(st, times, np.empty((0, times.size, n)), np.empty(0))
+        except ValidationError:
+            raise
+        except (IndexError, ValueError) as exc:
+            raise ValidationError(f"statistic {st.name} does not fit this batch "
+                                  f"({n} strategies, last record at t={times[-1]:g}): "
+                                  f"{exc}") from exc
     order = sorted(range(n_paths), key=lambda i: path_indices[i])
     sorted_paths = [path_indices[i] for i in order]
     chunk = _chunk_size(cfg, n)

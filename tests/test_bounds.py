@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from replab import attrition, bounds, engine, games
+from replab import attrition, bounds, engine, fileio, games
 from replab.errors import PreconditionError, ValidationError
 
 from util import normal_cdf_quadrature
@@ -338,3 +339,39 @@ def test_report_csv_and_json_round_trip():
     lines = csv_text.strip().splitlines()
     assert len(lines) == 11
     assert lines[0].startswith("path,")
+
+
+def report_digests(report) -> tuple[str, str]:
+    """sha256 of a report's JSON text and per-path CSV text, as ``verify`` writes them."""
+    return (hashlib.sha256(fileio.json_text(report.to_json_dict()).encode()).hexdigest(),
+            hashlib.sha256(report.per_path_csv_text().encode()).hexdigest())
+
+
+# pinned at seed 1 on the standard testbeds; the four attraction checks share
+# one batch and give the same bytes as ``verify`` running each tag alone
+GOLDEN_ATTRACTION = {
+    "2.3a": ("672bd167c423d27889130f6733a90ce4f87b953e5fd5632bf25299ae7f6c6bdb",
+             "521fe57d9ea09f011a222189e4351d44df3738582f7b2014e8f55ab343136723"),
+    "2.3b": ("5fd63bc0350480c76c5cef385139f952e70a4759e06688ba07e4539c8ed6f5e6",
+             "27563484409086a70900965223dde230a9e8039a716283c669e6319aa8d79f87"),
+    "2.4": ("48eda282c693276315324b241cc7cd3296bfd8f639a5dac3d7621d3252960fc3",
+            "286f6cc4a0586ff356c451c25cc35f2bfc09fc05385f2b902870f49b991993ff"),
+    "2.8": ("c72b08713e998342dc9ef839799c58b9cc4faa5ddd96f4c3deec042b4a695ede",
+            "bd4a440e4ac29a722958a42b7919c362fa85b139112a13595ffd207a1a752136"),
+}
+GOLDEN_DECAY = ("3feed48c6301bedfcc80f1e5b7512274780cb3f3b0cb0f31f985d2e3a28e3565",
+                "2c25790c2e358751c40aadec5b2d2ce9ea8d2936d52d412628f12f1ef9f42feb")
+
+
+def test_golden_attraction_batch_digests(attrition_testbed_matrix):
+    cfg = engine.SdeConfig(h=1e-3, horizon=20.0, seed=1, record_stride=10)
+    reports = bounds.ess_attraction_reports(attrition_testbed_matrix, [0.05] * 3,
+                                            [1 / 3] * 3, cfg, 8)
+    assert {tag: report_digests(r) for tag, r in reports.items()} == GOLDEN_ATTRACTION
+
+
+def test_golden_decay_check_digests():
+    cfg = engine.SdeConfig(h=1e-3, horizon=30.0, seed=1, record_stride=50)
+    report = bounds.almost_sure_decay_check(R33, 0, [0.0, 0.5, 0.5], [0.3] * 3,
+                                            [1 / 3] * 3, cfg, 20)
+    assert report_digests(report) == GOLDEN_DECAY

@@ -40,6 +40,9 @@ def attrition_game_file(tmp_path):
                       [0.05, 0.05, 0.05])
 
 
+TESTBEDS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "testbeds")
+
+
 def sha(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
@@ -276,6 +279,74 @@ def test_verify_persistence_tag(tmp_path):
     rc = cli.main(["verify", str(spec), "--theorem", "5.1", "--seed", "4",
                    "--T", "40", "--paths", "30", "--stride", "100", "--out", out])
     assert rc == 0
+
+
+def test_verify_passes_eps_zero_to_the_check(mixed_file, tmp_path, capsys):
+    rc = cli.main(["verify", mixed_file, "--theorem", "3.1", "--seed", "8", "--T", "5",
+                   "--paths", "4", "--k", "1", "--eps", "0", "--out", str(tmp_path / "v")])
+    assert rc == 4
+    assert "threshold must lie in (0, 1)" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "v.json"))
+
+
+@pytest.mark.parametrize("tag, game, flag", [
+    ("4.2", "coordination.json", ["--k", "7"]),
+    ("4.1", "prisoners_dilemma.json", ["--k", "2", "--x0", "0.5,0.5"]),
+    ("2.4", "attrition_game.json", ["--burn-in", "3"]),
+    ("5.1", "attrition_small.json", ["--eps", "0.2"]),
+])
+def test_verify_refuses_flags_the_check_does_not_read(tag, game, flag, tmp_path, capsys):
+    rc = cli.main(["verify", os.path.join(TESTBEDS, game), "--theorem", tag, "--seed", "1",
+                   "--T", "1", "--paths", "2", *flag, "--out", str(tmp_path / "v")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{flag[-2]} not read by --theorem {tag}" in err
+    assert not os.path.exists(str(tmp_path / "v.json"))
+
+
+SMALL = ["--T", "20", "--paths", "8"]
+
+# sha256 of each check's report .json and _paths.csv on its standard testbed at
+# seed 1 and a small size; a change means a changed check, statistic or kernel
+GOLDEN_VERIFY = {
+    "2.3a": ("attrition_game.json", SMALL + ["--stride", "10"],
+             "672bd167c423d27889130f6733a90ce4f87b953e5fd5632bf25299ae7f6c6bdb",
+             "521fe57d9ea09f011a222189e4351d44df3738582f7b2014e8f55ab343136723"),
+    "2.3b": ("attrition_game.json", SMALL + ["--stride", "10"],
+             "5fd63bc0350480c76c5cef385139f952e70a4759e06688ba07e4539c8ed6f5e6",
+             "27563484409086a70900965223dde230a9e8039a716283c669e6319aa8d79f87"),
+    "2.4": ("attrition_game.json", SMALL + ["--stride", "10"],
+            "48eda282c693276315324b241cc7cd3296bfd8f639a5dac3d7621d3252960fc3",
+            "286f6cc4a0586ff356c451c25cc35f2bfc09fc05385f2b902870f49b991993ff"),
+    "2.8": ("attrition_game.json", SMALL + ["--stride", "10"],
+            "c72b08713e998342dc9ef839799c58b9cc4faa5ddd96f4c3deec042b4a695ede",
+            "bd4a440e4ac29a722958a42b7919c362fa85b139112a13595ffd207a1a752136"),
+    "3.1": ("mixed_dominance.json", ["--T", "5", "--paths", "40", "--stride", "500", "--k", "1"],
+            "28b76ce5436647e96d59e82ec5621f7c4bee4c5c3f7c5359825260fc9c5d876d",
+            "9c6a90420f1a714b32d88cdd7a0281e3a52a6c357e2196c8d4fdc72b6c33f0bc"),
+    "4.1": ("prisoners_dilemma.json", ["--T", "10", "--paths", "8", "--stride", "100", "--k", "2"],
+            "2e203a37cd1d9ee6076974d94f45e24018957449783fd9532ce7ff5159c207ff",
+            "9c09127aa3c5e89837fd465b956975835398f6e69eacbe91d2a0d23c71039fff"),
+    "4.2": ("coordination.json", SMALL + ["--stride", "100"],
+            "27643ce77fe3d379a5a7b4d6674a9e1292d6c1c8ec452a205bc05298d0f375e0",
+            "11109aa748857ea22a600ec23b6018ad19ce56ad0a7e7925dc84ad24f13f5b1e"),
+    "4.3": ("coordination.json", SMALL + ["--stride", "100"],
+            "58108476165734c8fa6685b6235aa56c504d7517f006770aa9fca857adb23eea",
+            "287b31873aa7f9e4dfb7ddbb111f53002de31475c60a937ae5c63f2a11fa8b62"),
+    "5.1": ("attrition_small.json", SMALL + ["--stride", "100"],
+            "7bbf05df9be767ca364a903c15404a96efacb72d0305adaecb483f0a36b35279",
+            "20330f7ec245ae82888ad9e75b0a7a303caefeac2b0fed18589d25aa01d831f7"),
+}
+
+
+@pytest.mark.parametrize("tag", list(GOLDEN_VERIFY))
+def test_verify_golden_digests(tag, tmp_path):
+    game, flags, json_sha, csv_sha = GOLDEN_VERIFY[tag]
+    out = str(tmp_path / "v")
+    rc = cli.main(["verify", os.path.join(TESTBEDS, game), "--theorem", tag, "--seed", "1",
+                   *flags, "--out", out])
+    assert rc == 0
+    assert (sha(out + ".json"), sha(out + "_paths.csv")) == (json_sha, csv_sha)
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,10 @@ def test_share_at_reads_recorded_times_and_rejects_others():
 @pytest.mark.parametrize("bad, message", [
     (engine.share_at(0, 0.55), "not a recorded time"),
     (engine.occupation_stat(games.Region.ball([0.5, 0.5], 0.1), 1.0), "t_start must precede"),
+    (engine.window_max_share(0, 5.0), "does not fit this batch"),
+    (engine.final_share(2), "does not fit this batch"),
+    (engine.share_at(3, 0.5), "does not fit this batch"),
+    (engine.captured_stat(games.Region.ball([0.5, 0.5], 0.2), 4, 1e-3), "does not fit this batch"),
 ])
 def test_bad_statistic_refused_before_any_path_runs(monkeypatch, bad, message):
     def no_integration(*args, **kwargs):
