@@ -7,7 +7,7 @@ maps to minus infinity, so every state mapped back is positive and normalized
 by construction, and the additive noise gives the Euler-Maruyama step strong
 first order here.  No strategy serves as a reference coordinate.
 
-Each SDE step subtracts the row maximum from ``Z`` and floors it at
+Each SDE step subtracts each path's maximum from ``Z`` and floors it at
 ``-y_cap`` (default 500): a share below ``exp(-500)`` times the largest is
 physically extinct, the floor keeps ``Z`` bounded, and the ``clamped`` flag
 records that it was reached.  The floor acts on each strategy alone, so the
@@ -16,8 +16,8 @@ far below every tolerance used anywhere (extinction is reported at 1e-12).
 
 Determinism contract: each path's Gaussian increments come from its own
 counter-based stream (see :mod:`replab.rng`), and the batched SDE kernel
-updates every path's row with the same operations, so a path's values do not
-depend on which other paths share its chunk.  A batch is cut into chunks of
+updates every path's column with the same operations, so a path's values do
+not depend on which other paths share its chunk.  A batch is cut into chunks of
 sorted path indices (at most 512 paths each) that run one after another.
 Batch output is therefore byte-identical for any permutation of the requested
 path indices and any split of them into chunks or separate batches.
@@ -148,14 +148,6 @@ def _shares(Z: np.ndarray) -> np.ndarray:
     return x
 
 
-def _payoffs(x: np.ndarray, At: np.ndarray) -> np.ndarray:
-    """``x @ At``; a lone row is doubled, because BLAS gemv rounds it differently
-    from gemm for n >= 4 and a path must give the same bytes in any chunk."""
-    if x.shape[0] > 1:
-        return x @ At
-    return (np.concatenate((x, x)) @ At)[:1]
-
-
 def _record_slots(cfg: SdeConfig) -> tuple[np.ndarray, dict[int, int]]:
     """Recorded times, and the row of each recorded step."""
     steps = cfg.record_steps()
@@ -170,15 +162,19 @@ class _NoiseBlocks:
         self._n = n
         self._left = total_steps
         self._block = max(1, _NOISE_BLOCK_FLOATS // max(1, len(self._gens) * n))
-        self._buf: np.ndarray | None = None
+        self._draws = self._buf = np.empty((0, 0, 0))    # allocated by the first step
         self._pos = 0
 
     def next_step(self) -> np.ndarray:
-        """Increments for one step, shape (paths, n)."""
-        if self._buf is None or self._pos == self._buf.shape[0]:
+        """Increments for one step, shape (n, paths)."""
+        if self._pos == self._buf.shape[0]:
             take = min(self._block, self._left)
-            draws = [g.standard_normal((take, self._n)) for g in self._gens]
-            self._buf = np.stack(draws, axis=1)
+            if take != self._buf.shape[0]:
+                self._draws = np.empty((len(self._gens), take, self._n))
+                self._buf = np.empty((take, self._n, len(self._gens)))
+            for g, block in zip(self._gens, self._draws):
+                g.standard_normal(out=block)
+            np.copyto(self._buf, self._draws.transpose(1, 2, 0))
             self._pos = 0
             self._left -= take
         out = self._buf[self._pos]
@@ -196,11 +192,14 @@ class _ChunkResult:
 
 def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths,
                hit_regions: Iterable[Region] = ()) -> _ChunkResult:
-    """Euler-Maruyama in log-share coordinates for a chunk of seeded paths."""
+    """Euler-Maruyama in log-share coordinates for a chunk of seeded paths, held as
+    (n, columns) in buffers reused every step.  A lone path runs as two columns on
+    one stream: BLAS gemv rounds ``A @ x`` differently from gemm for n >= 4, and a
+    path must give the same bytes in any chunk."""
     A = games.as_payoff_matrix(A)
     n = A.shape[0]
-    At = np.ascontiguousarray(A.T)
     m = len(paths)
+    columns = list(paths) if m > 1 else [paths[0], paths[0]]
     times, slots = _record_slots(cfg)
     states = np.empty((m, times.size, n))
     clamped = np.zeros(m, dtype=bool)
@@ -208,43 +207,50 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths,
     pending = {region: np.ones(m, dtype=bool) for region in first_hit}
 
     x_start = games.as_simplex_point(x0, n, interior=True)
-    Z = np.broadcast_to(np.log(x_start), (m, n)).copy()
-    sig = games.as_noise_vector(sigma, n)
+    x = np.repeat(x_start[:, None], len(columns), axis=1)
+    Z = np.log(x)
+    step, top = np.empty_like(x), np.empty(len(columns))
+    sig = np.repeat(games.as_noise_vector(sigma, n)[:, None], len(columns), axis=1)
     half_var = 0.5 * sig * sig
     noise_scale = math.sqrt(cfg.h) * sig
-    noise = _NoiseBlocks(cfg.seed, paths, n, cfg.n_steps)
+    noise = _NoiseBlocks(cfg.seed, columns, n, cfg.n_steps)
     h = cfg.h
     cap = cfg.y_cap
 
-    def observe(k: int, x: np.ndarray) -> None:
+    def observe(k: int) -> None:
         row = slots.get(k)
         if row is not None:
-            states[:, row, :] = x
+            states[:, row, :] = x[:, :m].T
         for region, hit in first_hit.items():
             mask = pending[region]
             if mask.any():
-                inside = region.contains(x)
+                # every column, so that a lone path's sums round as in a wider chunk
+                inside = region.contains(x.T)[:m]
                 hit[mask & inside] = k * h
                 pending[region] &= ~inside
 
-    x = np.broadcast_to(x_start, (m, n)).copy()
-    observe(0, x)
+    observe(0)
     for k in range(1, cfg.n_steps + 1):
-        xi = noise.next_step()
-        Z += (_payoffs(x, At) - half_var) * h
-        Z += noise_scale * xi
-        Z -= Z.max(axis=1, keepdims=True)
-        if not Z.min() >= -cap:             # a floored share, or a non-finite one
-            bad = ~np.isfinite(Z).all(axis=1)
+        np.matmul(A, x, out=step)
+        step -= half_var
+        step *= h
+        Z += step
+        np.multiply(noise_scale, noise.next_step(), out=step)
+        Z += step
+        Z -= np.maximum.reduce(Z, axis=0, out=top)
+        if not np.minimum.reduce(Z, axis=None) >= -cap:   # a floored share, or a non-finite one
+            bad = ~np.isfinite(Z[:, :m]).all(axis=0)
             if bad.any():
                 raise SimulationError(
                     f"non-finite log-shares at step {k} (t={h * k:g}) "
                     f"for paths {[paths[i] for i in np.flatnonzero(bad)[:5]]}"
                 )
-            clamped |= (Z < -cap).any(axis=1)
+            clamped |= (Z[:, :m] < -cap).any(axis=0)
             np.maximum(Z, -cap, out=Z)
-        x = _shares(Z)
-        observe(k, x)
+        np.exp(Z, out=x)
+        x /= np.add.reduce(x, axis=0, out=top)
+        np.maximum(x, STATE_FLOOR, out=x)
+        observe(k)
     return _ChunkResult(times=times, states=states, clamped=clamped, first_hit=first_hit)
 
 
@@ -316,7 +322,7 @@ def simulate_sizes(A, sigma, z0, cfg: SdeConfig, path_index: int = 0) -> Traject
     Z = (z / z.sum())[None, :]
     states[0] = Z[0]
     for k in range(1, cfg.n_steps + 1):
-        growth = 1.0 + h * (Z @ At) + sqrt_h * sig * noise.next_step()
+        growth = 1.0 + h * (Z @ At) + sqrt_h * sig * noise.next_step().T
         if np.any(growth <= 0.0) or not np.all(np.isfinite(growth)):
             raise SimulationError(
                 f"size update left the positive cone at step {k} (t={k * h:g}); "

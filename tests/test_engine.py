@@ -177,7 +177,7 @@ def test_overflowing_noise_raises_simulation_error():
 
 @st.composite
 def kernel_cases(draw):
-    n = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=2, max_value=9))
     A = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n * n, max_size=n * n)))
     sigma = np.array(draw(st.lists(st.floats(0.01, 5.0), min_size=n, max_size=n)))
     weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
@@ -351,6 +351,32 @@ def test_one_path_chunk_matches_other_layouts():
     alone = engine.simulate_sde(A, sigma, [0.2] * 5, cfg, path_index=512)
     assert whole.values[512] == pair.values[0] == alone.states[-1, 0]
     assert whole.values[511] == pair.values[1]
+
+
+def nine_strategy_game() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A seeded random game with nine strategies, its noise and an interior start."""
+    gen = np.random.default_rng(909)
+    return gen.uniform(-2.0, 2.0, (9, 9)), gen.uniform(0.2, 1.2, 9), np.arange(1.0, 10.0) / 45.0
+
+
+def test_one_path_chunk_matches_other_layouts_at_nine_strategies():
+    # From eight strategies on, a sum over the strategies may be taken in a
+    # different order, so lock in that every layout still gives the same bytes.
+    A, sigma, x0 = nine_strategy_game()
+    cfg = engine.SdeConfig(h=1e-2, horizon=3.0, seed=9, record_stride=300)
+    stats = {f"x{j}": engine.final_share(j) for j in range(9)}
+
+    def finals(n_paths, path_indices=None):
+        out = engine.batch_run_many(A, sigma, x0, cfg, n_paths, stats, path_indices=path_indices)
+        return np.array([out[f"x{j}"].values for j in range(9)]).T
+
+    whole = finals(engine._MAX_CHUNK_PATHS + 1)
+    pair = finals(2, [512, 511])
+    alone = engine.simulate_sde(A, sigma, x0, cfg, path_index=512).states[-1]
+    backward = finals(40, range(39, -1, -1))
+    assert whole[512].tobytes() == pair[0].tobytes() == alone.tobytes()
+    assert whole[511].tobytes() == pair[1].tobytes()
+    assert backward.tobytes() == whole[39::-1].tobytes()
 
 
 def test_batch_standard_error_scales():
@@ -558,6 +584,38 @@ def test_log_share_kernel_matches_parent_kernel(mixed_dominance_matrix):
     assert abs(finals.sum() - LOG_RATIO_KERNEL_FINAL_SUM) <= 1e-12
     hit_digest = hashlib.sha256(out["hit"].values.tobytes()).hexdigest()
     assert hit_digest == LOG_RATIO_KERNEL_HIT_SHA256
+
+
+# Values of nine-strategy fixtures from the kernel that held the state as
+# (paths, n).  The column-major kernel sums each path's shares one strategy
+# after another, where that kernel summed eight or more of them pairwise, so
+# floats may move by rounding only; the largest move measured is the bound.
+ROW_MAJOR_N9_ROWS = {
+    50: [0.02862685989159939, 0.022640778258011213, 0.13882390935483974,
+         0.06944496411941521, 0.10365661269285507, 0.09273664151122622,
+         0.10301960212698033, 0.25454014403128083, 0.18651048801379203],
+    100: [0.0277555812473916, 0.01487533241405919, 0.15193297058339422,
+          0.049614062922310194, 0.048133782299550364, 0.13556039089781877,
+          0.030427424167411544, 0.28393003323621585, 0.25777042223184815],
+}
+ROW_MAJOR_N9_FINALS = {0: 0.08414496112657936, 511: 0.0009647824160802889,
+                       512: 0.3347563106074006, 599: 0.02615037029971163}
+ROW_MAJOR_N9_FINAL_SUM = 20.100080306339954
+ROW_MAJOR_N9_MAX_DEVIATION = 1.1102230246251565e-16   # measured: 2**-53, at row 100
+
+
+def test_column_major_kernel_matches_row_major_kernel_at_nine_strategies():
+    A, sigma, x0 = nine_strategy_game()
+    cfg = engine.SdeConfig(h=1e-3, horizon=1.0, seed=2005, record_stride=10)
+    traj = engine.simulate_sde(A, sigma, x0, cfg, path_index=7)
+    for row, expected in ROW_MAJOR_N9_ROWS.items():
+        assert np.max(np.abs(traj.states[row] - expected)) <= ROW_MAJOR_N9_MAX_DEVIATION
+    cfg = engine.SdeConfig(h=1e-2, horizon=3.0, seed=2005, record_stride=10)
+    assert engine._chunk_size(cfg, 9) < 600          # two chunks
+    finals = engine.batch_run(A, sigma, x0, cfg, 600, engine.final_share(0)).values
+    for i, expected in ROW_MAJOR_N9_FINALS.items():
+        assert abs(finals[i] - expected) <= ROW_MAJOR_N9_MAX_DEVIATION
+    assert abs(finals.sum() - ROW_MAJOR_N9_FINAL_SUM) <= ROW_MAJOR_N9_MAX_DEVIATION
 
 
 def test_golden_trajectory_digest(mixed_dominance_matrix):
