@@ -17,10 +17,16 @@ far below every tolerance used anywhere (extinction is reported at 1e-12).
 Determinism contract: each path's Gaussian increments come from its own
 counter-based stream (see :mod:`replab.rng`), and the batched SDE kernel
 updates every path's column with the same operations, so a path's values do
-not depend on which other paths share its chunk.  A batch is cut into chunks of
-sorted path indices (at most 512 paths each) that run one after another.
-Batch output is therefore byte-identical for any permutation of the requested
-path indices and any split of them into chunks or separate batches.
+not depend on which other paths share its chunk, nor on which process runs
+it.  A batch is cut into chunks of sorted path indices (at most 512 paths
+each).  A batch of two or more chunks runs them in forked worker processes,
+one per usable CPU; each worker integrates and reduces whole chunks and sends
+back only per-path values, which the caller joins in chunk order.  Threads
+would not help: the interpreter lock serialises the kernel's many small
+numpy calls.  A single-chunk batch, a host with one usable CPU, and a batch
+called inside a daemonic worker run the chunks in-process.  Batch output is
+therefore byte-identical for any permutation of the requested path indices,
+any split of them into chunks or separate batches, and any number of workers.
 
 Statistics are data, not code: a :class:`Statistic` names a kind and its
 parameters.  A batch records its states one chunk at a time, as an array of
@@ -35,6 +41,7 @@ thinned by ``record_stride``.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -49,6 +56,7 @@ STATE_FLOOR = 1e-300
 _CHUNK_FLOAT_BUDGET = 6_000_000     # recorded floats per chunk
 _MAX_CHUNK_PATHS = 512
 _NOISE_BLOCK_FLOATS = 786_432      # increments drawn per refill
+_USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 @dataclass(frozen=True)
@@ -522,6 +530,26 @@ def _chunk_size(cfg: SdeConfig, n: int) -> int:
     return max(1, min(_MAX_CHUNK_PATHS, _CHUNK_FLOAT_BUDGET // max(1, records * n)))
 
 
+def _chunk_values(job, start: int) -> tuple[int, list[np.ndarray]]:
+    """Clamped-path count and per-statistic values of the chunk at ``start``."""
+    A, sigma, x0, cfg, sorted_paths, chunk, hit_regions, stats = job
+    res = _sde_chunk(A, sigma, x0, cfg, sorted_paths[start:start + chunk], hit_regions)
+    return int(res.clamped.sum()), [
+        _reduce(st, res.times, res.states, res.first_hit.get(st.hit_region)) for st in stats]
+
+
+_worker_job = None      # a pool worker's batch, set once by its initializer
+
+
+def _adopt_job(job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _worker_chunk(start: int) -> tuple[int, list[np.ndarray]]:
+    return _chunk_values(_worker_job, start)
+
+
 def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
                    statistics: Mapping[str, Statistic],
                    *, path_indices=None) -> dict[str, BatchResult]:
@@ -557,25 +585,33 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
                                   f"({n} strategies, last record at t={times[-1]:g}): "
                                   f"{exc}") from exc
     order = sorted(range(n_paths), key=lambda i: path_indices[i])
-    sorted_paths = [path_indices[i] for i in order]
     chunk = _chunk_size(cfg, n)
     hit_regions = {st.hit_region for st in statistics.values()} - {None}
+    job = (A, sigma, x0, cfg, [path_indices[i] for i in order], chunk, hit_regions,
+           list(statistics.values()))
+    starts = range(0, n_paths, chunk)
 
-    pieces: dict[str, list[np.ndarray]] = {name: [] for name in statistics}
-    clamped_paths = 0
-    for start in range(0, n_paths, chunk):
-        res = _sde_chunk(A, sigma, x0, cfg, sorted_paths[start:start + chunk], hit_regions)
-        clamped_paths += int(res.clamped.sum())
-        for name, st in statistics.items():
-            first_hit = res.first_hit.get(st.hit_region)
-            pieces[name].append(_reduce(st, res.times, res.states, first_hit))
+    workers = min(_USABLE_CPUS, len(starts))
+    if workers > 1:
+        import multiprocessing      # about 15 ms, paid only by multi-chunk batches
+        if multiprocessing.current_process().daemon:    # may not have children
+            workers = 1
+    if workers > 1:
+        # fork hands ``job`` to each worker without pickling it; only chunk starts
+        # and per-path values cross the pipe.  ``imap`` reports the lowest failing
+        # chunk, as the in-process loop does.
+        with multiprocessing.get_context("fork").Pool(workers, _adopt_job, (job,)) as pool:
+            done = list(pool.imap(_worker_chunk, starts))
+    else:
+        done = [_chunk_values(job, start) for start in starts]
+    clamped_paths = sum(clamped for clamped, _ in done)
 
     inverse = np.empty(n_paths, dtype=np.int64)
     inverse[order] = np.arange(n_paths)
 
     out: dict[str, BatchResult] = {}
-    for name in statistics:
-        values = np.concatenate(pieces[name])[inverse]
+    for name, chunks in zip(statistics, zip(*(values for _, values in done))):
+        values = np.concatenate(chunks)[inverse]
         valid = values[np.isfinite(values)]
         mean = float(valid.mean()) if valid.size else math.nan
         if valid.size > 1:

@@ -184,6 +184,18 @@ def test_module_entry_points_print_version(module):
     assert done.stdout.strip() == f"replab {__version__}"
 
 
+def test_importing_the_cli_leaves_multiprocessing_unimported():
+    # a batch imports it only when it forks workers, so the CLI starts without it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, replab.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    done = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_simulate_requires_seed(pd_file, tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["simulate", pd_file, "--out", str(tmp_path / "x")])

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import multiprocessing
 import pickle
+import resource
 
 import numpy as np
 import pytest
@@ -487,6 +489,85 @@ def test_batch_counts_clamped_paths():
     assert res.to_json_dict()["clamped_paths"] == 16
     short_run = engine.SdeConfig(h=1e-2, horizon=1.0, seed=20, y_cap=50.0)
     assert engine.batch_run(PD, [0.1, 0.1], [0.5, 0.5], short_run, 16, stat).clamped_paths == 0
+
+
+# ---------------------------------------------------------------------------
+# batches run in worker processes
+
+
+def three_chunk_batch(stats=None) -> dict[str, engine.BatchResult]:
+    """1100 paths of the nine-strategy game: two full chunks and a partial one,
+    with some paths clamped and every flag going both ways."""
+    A, sigma, x0 = nine_strategy_game()
+    cfg = engine.SdeConfig(h=4e-2, horizon=20.0, seed=8, record_stride=25, y_cap=50.0)
+    assert engine._chunk_size(cfg, 9) == 512
+    if stats is None:
+        stats = [engine.final_share(7),
+                 engine.hit_flag_stat(games.Region.vertex_neighborhood(7, 0.5), name="hit"),
+                 engine.window_max_share(8, 10.0),
+                 engine.captured_stat(games.Region.coordinate_below(0, 0.2), 7, 0.6,
+                                      name="captured")]
+    return engine.batch_run_many(A, sigma, x0, cfg, 1100, {st.name: st for st in stats})
+
+
+def children_cpu_seconds() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def test_batch_bytes_do_not_depend_on_worker_count(monkeypatch):
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 1)
+    before = children_cpu_seconds()
+    alone = three_chunk_batch()
+    assert children_cpu_seconds() == before
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    pooled = three_chunk_batch()
+    assert children_cpu_seconds() > before          # the chunks ran in workers
+    assert 0 < alone["final_share_7"].clamped_paths < 1100
+    for name, res in alone.items():
+        assert 0.0 < res.mean < 1.0, name
+        assert pooled[name].values.tobytes() == res.values.tobytes(), name
+        assert pooled[name].clamped_paths == res.clamped_paths, name
+
+
+def test_pooled_batch_reports_the_lowest_failing_chunk(monkeypatch):
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(5):
+            with pytest.raises(SimulationError, match=r"for paths \[0, 1, 2, 3, 4\]$"):
+                engine.batch_run(PD, [1e200, 1e200], [0.5, 0.5], cfg, 1100,
+                                 engine.final_share(0))
+    assert multiprocessing.active_children() == []
+
+
+def test_unpicklable_statistic_runs_in_pooled_batch(monkeypatch):
+    # a statistic reaches the workers by fork, never through the pipe, so a
+    # subclass defined here (which pickle cannot find) works like the base class
+    class LocalStatistic(engine.Statistic):
+        pass
+
+    local = LocalStatistic(name="final", kind="final_share", j=7)
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        pickle.dumps(local)
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    pooled = three_chunk_batch([local])["final"]
+    assert pooled.values.tobytes() == three_chunk_batch()["final_share_7"].values.tobytes()
+
+
+def final_share_bytes() -> bytes:
+    return three_chunk_batch([engine.final_share(7)])["final_share_7"].values.tobytes()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_batch_inside_daemonic_worker_matches_parent(monkeypatch):
+    # pool workers are daemonic and may not start processes of their own, so a
+    # batch called inside one runs its chunks in-process
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        inside = pool.apply(final_share_bytes)
+    assert inside == final_share_bytes()
 
 
 def test_drift_and_diffusion_zero_sum_bulk():
