@@ -82,7 +82,10 @@ class BoundReport:
     inputs: dict
     details: dict = field(default_factory=dict)
     per_path: dict = field(default_factory=dict, repr=False)   # name -> BatchResult
-    clamped_paths: int = 0            # summed over the check's batches
+    # paths that reached the log-share floor within the steps their batch's statistics
+    # read (for a hitting-only batch, up to the path's last first hit), summed over
+    # the check's batches
+    clamped_paths: int = 0
 
     def to_json_dict(self) -> dict:
         return {

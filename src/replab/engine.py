@@ -10,9 +10,11 @@ first order here.  No strategy serves as a reference coordinate.
 Each SDE step subtracts each path's maximum from ``Z`` and floors it at
 ``-y_cap`` (default 500): a share below ``exp(-500)`` times the largest is
 physically extinct, the floor keeps ``Z`` bounded, and the ``clamped`` flag
-records that it was reached.  The floor acts on each strategy alone, so the
-surviving shares keep moving.  Recorded frequencies are floored at 1e-300,
-far below every tolerance used anywhere (extinction is reported at 1e-12).
+records that it was reached within the steps the batch's statistics read (in a
+hitting-only batch, up to the path's last first hit).  The floor acts on each
+strategy alone, so the surviving shares keep moving.  Recorded frequencies are
+floored at 1e-300, far below every tolerance used anywhere (extinction is
+reported at 1e-12).
 
 Determinism contract: each path's Gaussian increments come from its own
 counter-based stream (see :mod:`replab.rng`), and the batched SDE kernel
@@ -34,8 +36,9 @@ shape (paths, records, n), and :func:`_reduce` turns that array into each
 statistic's per-path values at once; no Python runs per path.  Hitting times
 are detected on the step grid while integrating (no Brownian-bridge
 correction: the bias is at most one step and the acceptance slacks absorb
-it); every other statistic reads the recorded grid, which is the step grid
-thinned by ``record_stride``.
+it), and a batch whose statistics are all hitting kinds stops integrating a
+chunk once each of its paths has entered each region; every other statistic
+reads the recorded grid, which is the step grid thinned by ``record_stride``.
 """
 
 from __future__ import annotations
@@ -162,32 +165,20 @@ def _record_slots(cfg: SdeConfig) -> tuple[np.ndarray, dict[int, int]]:
     return steps * cfg.h, {int(k): row for row, k in enumerate(steps)}
 
 
-class _NoiseBlocks:
-    """Per-path Gaussian increments drawn in memory-bounded blocks."""
-
-    def __init__(self, seed: int, paths, n: int, total_steps: int):
-        self._gens = [rng.path_generator(seed, p) for p in paths]
-        self._n = n
-        self._left = total_steps
-        self._block = max(1, _NOISE_BLOCK_FLOATS // max(1, len(self._gens) * n))
-        self._draws = self._buf = np.empty((0, 0, 0))    # allocated by the first step
-        self._pos = 0
-
-    def next_step(self) -> np.ndarray:
-        """Increments for one step, shape (n, paths)."""
-        if self._pos == self._buf.shape[0]:
-            take = min(self._block, self._left)
-            if take != self._buf.shape[0]:
-                self._draws = np.empty((len(self._gens), take, self._n))
-                self._buf = np.empty((take, self._n, len(self._gens)))
-            for g, block in zip(self._gens, self._draws):
-                g.standard_normal(out=block)
-            np.copyto(self._buf, self._draws.transpose(1, 2, 0))
-            self._pos = 0
-            self._left -= take
-        out = self._buf[self._pos]
-        self._pos += 1
-        return out
+def _increments(seed: int, paths, n: int, total_steps: int, scale: np.ndarray):
+    """Each step's Gaussian increments times ``scale``, as an (n, paths) view valid
+    until the next is taken; every path's stream is drawn in memory-bounded blocks."""
+    gens = [rng.path_generator(seed, p) for p in paths]
+    block = min(total_steps, max(1, _NOISE_BLOCK_FLOATS // (len(gens) * n)))
+    draws, buf = np.empty((len(gens), block, n)), np.empty((block, n, len(gens)))
+    for done in range(0, total_steps, block):
+        take = min(block, total_steps - done)
+        for g, rows in zip(gens, draws[:, :take]):
+            g.standard_normal(out=rows)
+        steps = buf[:take]
+        np.copyto(steps, draws[:, :take].transpose(1, 2, 0))
+        steps *= scale      # in place: scaling while transposing is slower
+        yield from steps
 
 
 @dataclass
@@ -198,12 +189,14 @@ class _ChunkResult:
     first_hit: dict[Region, np.ndarray]  # (paths,) first entry time, inf = never
 
 
-def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths,
-               hit_regions: Iterable[Region] = ()) -> _ChunkResult:
+def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region] = (),
+               until_hit: bool = False) -> _ChunkResult:
     """Euler-Maruyama in log-share coordinates for a chunk of seeded paths, held as
     (n, columns) in buffers reused every step.  A lone path runs as two columns on
     one stream: BLAS gemv rounds ``A @ x`` differently from gemm for n >= 4, and a
-    path must give the same bytes in any chunk."""
+    path must give the same bytes in any chunk.  With ``until_hit`` the loop stops
+    once every path has entered every region, and a path's floor hits count only
+    while it has some region still to enter."""
     A = games.as_payoff_matrix(A)
     n = A.shape[0]
     m = len(paths)
@@ -220,45 +213,51 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths,
     step, top = np.empty_like(x), np.empty(len(columns))
     sig = np.repeat(games.as_noise_vector(sigma, n)[:, None], len(columns), axis=1)
     half_var = 0.5 * sig * sig
-    noise_scale = math.sqrt(cfg.h) * sig
-    noise = _NoiseBlocks(cfg.seed, columns, n, cfg.n_steps)
-    h = cfg.h
+    noise = _increments(cfg.seed, columns, n, cfg.n_steps, math.sqrt(cfg.h) * sig)
+    h = np.array(cfg.h)
+    floor = np.array(STATE_FLOOR)
     cap = cfg.y_cap
+    matmul, exp, maximum = np.matmul, np.exp, np.maximum
+    add_reduce, max_reduce, min_reduce = np.add.reduce, np.maximum.reduce, np.minimum.reduce
 
     def observe(k: int) -> None:
-        row = slots.get(k)
-        if row is not None:
-            states[:, row, :] = x[:, :m].T
-        for region, hit in first_hit.items():
-            mask = pending[region]
-            if mask.any():
-                # every column, so that a lone path's sums round as in a wider chunk
-                inside = region.contains(x.T)[:m]
-                hit[mask & inside] = k * h
-                pending[region] &= ~inside
+        if k in slots:
+            states[:, slots[k], :] = x[:, :m].T
+        for region, mask in list(pending.items()):
+            # every column, so that a lone path's sums round as in a wider chunk
+            inside = region.contains(x.T)[:m]
+            first_hit[region][mask & inside] = k * cfg.h
+            mask &= ~inside
+            if not mask.any():
+                del pending[region]
 
     observe(0)
     for k in range(1, cfg.n_steps + 1):
-        np.matmul(A, x, out=step)
+        if until_hit and not pending:
+            break
+        matmul(A, x, out=step)
         step -= half_var
         step *= h
         Z += step
-        np.multiply(noise_scale, noise.next_step(), out=step)
-        Z += step
-        Z -= np.maximum.reduce(Z, axis=0, out=top)
-        if not np.minimum.reduce(Z, axis=None) >= -cap:   # a floored share, or a non-finite one
+        Z += next(noise)
+        Z -= max_reduce(Z, axis=0, out=top)
+        if not min_reduce(Z, axis=None) >= -cap:   # a floored share, or a non-finite one
             bad = ~np.isfinite(Z[:, :m]).all(axis=0)
             if bad.any():
                 raise SimulationError(
-                    f"non-finite log-shares at step {k} (t={h * k:g}) "
+                    f"non-finite log-shares at step {k} (t={cfg.h * k:g}) "
                     f"for paths {[paths[i] for i in np.flatnonzero(bad)[:5]]}"
                 )
-            clamped |= (Z[:, :m] < -cap).any(axis=0)
-            np.maximum(Z, -cap, out=Z)
-        np.exp(Z, out=x)
-        x /= np.add.reduce(x, axis=0, out=top)
-        np.maximum(x, STATE_FLOOR, out=x)
-        observe(k)
+            floored = (Z[:, :m] < -cap).any(axis=0)
+            if until_hit:
+                floored &= np.logical_or.reduce(list(pending.values()))
+            clamped |= floored
+            maximum(Z, -cap, out=Z)
+        exp(Z, out=x)
+        x /= add_reduce(x, axis=0, out=top)
+        maximum(x, floor, out=x)
+        if pending or k in slots:
+            observe(k)
     return _ChunkResult(times=times, states=states, clamped=clamped, first_hit=first_hit)
 
 
@@ -323,14 +322,13 @@ def simulate_sizes(A, sigma, z0, cfg: SdeConfig, path_index: int = 0) -> Traject
     sig = games.as_noise_vector(sigma, n)
     times, slots = _record_slots(cfg)
     states = np.empty((times.size, n))
-    noise = _NoiseBlocks(cfg.seed, [path_index], n, cfg.n_steps)
     h = cfg.h
-    sqrt_h = math.sqrt(h)
+    noise = _increments(cfg.seed, [path_index], n, cfg.n_steps, (math.sqrt(h) * sig)[:, None])
 
     Z = (z / z.sum())[None, :]
     states[0] = Z[0]
     for k in range(1, cfg.n_steps + 1):
-        growth = 1.0 + h * (Z @ At) + sqrt_h * sig * noise.next_step().T
+        growth = 1.0 + h * (Z @ At) + next(noise).T
         if np.any(growth <= 0.0) or not np.all(np.isfinite(growth)):
             raise SimulationError(
                 f"size update left the positive cone at step {k} (t={k * h:g}); "
@@ -504,7 +502,7 @@ class BatchResult:
     values: np.ndarray          # per path, in the requested path order
     n_paths: int
     seed: int
-    clamped_paths: int = 0      # paths that reached the log-share floor
+    clamped_paths: int = 0      # paths floored within the steps their statistics read
 
     @property
     def aborted(self) -> int:
@@ -533,7 +531,8 @@ def _chunk_size(cfg: SdeConfig, n: int) -> int:
 def _chunk_values(job, start: int) -> tuple[int, list[np.ndarray]]:
     """Clamped-path count and per-statistic values of the chunk at ``start``."""
     A, sigma, x0, cfg, sorted_paths, chunk, hit_regions, stats = job
-    res = _sde_chunk(A, sigma, x0, cfg, sorted_paths[start:start + chunk], hit_regions)
+    res = _sde_chunk(A, sigma, x0, cfg, sorted_paths[start:start + chunk], hit_regions,
+                     until_hit=all(st.hit_region is not None for st in stats))
     return int(res.clamped.sum()), [
         _reduce(st, res.times, res.states, res.first_hit.get(st.hit_region)) for st in stats]
 
@@ -645,8 +644,7 @@ def batch_run(A, sigma, x0, cfg: SdeConfig, n_paths: int, statistic: Statistic,
 def trajectory_csv_text(traj: Trajectory) -> str:
     """CSV with header ``t,x_1,...,x_n`` at full double precision."""
     n = traj.n_strategies
-    lines = ["t," + ",".join(f"x_{j + 1}" for j in range(n))]
-    for i in range(traj.times.size):
-        row = [f"{traj.times[i]:.17g}"] + [f"{v:.17g}" for v in traj.states[i]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = "t," + ",".join(f"x_{j + 1}" for j in range(n)) + "\n"
+    row = ",".join(["%.17g"] * (n + 1)) + "\n"
+    values = np.column_stack([traj.times, traj.states]).ravel().tolist()
+    return header + row * traj.times.size % tuple(values)

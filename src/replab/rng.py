@@ -18,6 +18,8 @@ two.  The engine relies on this to draw increments in memory-bounded blocks.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ValidationError
@@ -33,10 +35,31 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
+@functools.cache
+def _path_key() -> type:
+    """A seed sequence whose only state is a Philox key.
+
+    ``Philox(key=...)`` first seeds a ``SeedSequence`` from OS entropy and then
+    overwrites its key; Philox seeded with this type reads the key as its
+    two-word state instead, with the same counter (0), so no entropy is drawn.
+    The type is made on first use: importing ``numpy.random`` takes about 18 ms.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PathKey(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return PathKey
+
+
 def path_generator(seed: int, path: int) -> np.random.Generator:
     """The Gaussian stream of one path: Philox keyed by (seed, path index)."""
     seed = check_seed(seed)
     if not 0 <= int(path) < _U64:
         raise ValidationError("path index must fit in an unsigned 64-bit integer")
     key = np.array([seed, int(path)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(seed=_path_key()(key)))

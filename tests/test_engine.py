@@ -491,6 +491,56 @@ def test_batch_counts_clamped_paths():
     assert engine.batch_run(PD, [0.1, 0.1], [0.5, 0.5], short_run, 16, stat).clamped_paths == 0
 
 
+@pytest.mark.parametrize("horizon", [60.0, 4.0])
+def test_hitting_only_batch_matches_full_horizon_batch(coordination_matrix, horizon):
+    # by 60 every path has entered every region, so the hitting-only batch stops
+    # early; by 4 some have not; every path starts inside the ball
+    cfg = engine.SdeConfig(h=1e-2, horizon=horizon, seed=21, record_stride=50)
+    stats = {"tau": engine.hitting_time_stat(games.Region.any_vertex_neighborhood(0.1)),
+             "hit": engine.hit_flag_stat(games.Region.any_vertex_neighborhood(0.3)),
+             "start": engine.hitting_time_stat(games.Region.ball([1 / 3] * 3, 0.05))}
+    run = [coordination_matrix, [0.5] * 3, [1 / 3] * 3, cfg, 30]
+    hitting_only = engine.batch_run_many(*run, stats)
+    full = engine.batch_run_many(*run, dict(stats, final=engine.final_share(0)))
+    for name in stats:
+        assert hitting_only[name].values.tobytes() == full[name].values.tobytes()
+    all_hit = (hitting_only["tau"].values < horizon).all() and hitting_only["hit"].values.all()
+    assert all_hit == (horizon == 60.0)
+    assert not hitting_only["start"].values.any()
+
+
+def test_hitting_only_batch_stops_once_every_path_has_hit(monkeypatch, coordination_matrix):
+    increments, taken = engine._increments, []
+
+    def counted(*args):
+        for dw in increments(*args):
+            taken.append(1)
+            yield dw
+
+    monkeypatch.setattr(engine, "_increments", counted)
+    cfg = engine.SdeConfig(h=1e-2, horizon=60.0, seed=17, record_stride=100)
+    stat = engine.hitting_time_stat(games.Region.any_vertex_neighborhood(0.1))
+    tau = engine.batch_run(coordination_matrix, [0.5] * 3, [1 / 3] * 3, cfg, 25, stat).values
+    assert len(taken) == round(tau.max() / cfg.h) < cfg.n_steps
+
+
+def test_hitting_only_clamp_count_does_not_depend_on_chunk_layout(monkeypatch):
+    # A chunk integrates until its last path has hit, so a path that hit earlier
+    # keeps moving for as long as its chunk-mates need; its floor hits after its
+    # own first hit must not count, or the count would depend on the chunk layout.
+    cfg = engine.SdeConfig(h=1e-2, horizon=30.0, seed=3, y_cap=50.0)
+    region = games.Region.vertex_neighborhood(0, 0.1)
+    stats = {"tau": engine.hitting_time_stat(region, name="tau"),
+             "hit": engine.hit_flag_stat(region, name="hit")}
+    out = []
+    for chunk in (512, 3):
+        monkeypatch.setattr(engine, "_MAX_CHUNK_PATHS", chunk)
+        out.append(engine.batch_run_many(2.0 * np.eye(3), [0.8] * 3, [1 / 3] * 3, cfg, 20, stats))
+    assert out[0]["tau"].values.tobytes() == out[1]["tau"].values.tobytes()
+    assert 0 < out[0]["hit"].values.sum() < 20
+    assert 0 < out[0]["tau"].clamped_paths == out[1]["tau"].clamped_paths < 20
+
+
 # ---------------------------------------------------------------------------
 # batches run in worker processes
 
@@ -617,6 +667,19 @@ def test_trajectory_csv_format():
     assert lines[1] == "0,0.5,0.5"
     parsed = [float(v) for v in lines[2].split(",")]
     assert parsed == [0.5, 0.25, 0.75]
+
+
+def test_trajectory_csv_matches_per_value_formatting():
+    h = 1e-3
+    times = np.arange(6) * h
+    states = np.array([[1e-300, 1.0, 1.0 / 3.0], [0.1 + 0.2, 1.0 - 1e-16, 5e-324],
+                       [0.5, 0.25, 0.25], [2.0 / 3.0, 1e-17, 1.0 / 3.0 - 1e-17],
+                       [1.0, 1e-300, 1e-300], [0.125, 0.375, 0.5]])
+    traj = engine.Trajectory(times=times, states=states, clamped=False, seed=0)
+    lines = ["t,x_1,x_2,x_3"]
+    for i in range(times.size):
+        lines.append(",".join([f"{times[i]:.17g}"] + [f"{v:.17g}" for v in states[i]]))
+    assert engine.trajectory_csv_text(traj) == "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import hashlib
+import os
+import random
 
 import numpy as np
 import pytest
@@ -34,6 +36,20 @@ def test_draws_look_standard_normal():
     assert abs(x.std() - 1.0) < 0.01
     assert abs(np.mean(x**3)) < 0.02          # skewness
     assert abs(np.mean(x**4) - 3.0) < 0.05    # kurtosis
+
+
+def test_path_generator_reads_no_os_entropy(monkeypatch):
+    key = np.array([2005, 7], dtype=np.uint64)
+    expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(64)
+
+    def no_entropy(size):
+        raise AssertionError("OS entropy was read")
+
+    # numpy's SeedSequence() draws through random.SystemRandom, which holds its
+    # own reference to os.urandom
+    monkeypatch.setattr(os, "urandom", no_entropy)
+    monkeypatch.setattr(random, "_urandom", no_entropy)
+    assert np.array_equal(rng.path_generator(2005, 7).standard_normal(64), expected)
 
 
 def test_seed_validation():
