@@ -1,7 +1,8 @@
 """Tabulate the closed-form war-of-attrition equilibria over the (n, v, rho) grid.
 
 Writes the sweep CSV (columns ``n,v,rho,s,p_0,...,p_n,c``) and, when asked,
-cross-checks every row against the support-enumeration solver.
+cross-checks every row against the support-enumeration solver, printing the
+cross-check's elapsed time and games per second.
 
 Usage: python scripts/ess_sweep.py [--out results/ess_sweep] [--check]
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -40,11 +42,15 @@ def main() -> int:
     fracs = tuple(float(f) for f in args.rho_fracs.split(","))
     worst = 0.0
     specs = attrition.ess_sweep_rows(range(lo, hi + 1), fracs)
+    start = time.perf_counter()
     for spec in specs:
         closed = attrition.closed_form_ess(spec).strategy
         oracle = ess.unique_ess(attrition.perturbed_matrix(spec)).strategy
         worst = max(worst, float(np.max(np.abs(closed - oracle))))
+    elapsed = time.perf_counter() - start
     print(f"checked {len(specs)} rows; max deviation from enumeration {worst:.3e}")
+    print(f"cross-check took {elapsed:.2f} s ({len(specs) / elapsed:.0f} games/s, "
+          "closed form and enumeration)")
     return 0 if worst < 1e-9 else 2
 
 

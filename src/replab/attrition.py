@@ -99,17 +99,9 @@ def base_matrix(spec) -> np.ndarray:
     g = _spec(spec)
     c = np.asarray(g.costs)
     v = np.asarray(g.rewards)
-    m = g.n + 1
-    A = np.empty((m, m))
-    for j in range(m):
-        for k in range(m):
-            if j > k:
-                A[j, k] = v[k] - c[k]
-            elif j == k:
-                A[j, k] = v[k] / 2.0 - c[k]
-            else:
-                A[j, k] = -c[j]
-    return A
+    k = np.arange(g.n + 1)
+    j = k[:, None]
+    return np.where(j > k, v - c, np.where(j == k, v / 2.0 - c, -c[:, None]))
 
 
 def perturbed_matrix(spec) -> np.ndarray:

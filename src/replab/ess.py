@@ -8,17 +8,26 @@ Rosenberg, Savani and von Stengel, Economic Theory 42, 2010).  For
 conditionally negative definite games the unique evolutionarily stable
 strategy found this way is the oracle for the war-of-attrition closed form.
 
-The systems of one support size are stacked in blocks of ``SUPPORT_BLOCK``
-and solved by one LAPACK call each, with the gates as array operations; only
-the few survivors reach the scalar gates, deduplication and classification.
+Supports are visited in canonical order (by size, then lexicographically)
+in groups of at most ``SUPPORT_BLOCK`` rows; a group may span several sizes.
+Each same-size piece of a group is solved by one stacked LAPACK call and its
+weights are scattered into full-length rows.  The array gates then run once
+per group: one payoff product gives both the on-support residual and the
+off-support gains.  Only the few survivors reach the scalar gates,
+deduplication and classification.  A group's index tables and support masks
+depend on ``n`` alone; they are cached, read-only, when all ``2^n - 1``
+supports fit in one group (n <= 12), and built one group at a time for
+larger games, so memory at n = 20 stays bounded by ``SUPPORT_BLOCK``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +37,7 @@ from .errors import PreconditionError, ValidationError
 log = logging.getLogger(__name__)
 
 MAX_SUPPORT_N = 20          # 2^n - 1 supports are enumerated
-SUPPORT_BLOCK = 4096        # supports per stacked solve (bounds memory at n = 20)
+SUPPORT_BLOCK = 4096        # supports per group, gated together (bounds memory at n = 20)
 EQUALIZE_TOL = 1e-10        # residual of the support solve itself
 OFF_SUPPORT_TOL = 1e-9
 DEDUP_DISTANCE = 1e-8
@@ -59,47 +68,124 @@ class EquilibriumReport:
         return self.status in (games.STRICT_NASH, games.ESS_CERTIFIED)
 
 
-def _equalize_block(A, S, rejected: Counter):
-    """Solve the equal-payoff systems of the supports in the rows of ``S``.
+class _Piece(NamedTuple):
+    """The supports of one size inside a group."""
 
-    Returns ``(S, P, c)`` restricted to the rows whose system is nonsingular
-    with a finite, nonnegative solution that passes the residual prefilter:
-    the supports, their full-length weight vectors and common payoffs, in
-    row order.  ``rejected`` counts the other rows by gate.
+    rows: slice             # their rows in the group
+    gather: np.ndarray      # (k, m+1, m+1) flat indices into the bordered payoff matrix
+    rhs: np.ndarray         # (m+1, 1) right-hand side (0, ..., 0, 1)
+    scatter: np.ndarray     # (k, m) flat indices of their weights in the (rows, n) group
+
+
+class _Group(NamedTuple):
+    """Consecutive supports in canonical order, gated together."""
+
+    pieces: tuple[_Piece, ...]
+    on: np.ndarray          # (rows, n) support mask
+    off: np.ndarray         # its complement
+
+
+def _group(supports: list[tuple[int, ...]], n: int) -> _Group:
+    """Index tables of ``supports`` (sorted by size) in an ``n``-strategy game."""
+    pieces, start = [], 0
+    for m, same in itertools.groupby(supports, len):
+        S = np.array(list(same), dtype=np.intp)
+        k = S.shape[0]
+        # the system of support S is the (S + [n]) minor of [[A, -1], [1, 0]]
+        T = np.hstack([S, np.full((k, 1), n, dtype=np.intp)])
+        rows = np.arange(start, start + k, dtype=np.intp)
+        pieces.append(_Piece(slice(start, start + k), T[:, :, None] * (n + 1) + T[:, None, :],
+                             np.eye(m + 1)[:, m:], rows[:, None] * n + S))
+        start += k
+    on = np.zeros((start, n), dtype=bool)
+    for piece in pieces:
+        on.flat[piece.scatter] = True
+    group = _Group(tuple(pieces), on, ~on)
+    for a in (group.on, group.off, *(a for p in pieces for a in (p.gather, p.rhs, p.scatter))):
+        a.flags.writeable = False
+    return group
+
+
+def _groups(n: int, block: int):
+    """All ``2^n - 1`` supports, by size then lexicographically, ``block`` rows a group."""
+    supports = itertools.chain.from_iterable(
+        itertools.combinations(range(n), m) for m in range(1, n + 1))
+    while chunk := list(itertools.islice(supports, block)):
+        yield _group(chunk, n)
+
+
+@functools.lru_cache(maxsize=16)      # n <= 12 at the default block
+def _cached_groups(n: int, block: int) -> tuple[_Group, ...]:
+    return tuple(_groups(n, block))
+
+
+def _support_groups(n: int):
+    """The groups of an ``n``-strategy game; cached only when they are a single group."""
+    if 2**n - 1 <= SUPPORT_BLOCK:
+        return _cached_groups(n, SUPPORT_BLOCK)
+    return _groups(n, SUPPORT_BLOCK)
+
+
+def _solve_pieces(A, group: _Group):
+    """Solve the equal-payoff systems of the supports in ``group``.
+
+    Returns ``(P, c, singular)``: the weights as full-length rows (zero off
+    the support, unclipped), the common payoffs, and the number of singular
+    systems, whose rows hold NaN.
     """
-    k, m = S.shape
-    lhs = np.zeros((k, m + 1, m + 1))
-    lhs[:, :m, :m] = A[S[:, :, None], S[:, None, :]]
-    lhs[:, :m, m] = -1.0
-    lhs[:, m, :m] = 1.0
-    rhs = np.zeros((k, m + 1, 1))
-    rhs[:, m] = 1.0
-    try:
-        sol = np.linalg.solve(lhs, rhs)[:, :, 0]
-    except np.linalg.LinAlgError:
-        # some LU pivot is exactly zero; slogdet's sign is 0 exactly for those
-        # systems (det itself can underflow to 0 for a nonsingular one)
-        nonsingular = np.linalg.slogdet(lhs)[0] != 0.0
-        rejected["singular"] += k - np.count_nonzero(nonsingular)
-        S, lhs, rhs = S[nonsingular], lhs[nonsingular], rhs[nonsingular]
-        sol = np.linalg.solve(lhs, rhs)[:, :, 0]
-    W = np.clip(sol[:, :m], 0.0, None)
-    c = sol[:, m]
+    n = A.shape[0]
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = A
+    bordered[:n, n] = -1.0
+    bordered[n, :n] = 1.0
+    P = np.zeros(group.on.shape)
+    c = np.empty(P.shape[0])
+    singular = 0
+    for piece in group.pieces:
+        lhs = bordered.take(piece.gather)
+        try:
+            sol = np.linalg.solve(lhs, piece.rhs)[:, :, 0]
+        except np.linalg.LinAlgError:
+            # some LU pivot is exactly zero; slogdet's sign is 0 exactly for those
+            # systems (det itself can underflow to 0 for a nonsingular one)
+            nonsingular = np.linalg.slogdet(lhs)[0] != 0.0
+            singular += lhs.shape[0] - np.count_nonzero(nonsingular)
+            sol = np.full(lhs.shape[:2], np.nan)
+            sol[nonsingular] = np.linalg.solve(lhs[nonsingular], piece.rhs)[:, :, 0]
+        np.put(P, piece.scatter, sol[:, :-1])
+        c[piece.rows] = sol[:, -1]
+    return P, c, singular
+
+
+def _gate_group(A, group: _Group, rejected: Counter):
+    """Supports of ``group`` passing the array gates, as ``(rows, P, c)``.
+
+    The gates, in order: nonsingular, finite, nonnegative, equal-payoff
+    residual (with the weight sum), off-support best reply.  ``rejected``
+    counts the other rows by the first gate they fail.  ``P`` holds the
+    clipped full-length weights of the surviving rows, in row order.
+    """
+    P, c, singular = _solve_pieces(A, group)
+    finite = np.isfinite(c) & np.isfinite(P).all(axis=1)
+    # weights vanish off the support, so the row minimum is the on-support one
+    nonnegative = finite & (P.min(axis=1) >= -games.TIE_TOL)
+    np.clip(P, 0.0, None, out=P)
     with np.errstate(invalid="ignore", over="ignore"):
+        gains = P @ A.T - c[:, None]        # every pure reply against the common payoff
         residual = np.maximum(
-            np.abs(np.einsum("kij,kj->ki", lhs[:, :m, :m], W) - c[:, None]).max(axis=1),
-            np.abs(W.sum(axis=1) - 1.0),
+            np.abs(gains).max(axis=1, where=group.on, initial=0.0),
+            np.abs(P.sum(axis=1) - 1.0),
         )
-    finite = np.isfinite(sol).all(axis=1)
-    nonnegative = finite & (sol[:, :m].min(axis=1) >= -games.TIE_TOL)
+        best_gain = gains.max(axis=1, where=group.off, initial=-np.inf)
     equal = nonnegative & (residual <= _PREFILTER * EQUALIZE_TOL)
-    rejected["non-finite"] += np.count_nonzero(~finite)
-    rejected["negative weight"] += np.count_nonzero(finite & ~nonnegative)
-    rejected["residual"] += np.count_nonzero(nonnegative & ~equal)
-    S = S[equal]
-    P = np.zeros((S.shape[0], A.shape[0]))
-    P[np.arange(S.shape[0])[:, None], S] = W[equal]
-    return S, P, c[equal]
+    best_reply = equal & (best_gain <= _PREFILTER * OFF_SUPPORT_TOL)
+    # rows left after each gate of _GATES; each gate rejects the difference
+    passed = [c.shape[0] - singular] + [np.count_nonzero(g) for g in
+                                        (finite, nonnegative, equal, best_reply)]
+    for gate, before, after in zip(_GATES, [c.shape[0]] + passed, passed):
+        rejected[gate] += before - after
+    rows = np.flatnonzero(best_reply)
+    return rows, P[rows], c[rows]
 
 
 def _residual(A, sup: list[int], p: np.ndarray, c: float) -> float:
@@ -124,22 +210,24 @@ def equalize_on_support(A, support):
         raise ValidationError("support must be nonempty")
     if sup[0] < 0 or sup[-1] >= A.shape[0]:
         raise ValidationError("support index out of range")
-    S, P, c = _equalize_block(A, np.array([sup], dtype=np.intp), Counter())
-    if not len(S):
+    P, c, _ = _solve_pieces(A, _group([tuple(sup)], A.shape[0]))
+    p, c = P[0], float(c[0])
+    if not (np.isfinite(c) and np.isfinite(p).all() and p.min() >= -games.TIE_TOL):
         return None
-    c = float(c[0])
-    residual = _residual(A, sup, P[0], c)
+    np.clip(p, 0.0, None, out=p)
+    residual = _residual(A, sup, p, c)
     if residual > EQUALIZE_TOL:
         return None
-    return P[0], c, residual
+    return p, c, residual
 
 
 def solve_all_equilibria(A) -> list[EquilibriumReport]:
     """Enumerate all Nash equilibria with a nondegenerate support system.
 
-    Supports are solved in stacked blocks, one size at a time; survivors of
-    the array gates are then checked again, deduplicated and classified in
-    the canonical order: by increasing size, lexicographically within a size.
+    Supports are solved and gated in groups (see the module docstring);
+    survivors of the array gates are then checked again, deduplicated and
+    classified in the canonical order: by increasing size, lexicographically
+    within a size.
     Duplicate strategies (within ``DEDUP_DISTANCE``) keep their first, i.e.
     smallest-support, occurrence.  One debug log line per game counts the
     supports visited and those rejected by each gate.
@@ -152,42 +240,36 @@ def solve_all_equilibria(A) -> list[EquilibriumReport]:
         )
     rejected: Counter = Counter()
     reports: list[EquilibriumReport] = []
-    for size in range(1, n + 1):
-        supports = itertools.combinations(range(n), size)    # lexicographic
-        while block := list(itertools.islice(supports, SUPPORT_BLOCK)):
-            S, P, cs = _equalize_block(A, np.array(block, dtype=np.intp), rejected)
-            gains = P @ A.T - cs[:, None]
-            gains[np.arange(S.shape[0])[:, None], S] = -np.inf
-            best_reply = gains.max(axis=1, initial=-np.inf) <= _PREFILTER * OFF_SUPPORT_TOL
-            rejected["off-support"] += np.count_nonzero(~best_reply)
-            for row, p, c in zip(S[best_reply], P[best_reply], cs[best_reply].tolist()):
-                sup = row.tolist()
-                residual = _residual(A, sup, p, c)
-                if residual > EQUALIZE_TOL:
-                    rejected["residual"] += 1
-                    continue
-                payoffs = A @ p
-                off = [j for j in range(n) if j not in sup]
-                slack = float(np.max(payoffs[off] - c)) if off else -np.inf
-                if slack > OFF_SUPPORT_TOL:
-                    rejected["off-support"] += 1
-                    continue
-                if any(np.linalg.norm(p - r.strategy) < DEDUP_DISTANCE for r in reports):
-                    continue
-                status = games.classify_equilibrium(A, p)
-                if status == games.NOT_NASH:
-                    continue
-                actual_support = tuple(int(j) for j in np.flatnonzero(p > 0.0))
-                reports.append(
-                    EquilibriumReport(
-                        strategy=p,
-                        support=actual_support,
-                        common_payoff=c,
-                        status=status,
-                        equal_payoff_residual=residual,
-                        off_support_slack=max(slack, 0.0),
-                    )
+    for group in _support_groups(n):
+        rows, P, cs = _gate_group(A, group, rejected)
+        for row, p, c in zip(rows.tolist(), P, cs.tolist()):
+            sup = np.flatnonzero(group.on[row]).tolist()
+            residual = _residual(A, sup, p, c)
+            if residual > EQUALIZE_TOL:
+                rejected["residual"] += 1
+                continue
+            payoffs = A @ p
+            off = [j for j in range(n) if j not in sup]
+            slack = float(np.max(payoffs[off] - c)) if off else -np.inf
+            if slack > OFF_SUPPORT_TOL:
+                rejected["off-support"] += 1
+                continue
+            if any(np.linalg.norm(p - r.strategy) < DEDUP_DISTANCE for r in reports):
+                continue
+            status = games.classify_equilibrium(A, p)
+            if status == games.NOT_NASH:
+                continue
+            actual_support = tuple(int(j) for j in np.flatnonzero(p > 0.0))
+            reports.append(
+                EquilibriumReport(
+                    strategy=p,
+                    support=actual_support,
+                    common_payoff=c,
+                    status=status,
+                    equal_payoff_residual=residual,
+                    off_support_slack=max(slack, 0.0),
                 )
+            )
     log.debug("support enumeration, n = %d: %d supports visited; rejected %s", n, 2**n - 1,
               ", ".join(f"{rejected[g]} {g}" for g in _GATES))
     reports.sort(key=lambda r: (len(r.support), r.support))

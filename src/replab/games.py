@@ -19,6 +19,7 @@ checks by simulation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -186,13 +187,15 @@ def centered_symmetrization(A) -> np.ndarray:
     return Abar - row - col + total * np.ones((n, n))
 
 
+@functools.lru_cache(maxsize=32)
 def _zero_sum_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to the all-ones vector."""
+    """Orthonormal basis of the hyperplane orthogonal to the all-ones vector (read-only)."""
     E = np.zeros((n, n - 1))
     E[0, :] = -1.0
     for i in range(n - 1):
         E[i + 1, i] = 1.0
     Q, _ = np.linalg.qr(E)
+    Q.flags.writeable = False
     return Q
 
 
@@ -206,9 +209,20 @@ def second_eigenvalue(A) -> float:
     the centered matrix (counting multiplicity); its sign decides conditional
     negative definiteness, and its magnitude measures the strength of
     attraction toward a stable mix.
+
+    Memoized on the matrix's shape and bytes (a small LRU cache), so the
+    checks that each ask for it, such as ``unique_ess`` and then
+    ``classify_equilibrium``, share one eigen-solve.  A matrix changed in
+    place has new bytes and is solved again.
     """
-    D = centered_symmetrization(A)
-    Q = _zero_sum_basis(D.shape[0])
+    A = as_payoff_matrix(A)
+    return _second_eigenvalue(A.shape[0], A.tobytes())
+
+
+@functools.lru_cache(maxsize=32)
+def _second_eigenvalue(n: int, data: bytes) -> float:
+    D = centered_symmetrization(np.frombuffer(data).reshape(n, n))
+    Q = _zero_sum_basis(n)
     return float(np.linalg.eigvalsh(Q.T @ D @ Q)[-1])
 
 

@@ -59,6 +59,18 @@ def test_base_matrix_hand_values(attrition_testbed_matrix):
         assert np.allclose(np.diag(M), expected)
 
 
+def test_base_matrix_matches_entrywise_loop():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 5, 8):
+        g = random_general_spec(rng, n)
+        c, v = g.costs, g.rewards
+        loop = np.empty((n + 1, n + 1))
+        for j in range(n + 1):
+            for k in range(n + 1):
+                loop[j, k] = v[k] - c[k] if j > k else v[k] / 2.0 - c[k] if j == k else -c[j]
+        assert attrition.base_matrix(g).tobytes() == loop.tobytes()
+
+
 def test_perturbed_matrix():
     g = attrition.AttritionSpec(costs=(0.0, 1.0), rewards=(1.0, 1.0), rho=(0.1, 0.2))
     assert np.allclose(attrition.perturbed_matrix(g), [[0.4, 0.0], [1.0, -0.7]])

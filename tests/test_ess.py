@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import logging
 from pathlib import Path
@@ -201,3 +202,75 @@ def test_stacked_blocks_match_one_block(monkeypatch):
     whole = reports_digest(A)
     monkeypatch.setattr(ess, "SUPPORT_BLOCK", 3)
     assert reports_digest(A) == whole
+
+
+def reference_enumeration(A):
+    """One support at a time: ``equalize_on_support``, the scalar best-reply
+    check, deduplication and ``classify_equilibrium``, in canonical order."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    found = []
+    for size in range(1, n + 1):
+        for sup in itertools.combinations(range(n), size):
+            solved = ess.equalize_on_support(A, sup)
+            if solved is None:
+                continue
+            p, c, _ = solved
+            off = [j for j in range(n) if j not in sup]
+            if off and float(np.max((A @ p)[off] - c)) > ess.OFF_SUPPORT_TOL:
+                continue
+            if any(np.linalg.norm(p - q) < ess.DEDUP_DISTANCE for q, _, _ in found):
+                continue
+            status = games.classify_equilibrium(A, p)
+            if status != games.NOT_NASH:
+                found.append((p, tuple(int(j) for j in np.flatnonzero(p > 0.0)), status))
+    found.sort(key=lambda f: (len(f[1]), f[1]))
+    return [(support, status, p.tobytes()) for p, support, status in found]
+
+
+def test_grouped_enumeration_matches_scalar_reference():
+    rng = np.random.default_rng(2010)
+    for trial in range(40):
+        n = int(rng.integers(2, 7))
+        A = rng.integers(-2, 3, (n, n)).astype(float)    # small range: many payoff ties
+        if trial % 2:
+            i, j = rng.choice(n, 2, replace=False)
+            A[i] = A[j]                                  # twin rows: singular supports
+        got = [(r.support, r.status, r.strategy.tobytes()) for r in ess.solve_all_equilibria(A)]
+        assert got == reference_enumeration(A), A
+
+
+def test_support_tables_are_cached_read_only():
+    groups = ess._support_groups(5)
+    assert groups is ess._support_groups(5)
+    [group] = groups                                     # 31 supports: one group
+    assert [piece.rows for piece in group.pieces] == [
+        slice(0, 5), slice(5, 15), slice(15, 25), slice(25, 30), slice(30, 31)]
+    for table in (group.on, group.off, group.pieces[1].gather, group.pieces[1].scatter):
+        with pytest.raises(ValueError):
+            table.flat[0] = 0
+
+
+def test_small_block_cuts_games_into_uncached_groups(monkeypatch):
+    rng = np.random.default_rng(11)
+    A = rng.integers(-2, 3, (7, 7)).astype(float)
+    A[3] = A[5]
+    whole = reports_digest(A)
+    sizes = []
+    gate_group = ess._gate_group
+
+    def counted(A, group, rejected):
+        sizes.append((group.on.shape[0], len(group.pieces)))
+        return gate_group(A, group, rejected)
+
+    monkeypatch.setattr(ess, "SUPPORT_BLOCK", 3)
+    monkeypatch.setattr(ess, "_gate_group", counted)
+    cached = ess._cached_groups.cache_info().currsize
+    assert reports_digest(A) == whole
+    assert len(sizes) == 43                              # ceil(127 / 3)
+    assert all(rows <= 3 for rows, _ in sizes)
+    assert sizes[2] == (3, 2)                            # supports (6,), (0, 1), (0, 2)
+    assert ess._cached_groups.cache_info().currsize == cached
+    monkeypatch.setattr(ess, "SUPPORT_BLOCK", 4096)
+    assert sum(g.on.shape[0] for g in ess._support_groups(13)) == 2**13 - 1
+    assert ess._cached_groups.cache_info().currsize == cached

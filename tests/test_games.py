@@ -338,3 +338,18 @@ def test_region_membership():
         games.Region.ball([0.5, 0.5], 0.0)
     with pytest.raises(ValidationError):
         games.Region.vertex_neighborhood(0, 1.5)
+
+
+def test_second_eigenvalue_sees_in_place_changes():
+    A = np.array([[0.0, 2.0], [1.0, 0.0]])
+    # n = 2: the one zero-sum direction gives (a00 - a01 - a10 + a11) / 2
+    assert games.second_eigenvalue(A) == pytest.approx(-1.5, abs=1e-12)
+    A[0, 1] = -5.0
+    assert games.second_eigenvalue(A) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_zero_sum_basis_is_cached_read_only():
+    Q = games._zero_sum_basis(4)
+    assert Q is games._zero_sum_basis(4)
+    with pytest.raises(ValueError):
+        Q[0, 0] = 1.0
