@@ -1,7 +1,8 @@
 """Run every bound check on its standard testbed and collect the reports.
 
 Thin driver over the CLI: each check writes a JSON report, a per-path CSV and
-a manifest under the output directory.  Exit status is the worst verdict seen
+a manifest under the output directory, and its wall time goes to standard
+output, followed by the total.  Exit status is the worst verdict seen
 (0 consistent, 2 violated, 3 inconclusive), except that a check exiting 1
 (malformed input or an aborted simulation) or 4 (a failed hypothesis) stops
 the run at once with that status.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -47,16 +49,20 @@ def run_all(outdir: pathlib.Path, seed: int, fast: bool) -> int:
         ("5.1", "attrition_small.json",
          ["--T", "200", "--paths", str(300 // scale), "--stride", "100"]),
     ]
-    worst = 0
+    worst, total = 0, 0.0
     for tag, game, flags in jobs:
         out = outdir / f"check_{tag.replace('.', '_')}"
         argv = ["verify", str(TESTBEDS / game), "--theorem", tag,
                 "--seed", str(seed), "--out", str(out), *flags]
+        start = time.perf_counter()
         rc = replab(argv)
-        print(f"  -> {tag}: exit {rc}")
+        seconds = time.perf_counter() - start
+        total += seconds
+        print(f"  -> {tag}: exit {rc} in {seconds:.2f} s")
         if rc in (1, 4):
             return rc
         worst = max(worst, rc)
+    print(f"all checks: {total:.2f} s")
     return worst
 
 

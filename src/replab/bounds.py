@@ -82,9 +82,7 @@ class BoundReport:
     inputs: dict
     details: dict = field(default_factory=dict)
     per_path: dict = field(default_factory=dict, repr=False)   # name -> BatchResult
-    # paths that reached the log-share floor within the steps their batch's statistics
-    # read (for a hitting-only batch, up to the path's last first hit), summed over
-    # the check's batches
+    # see engine.BatchResult.clamped_paths; summed over the check's batches
     clamped_paths: int = 0
 
     def to_json_dict(self) -> dict:
@@ -354,14 +352,13 @@ def extinction_rate_bound(consts: ExtinctionConstants) -> float:
 
 
 def extinction_report(A, k: int, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
-                      eps: float = 0.05, p=None) -> BoundReport:
-    """Monte Carlo check of the extinction tail bound at the horizon."""
+                      eps: float = 0.05) -> BoundReport:
+    """Monte Carlo check of the extinction tail bound at the horizon (best dominating mix)."""
     A = games.as_payoff_matrix(A)
-    if p is None:
-        found = games.best_dominating_mix(A, k)
-        if found is None:
-            raise PreconditionError("dominance", f"no mix dominating strategy {k} was found")
-        p = found[0]
+    found = games.best_dominating_mix(A, k)
+    if found is None:
+        raise PreconditionError("dominance", f"no mix dominating strategy {k} was found")
+    p = found[0]
     x0 = games.as_simplex_point(x0, A.shape[0], interior=True)
     consts = extinction_constants(A, k, p, sigma, x0)
     t_end = cfg.n_steps * cfg.h

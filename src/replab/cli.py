@@ -316,12 +316,11 @@ def _fmt(value: float) -> str:
     return repr(v)
 
 
-def _sweep_csv(specs) -> str:
+def _sweep_csv(specs, results) -> str:
     n_max = max(s.n for s in specs)
     header = "n,v,rho,s," + ",".join(f"p_{k}" for k in range(n_max + 1)) + ",c"
     lines = [header]
-    for spec in specs:
-        result = attrition.closed_form_ess(spec)
+    for spec, result in zip(specs, results):
         cells = [str(spec.n), _fmt(spec.v), _fmt(spec.rho),
                  "" if result.s is None else str(result.s)]
         weights = [_fmt(w) for w in result.strategy]
@@ -356,15 +355,15 @@ def cmd_attrition(args) -> int:
             raise InputError(f"cannot parse --n-range lo:hi or --rho-fracs: {exc}") from exc
         specs = attrition.ess_sweep_rows(range(n_lo, n_hi + 1), fracs, v_step=args.v_step)
         out_csv = args.out + ".csv"
-        manifest.write_output(out_csv, _sweep_csv(specs))
+        manifest.write_output(out_csv, _sweep_csv(specs, map(attrition.closed_form_ess, specs)))
         manifest.write(args.out + ".manifest.json")
         print(f"{len(specs)} instances -> {out_csv}")
         return EXIT_OK
 
     if isinstance(spec, attrition.ConstantAttritionSpec):
         result = attrition.closed_form_ess(spec)
-        row = _sweep_csv([spec]).splitlines()[1]
-        print(row)
+        text = _sweep_csv([spec], [result])
+        print(text.splitlines()[1])
         det = attrition.constant_matrix_det(spec)
         direct = float(np.linalg.det(attrition.perturbed_matrix(spec)))
         print(f"det = {det:.12g} (direct {direct:.12g}, "
@@ -373,7 +372,7 @@ def cmd_attrition(args) -> int:
             print(f"support cutoff s = {result.s}, normalizer c = {result.c:.12g}")
         if args.out:
             out_csv = args.out + ".csv"
-            manifest.write_output(out_csv, _sweep_csv([spec]))
+            manifest.write_output(out_csv, text)
             manifest.write(args.out + ".manifest.json")
     else:
         B = attrition.perturbed_matrix(spec)
@@ -439,7 +438,7 @@ def _manifest(args, inputs) -> fileio.RunManifest:
         command=list(args._argv),
         seed=getattr(args, "seed", None),
         defaults={"version": __version__,
-                  "y_cap": 500.0,
+                  "y_cap": engine.SdeConfig.y_cap,
                   "record_points_cap": engine.MAX_RECORD_POINTS},
     )
     for path in inputs:

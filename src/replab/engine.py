@@ -9,12 +9,14 @@ first order here.  No strategy serves as a reference coordinate.
 
 Each SDE step subtracts each path's maximum from ``Z`` and floors it at
 ``-y_cap`` (default 500): a share below ``exp(-500)`` times the largest is
-physically extinct, the floor keeps ``Z`` bounded, and the ``clamped`` flag
-records that it was reached within the steps the batch's statistics read (in a
-hitting-only batch, up to the path's last first hit).  The floor acts on each
-strategy alone, so the surviving shares keep moving.  Recorded frequencies are
-floored at 1e-300, far below every tolerance used anywhere (extinction is
-reported at 1e-12).
+physically extinct, and the floor keeps ``Z`` bounded.  The floor acts on each
+strategy alone, so the surviving shares keep moving.  The kernel records each
+path's first floor time, and the clamp rule is: a statistic counts a path as
+clamped when that time is no later than the last step the statistic reads, which
+is the first entry into its region for a hitting kind and the horizon for every
+other kind.  A statistic's count therefore does not depend on which others share
+its batch.  Recorded frequencies are floored at 1e-300, far below every
+tolerance used anywhere (extinction is reported at 1e-12).
 
 Determinism contract: each path's Gaussian increments come from its own
 counter-based stream (see :mod:`replab.rng`), and the batched SDE kernel
@@ -36,9 +38,10 @@ shape (paths, records, n), and :func:`_reduce` turns that array into each
 statistic's per-path values at once; no Python runs per path.  Hitting times
 are detected on the step grid while integrating (no Brownian-bridge
 correction: the bias is at most one step and the acceptance slacks absorb
-it), and a batch whose statistics are all hitting kinds stops integrating a
-chunk once each of its paths has entered each region; every other statistic
-reads the recorded grid, which is the step grid thinned by ``record_stride``.
+it); every other statistic reads the recorded grid, which is the step grid
+thinned by ``record_stride``.  A chunk integrates through the last step its
+recorded statistics read (none, if all are hitting kinds), then on while some
+path has a region still to enter.
 """
 
 from __future__ import annotations
@@ -119,9 +122,6 @@ class Trajectory:
     def n_strategies(self) -> int:
         return self.states.shape[1]
 
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 # ---------------------------------------------------------------------------
 # drift and diffusion fields
@@ -185,25 +185,29 @@ def _increments(seed: int, paths, n: int, total_steps: int, scale: np.ndarray):
 class _ChunkResult:
     times: np.ndarray
     states: np.ndarray                  # (paths, records, n)
-    clamped: np.ndarray                 # (paths,) bool
+    first_floor: np.ndarray             # (paths,) first time at the floor, inf = never
     first_hit: dict[Region, np.ndarray]  # (paths,) first entry time, inf = never
+
+    def clamped(self, region: Region | None) -> np.ndarray:
+        """The clamp rule, for a statistic whose hit region is ``region``."""
+        return self.first_floor <= np.minimum(self.first_hit.get(region, math.inf), self.times[-1])
 
 
 def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region] = (),
-               until_hit: bool = False) -> _ChunkResult:
+               read_steps: float = math.inf) -> _ChunkResult:
     """Euler-Maruyama in log-share coordinates for a chunk of seeded paths, held as
     (n, columns) in buffers reused every step.  A lone path runs as two columns on
     one stream: BLAS gemv rounds ``A @ x`` differently from gemm for n >= 4, and a
-    path must give the same bytes in any chunk.  With ``until_hit`` the loop stops
-    once every path has entered every region, and a path's floor hits count only
-    while it has some region still to enter."""
+    path must give the same bytes in any chunk.  The loop runs through step
+    ``read_steps`` (default: the horizon), then on while some path has a region
+    still to enter."""
     A = games.as_payoff_matrix(A)
     n = A.shape[0]
     m = len(paths)
     columns = list(paths) if m > 1 else [paths[0], paths[0]]
     times, slots = _record_slots(cfg)
     states = np.empty((m, times.size, n))
-    clamped = np.zeros(m, dtype=bool)
+    first_floor = np.full(m, math.inf)
     first_hit = {region: np.full(m, math.inf) for region in hit_regions}
     pending = {region: np.ones(m, dtype=bool) for region in first_hit}
 
@@ -233,7 +237,7 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
 
     observe(0)
     for k in range(1, cfg.n_steps + 1):
-        if until_hit and not pending:
+        if k > read_steps and not pending:
             break
         matmul(A, x, out=step)
         step -= half_var
@@ -248,17 +252,14 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
                     f"non-finite log-shares at step {k} (t={cfg.h * k:g}) "
                     f"for paths {[paths[i] for i in np.flatnonzero(bad)[:5]]}"
                 )
-            floored = (Z[:, :m] < -cap).any(axis=0)
-            if until_hit:
-                floored &= np.logical_or.reduce(list(pending.values()))
-            clamped |= floored
+            first_floor[(Z[:, :m] < -cap).any(axis=0) & (first_floor == math.inf)] = k * cfg.h
             maximum(Z, -cap, out=Z)
         exp(Z, out=x)
         x /= add_reduce(x, axis=0, out=top)
         maximum(x, floor, out=x)
         if pending or k in slots:
             observe(k)
-    return _ChunkResult(times=times, states=states, clamped=clamped, first_hit=first_hit)
+    return _ChunkResult(times, states, first_floor, first_hit)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +270,7 @@ def simulate_sde(A, sigma, x0, cfg: SdeConfig, path_index: int = 0) -> Trajector
     """Integrate the noisy dynamics from an interior state; one seeded path."""
     res = _sde_chunk(A, sigma, x0, cfg, [path_index])
     return Trajectory(times=res.times, states=res.states[0],
-                      clamped=bool(res.clamped[0]), seed=cfg.seed, path_index=path_index)
+                      clamped=bool(res.clamped(None)[0]), seed=cfg.seed, path_index=path_index)
 
 
 def simulate_ode(A, x0, cfg: SdeConfig) -> Trajectory:
@@ -502,7 +503,9 @@ class BatchResult:
     values: np.ndarray          # per path, in the requested path order
     n_paths: int
     seed: int
-    clamped_paths: int = 0      # paths floored within the steps their statistics read
+    # paths at the log-share floor by the last step this statistic reads: its
+    # region's first entry for a hitting kind, the horizon for every other kind
+    clamped_paths: int = 0
 
     @property
     def aborted(self) -> int:
@@ -528,13 +531,14 @@ def _chunk_size(cfg: SdeConfig, n: int) -> int:
     return max(1, min(_MAX_CHUNK_PATHS, _CHUNK_FLOAT_BUDGET // max(1, records * n)))
 
 
-def _chunk_values(job, start: int) -> tuple[int, list[np.ndarray]]:
-    """Clamped-path count and per-statistic values of the chunk at ``start``."""
+def _chunk_values(job, start: int) -> list[tuple[np.ndarray, int]]:
+    """Each statistic's values and clamped-path count on the chunk at ``start``."""
     A, sigma, x0, cfg, sorted_paths, chunk, hit_regions, stats = job
+    read_steps = cfg.n_steps if any(st.hit_region is None for st in stats) else 0
     res = _sde_chunk(A, sigma, x0, cfg, sorted_paths[start:start + chunk], hit_regions,
-                     until_hit=all(st.hit_region is not None for st in stats))
-    return int(res.clamped.sum()), [
-        _reduce(st, res.times, res.states, res.first_hit.get(st.hit_region)) for st in stats]
+                     read_steps)
+    return [(_reduce(st, res.times, res.states, res.first_hit.get(st.hit_region)),
+             int(res.clamped(st.hit_region).sum())) for st in stats]
 
 
 _worker_job = None      # a pool worker's batch, set once by its initializer
@@ -545,7 +549,7 @@ def _adopt_job(job) -> None:
     _worker_job = job
 
 
-def _worker_chunk(start: int) -> tuple[int, list[np.ndarray]]:
+def _worker_chunk(start: int) -> list[tuple[np.ndarray, int]]:
     return _chunk_values(_worker_job, start)
 
 
@@ -603,14 +607,13 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
             done = list(pool.imap(_worker_chunk, starts))
     else:
         done = [_chunk_values(job, start) for start in starts]
-    clamped_paths = sum(clamped for clamped, _ in done)
 
     inverse = np.empty(n_paths, dtype=np.int64)
     inverse[order] = np.arange(n_paths)
 
     out: dict[str, BatchResult] = {}
-    for name, chunks in zip(statistics, zip(*(values for _, values in done))):
-        values = np.concatenate(chunks)[inverse]
+    for name, chunks in zip(statistics, zip(*done)):
+        values = np.concatenate([v for v, _ in chunks])[inverse]
         valid = values[np.isfinite(values)]
         mean = float(valid.mean()) if valid.size else math.nan
         if valid.size > 1:
@@ -624,7 +627,7 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
             values=values,
             n_paths=n_paths,
             seed=cfg.seed,
-            clamped_paths=clamped_paths,
+            clamped_paths=sum(clamped for _, clamped in chunks),
         )
     return out
 

@@ -35,6 +35,7 @@ SUM_TOL = 1e-12      # simplex normalization
 TIE_TOL = 1e-12      # exact payoff ties (dominance, strict Nash)
 EQ_TOL = 1e-9        # equal-payoff / best-reply residuals
 CND_TOL = 1e-10      # |second eigenvalue| below this counts as boundary
+CONE_SAMPLES = 10_000   # random face directions that classify_equilibrium tries
 
 NOT_NASH = "NotNash"
 NASH = "Nash"
@@ -440,7 +441,7 @@ def is_coordination_game(A, sigma) -> bool:
     return all(noise_robust_strict_nash(A, sigma, k) for k in range(A.shape[0]))
 
 
-def classify_equilibrium(A, p, *, tol: float = EQ_TOL, cone_samples: int = 10_000) -> str:
+def classify_equilibrium(A, p) -> str:
     """Classify a candidate strategy: Nash status plus stability certification.
 
     Order of decision:
@@ -462,7 +463,7 @@ def classify_equilibrium(A, p, *, tol: float = EQ_TOL, cone_samples: int = 10_00
     p = as_simplex_point(p, n)
     payoffs = A @ p
     own = float(p @ payoffs)
-    if float(payoffs.max()) > own + tol:
+    if float(payoffs.max()) > own + EQ_TOL:
         return NOT_NASH
 
     k = int(np.argmax(p))
@@ -474,7 +475,7 @@ def classify_equilibrium(A, p, *, tol: float = EQ_TOL, cone_samples: int = 10_00
     if is_conditionally_negative_definite(A):
         return ESS_CERTIFIED
 
-    face = np.flatnonzero(payoffs >= own - tol)
+    face = np.flatnonzero(payoffs >= own - EQ_TOL)
     if face.size == 1:
         # unique best reply: p is that vertex and is strict up to ties caught above
         return STRICT_NASH
@@ -508,8 +509,8 @@ def classify_equilibrium(A, p, *, tol: float = EQ_TOL, cone_samples: int = 10_00
     # random directions inside the face cone (fixed stream: classification is
     # a pure function of its inputs)
     rng = np.random.default_rng(0)
-    qs = rng.dirichlet(np.ones(face.size), size=cone_samples)
-    Y = np.zeros((cone_samples, n))
+    qs = rng.dirichlet(np.ones(face.size), size=CONE_SAMPLES)
+    Y = np.zeros((CONE_SAMPLES, n))
     Y[:, face] = qs
     Y -= p[None, :]
     quad = np.einsum("ij,jk,ik->i", Y, Abar, Y)

@@ -491,22 +491,37 @@ def test_batch_counts_clamped_paths():
     assert engine.batch_run(PD, [0.1, 0.1], [0.5, 0.5], short_run, 16, stat).clamped_paths == 0
 
 
-@pytest.mark.parametrize("horizon", [60.0, 4.0])
+@pytest.mark.parametrize("horizon", [60.0, 4.0, 30.0])
 def test_hitting_only_batch_matches_full_horizon_batch(coordination_matrix, horizon):
-    # by 60 every path has entered every region, so the hitting-only batch stops
-    # early; by 4 some have not; every path starts inside the ball
-    cfg = engine.SdeConfig(h=1e-2, horizon=horizon, seed=21, record_stride=50)
-    stats = {"tau": engine.hitting_time_stat(games.Region.any_vertex_neighborhood(0.1)),
-             "hit": engine.hit_flag_stat(games.Region.any_vertex_neighborhood(0.3)),
-             "start": engine.hitting_time_stat(games.Region.ball([1 / 3] * 3, 0.05))}
-    run = [coordination_matrix, [0.5] * 3, [1 / 3] * 3, cfg, 30]
+    # On the coordination game, by 60 every path has entered every region, so the
+    # hitting-only batch stops early; by 4 some have not; every path starts inside
+    # the small ball.  At 30, on 2 I with y_cap = 50, some paths reach the floor
+    # after they first enter the corner: the hitting statistics must not count
+    # them, while the full-horizon statistic does.
+    shallow_floor = horizon == 30.0
+    if shallow_floor:
+        cfg = engine.SdeConfig(h=1e-2, horizon=30.0, seed=3, y_cap=50.0)
+        corner = games.Region.vertex_neighborhood(0, 0.1)
+        stats = {"tau": engine.hitting_time_stat(corner), "hit": engine.hit_flag_stat(corner)}
+        run = [2.0 * np.eye(3), [0.8] * 3, [1 / 3] * 3, cfg, 20]
+    else:
+        cfg = engine.SdeConfig(h=1e-2, horizon=horizon, seed=21, record_stride=50)
+        stats = {"tau": engine.hitting_time_stat(games.Region.any_vertex_neighborhood(0.1)),
+                 "hit": engine.hit_flag_stat(games.Region.any_vertex_neighborhood(0.3)),
+                 "start": engine.hitting_time_stat(games.Region.ball([1 / 3] * 3, 0.05))}
+        run = [coordination_matrix, [0.5] * 3, [1 / 3] * 3, cfg, 30]
+    final = engine.final_share(0)
     hitting_only = engine.batch_run_many(*run, stats)
-    full = engine.batch_run_many(*run, dict(stats, final=engine.final_share(0)))
+    full = engine.batch_run_many(*run, dict(stats, final=final))
     for name in stats:
-        assert hitting_only[name].values.tobytes() == full[name].values.tobytes()
-    all_hit = (hitting_only["tau"].values < horizon).all() and hitting_only["hit"].values.all()
-    assert all_hit == (horizon == 60.0)
-    assert not hitting_only["start"].values.any()
+        assert hitting_only[name].to_json_dict() == full[name].to_json_dict(), name
+    assert engine.batch_run(*run, final).to_json_dict() == full["final"].to_json_dict()
+    if shallow_floor:
+        assert (hitting_only["tau"].clamped_paths, full["final"].clamped_paths) == (10, 19)
+    else:
+        all_hit = (hitting_only["tau"].values < horizon).all() and hitting_only["hit"].values.all()
+        assert all_hit == (horizon == 60.0)
+        assert not hitting_only["start"].values.any()
 
 
 def test_hitting_only_batch_stops_once_every_path_has_hit(monkeypatch, coordination_matrix):
