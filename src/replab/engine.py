@@ -8,15 +8,20 @@ by construction, and the additive noise gives the Euler-Maruyama step strong
 first order here.  No strategy serves as a reference coordinate.
 
 Each SDE step subtracts each path's maximum from ``Z`` and floors it at
-``-y_cap`` (default 500): a share below ``exp(-500)`` times the largest is
-physically extinct, and the floor keeps ``Z`` bounded.  The floor acts on each
-strategy alone, so the surviving shares keep moving.  The kernel records each
-path's first floor time, and the clamp rule is: a statistic counts a path as
-clamped when that time is no later than the last step the statistic reads, which
-is the first entry into its region for a hitting kind and the horizon for every
-other kind.  A statistic's count therefore does not depend on which others share
-its batch.  Recorded frequencies are floored at 1e-300, far below every
-tolerance used anywhere (extinction is reported at 1e-12).
+``-y_cap`` (default 500, at most ``MAX_Y_CAP``): a share below ``exp(-500)``
+times the largest is physically extinct, and the floor keeps ``Z`` bounded.
+The floor acts on each strategy alone, so the surviving shares keep moving.
+Every share stays above ``exp(-y_cap) / n``, far above the smallest positive
+double, so the loop needs no floor on the shares themselves.  The floor check
+runs only on steps where a floor hit is possible: one step lowers a log-share
+by at most twice its largest drift-plus-increment, which is bounded from the
+payoffs, the noise and the block of increments drawn, so after a check the
+next one is due once that bound could have used up the gap to the floor, and
+at the start of every block.  The kernel records each path's first floor
+time, and the clamp rule is: a statistic counts a path as clamped when that
+time is no later than the last step the statistic reads, which is the first
+entry into its region for a hitting kind and the horizon for every other kind.
+A statistic's count therefore does not depend on which others share its batch.
 
 Determinism contract: each path's Gaussian increments come from its own
 counter-based stream (see :mod:`replab.rng`), and the batched SDE kernel
@@ -41,11 +46,13 @@ correction: the bias is at most one step and the acceptance slacks absorb
 it); every other statistic reads the recorded grid, which is the step grid
 thinned by ``record_stride``.  A chunk integrates through the last step its
 recorded statistics read (none, if all are hitting kinds), then on while some
-path has a region still to enter.
+path has a region still to enter.  A batch of hitting kinds only keeps no
+records, so they neither take memory nor limit its chunk size.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -58,7 +65,10 @@ from .errors import SimulationError, ValidationError
 from .games import Region
 
 MAX_RECORD_POINTS = 100_000
-STATE_FLOOR = 1e-300
+MAX_Y_CAP = 600.0                   # exp(-600) / n stays far above STATE_FLOOR
+STATE_FLOOR = 1e-300                # the ODE's share floor
+_STEP_ROUNDING = 1e-9               # per-step slack of the floor-reach bound, far
+                                    # above a step's rounding at |Z| <= MAX_Y_CAP
 _CHUNK_FLOAT_BUDGET = 6_000_000     # recorded floats per chunk
 _MAX_CHUNK_PATHS = 512
 _NOISE_BLOCK_FLOATS = 786_432      # increments drawn per refill
@@ -69,8 +79,9 @@ _USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") 
 class SdeConfig:
     """Discretization, horizon and seeding of one integration run.
 
-    ``y_cap`` is the depth of the log-share floor: a path is ``clamped`` once
-    some share falls below ``exp(-y_cap)`` times the largest share.
+    ``y_cap`` is the depth of the log-share floor, from 50 to ``MAX_Y_CAP``: a
+    path is ``clamped`` once some share falls below ``exp(-y_cap)`` times the
+    largest share.
     """
 
     h: float
@@ -84,8 +95,8 @@ class SdeConfig:
             raise ValidationError("step size must be finite and > 0")
         if not (math.isfinite(self.horizon) and self.horizon >= self.h):
             raise ValidationError("horizon must satisfy 0 < h <= horizon")
-        if not self.y_cap >= 50.0:
-            raise ValidationError("y_cap must be at least 50")
+        if not 50.0 <= self.y_cap <= MAX_Y_CAP:
+            raise ValidationError(f"y_cap must lie in [50, {MAX_Y_CAP:g}]")
         rng.check_seed(self.seed)
         if self.record_stride is not None and int(self.record_stride) < 1:
             raise ValidationError("record_stride must be >= 1")
@@ -166,11 +177,13 @@ def _record_slots(cfg: SdeConfig) -> tuple[np.ndarray, dict[int, int]]:
 
 
 def _increments(seed: int, paths, n: int, total_steps: int, scale: np.ndarray):
-    """Each step's Gaussian increments times ``scale``, as an (n, paths) view valid
-    until the next is taken; every path's stream is drawn in memory-bounded blocks."""
+    """Blocks of each step's Gaussian increments times ``scale``, as (steps, n,
+    columns) views valid until the next is taken.  Every path's stream is drawn
+    once, in memory-bounded blocks; a lone path's fills every column of ``scale``."""
     gens = [rng.path_generator(seed, p) for p in paths]
-    block = min(total_steps, max(1, _NOISE_BLOCK_FLOATS // (len(gens) * n)))
-    draws, buf = np.empty((len(gens), block, n)), np.empty((block, n, len(gens)))
+    columns = scale.shape[1]
+    block = min(total_steps, max(1, _NOISE_BLOCK_FLOATS // (columns * n)))
+    draws, buf = np.empty((len(gens), block, n)), np.empty((block, n, columns))
     for done in range(0, total_steps, block):
         take = min(block, total_steps - done)
         for g, rows in zip(gens, draws[:, :take]):
@@ -178,15 +191,16 @@ def _increments(seed: int, paths, n: int, total_steps: int, scale: np.ndarray):
         steps = buf[:take]
         np.copyto(steps, draws[:, :take].transpose(1, 2, 0))
         steps *= scale      # in place: scaling while transposing is slower
-        yield from steps
+        yield steps
 
 
 @dataclass
 class _ChunkResult:
     times: np.ndarray
-    states: np.ndarray                  # (paths, records, n)
+    states: np.ndarray                  # (paths, records, n); no records if none is read
     first_floor: np.ndarray             # (paths,) first time at the floor, inf = never
     first_hit: dict[Region, np.ndarray]  # (paths,) first entry time, inf = never
+    steps: int                          # steps integrated
 
     def clamped(self, region: Region | None) -> np.ndarray:
         """The clamp rule, for a statistic whose hit region is ``region``."""
@@ -199,29 +213,31 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
     (n, columns) in buffers reused every step.  A lone path runs as two columns on
     one stream: BLAS gemv rounds ``A @ x`` differently from gemm for n >= 4, and a
     path must give the same bytes in any chunk.  The loop runs through step
-    ``read_steps`` (default: the horizon), then on while some path has a region
-    still to enter."""
+    ``read_steps`` (default: the horizon; 0: no record is read or kept), then on
+    while some path has a region still to enter."""
     A = games.as_payoff_matrix(A)
     n = A.shape[0]
     m = len(paths)
-    columns = list(paths) if m > 1 else [paths[0], paths[0]]
-    times, slots = _record_slots(cfg)
-    states = np.empty((m, times.size, n))
+    columns = max(m, 2)
+    times, slots = _record_slots(cfg) if read_steps else (cfg.record_steps() * cfg.h, {})
+    states = np.empty((m, len(slots), n))
     first_floor = np.full(m, math.inf)
     first_hit = {region: np.full(m, math.inf) for region in hit_regions}
     pending = {region: np.ones(m, dtype=bool) for region in first_hit}
 
     x_start = games.as_simplex_point(x0, n, interior=True)
-    x = np.repeat(x_start[:, None], len(columns), axis=1)
+    x = np.repeat(x_start[:, None], columns, axis=1)
     Z = np.log(x)
-    step, top = np.empty_like(x), np.empty(len(columns))
-    sig = np.repeat(games.as_noise_vector(sigma, n)[:, None], len(columns), axis=1)
+    step, top = np.empty_like(x), np.empty((1, columns))
+    sig = np.repeat(games.as_noise_vector(sigma, n)[:, None], columns, axis=1)
     half_var = 0.5 * sig * sig
-    noise = _increments(cfg.seed, columns, n, cfg.n_steps, math.sqrt(cfg.h) * sig)
+    noise = _increments(cfg.seed, paths, n, cfg.n_steps, math.sqrt(cfg.h) * sig)
+    # |(A x)_j| <= max|A| on the simplex, so this bounds each step's drift term
+    drift_reach = cfg.h * (float(np.abs(A).max()) + float(half_var.max()))
     h = np.array(cfg.h)
-    floor = np.array(STATE_FLOOR)
     cap = cfg.y_cap
-    matmul, exp, maximum = np.matmul, np.exp, np.maximum
+    dot, exp, maximum = np.dot, np.exp, np.maximum     # dot: BLAS gemm, as matmul, with less overhead
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     add_reduce, max_reduce, min_reduce = np.add.reduce, np.maximum.reduce, np.minimum.reduce
 
     def observe(k: int) -> None:
@@ -229,37 +245,52 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
             states[:, slots[k], :] = x[:, :m].T
         for region, mask in list(pending.items()):
             # every column, so that a lone path's sums round as in a wider chunk
-            inside = region.contains(x.T)[:m]
-            first_hit[region][mask & inside] = k * cfg.h
-            mask &= ~inside
-            if not mask.any():
-                del pending[region]
+            entered = region.contains(x.T)[:m] & mask
+            if entered.any():
+                first_hit[region][entered] = k * cfg.h
+                mask ^= entered
+                if not mask.any():
+                    del pending[region]
 
     observe(0)
-    for k in range(1, cfg.n_steps + 1):
-        if k > read_steps and not pending:
+    k = 0
+    while k < read_steps or pending:
+        block = next(noise, None)
+        if block is None:
             break
-        matmul(A, x, out=step)
-        step -= half_var
-        step *= h
-        Z += step
-        Z += next(noise)
-        Z -= max_reduce(Z, axis=0, out=top)
-        if not min_reduce(Z, axis=None) >= -cap:   # a floored share, or a non-finite one
-            bad = ~np.isfinite(Z[:, :m]).all(axis=0)
-            if bad.any():
-                raise SimulationError(
-                    f"non-finite log-shares at step {k} (t={cfg.h * k:g}) "
-                    f"for paths {[paths[i] for i in np.flatnonzero(bad)[:5]]}"
-                )
-            first_floor[(Z[:, :m] < -cap).any(axis=0) & (first_floor == math.inf)] = k * cfg.h
-            maximum(Z, -cap, out=Z)
-        exp(Z, out=x)
-        x /= add_reduce(x, axis=0, out=top)
-        maximum(x, floor, out=x)
-        if pending or k in slots:
-            observe(k)
-    return _ChunkResult(times, states, first_floor, first_hit)
+        # A step lowers a log-share by at most twice its largest |drift + increment|,
+        # so no step before ``check`` can reach the floor.  NaN or inf: check every step.
+        reach = 2.0 * (drift_reach + max(block.max(), -block.min())) + _STEP_ROUNDING
+        check = k + 1
+        for dw in block:
+            k += 1
+            dot(A, x, out=step)
+            subtract(step, half_var, out=step)
+            multiply(step, h, out=step)
+            add(Z, step, out=Z)
+            add(Z, dw, out=Z)
+            subtract(Z, max_reduce(Z, axis=0, out=top, keepdims=True), out=Z)
+            if k >= check:
+                low = min_reduce(Z, axis=None)
+                if not low >= -cap:     # a floored share, or a non-finite one
+                    bad = ~np.isfinite(Z[:, :m]).all(axis=0)
+                    if bad.any():
+                        raise SimulationError(
+                            f"non-finite log-shares at step {k} (t={cfg.h * k:g}) "
+                            f"for paths {[paths[i] for i in np.flatnonzero(bad)[:5]]}"
+                        )
+                    first_floor[(Z[:, :m] < -cap).any(axis=0) & (first_floor == math.inf)] = k * cfg.h
+                    maximum(Z, -cap, out=Z)
+                    low = -cap
+                span = (low + cap) / reach
+                check = k + 1 + (int(span) if span >= 0.0 else 0)
+            exp(Z, out=x)
+            divide(x, add_reduce(x, axis=0, out=top, keepdims=True), out=x)
+            if pending or k in slots:
+                observe(k)
+            if k >= read_steps and not pending:
+                break
+    return _ChunkResult(times, states, first_floor, first_hit, k)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +359,8 @@ def simulate_sizes(A, sigma, z0, cfg: SdeConfig, path_index: int = 0) -> Traject
 
     Z = (z / z.sum())[None, :]
     states[0] = Z[0]
-    for k in range(1, cfg.n_steps + 1):
-        growth = 1.0 + h * (Z @ At) + next(noise).T
+    for k, dw in enumerate(itertools.chain.from_iterable(noise), 1):
+        growth = 1.0 + h * (Z @ At) + dw.T
         if np.any(growth <= 0.0) or not np.all(np.isfinite(growth)):
             raise SimulationError(
                 f"size update left the positive cone at step {k} (t={k * h:g}); "
@@ -533,8 +564,7 @@ def _chunk_size(cfg: SdeConfig, n: int) -> int:
 
 def _chunk_values(job, start: int) -> list[tuple[np.ndarray, int]]:
     """Each statistic's values and clamped-path count on the chunk at ``start``."""
-    A, sigma, x0, cfg, sorted_paths, chunk, hit_regions, stats = job
-    read_steps = cfg.n_steps if any(st.hit_region is None for st in stats) else 0
+    A, sigma, x0, cfg, sorted_paths, chunk, hit_regions, read_steps, stats = job
     res = _sde_chunk(A, sigma, x0, cfg, sorted_paths[start:start + chunk], hit_regions,
                      read_steps)
     return [(_reduce(st, res.times, res.states, res.first_hit.get(st.hit_region)),
@@ -577,7 +607,7 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
 
     A = games.as_payoff_matrix(A)
     n = A.shape[0]
-    times, _ = _record_slots(cfg)
+    times = cfg.record_steps() * cfg.h
     for st in statistics.values():      # a bad statistic raises before any path runs
         try:
             _reduce(st, times, np.empty((0, times.size, n)), np.empty(0))
@@ -588,10 +618,12 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
                                   f"({n} strategies, last record at t={times[-1]:g}): "
                                   f"{exc}") from exc
     order = sorted(range(n_paths), key=lambda i: path_indices[i])
-    chunk = _chunk_size(cfg, n)
+    # a hitting-only batch reads no records, so they neither exist nor bound its chunks
+    read_steps = cfg.n_steps if any(st.hit_region is None for st in statistics.values()) else 0
+    chunk = _chunk_size(cfg, n) if read_steps else _MAX_CHUNK_PATHS
     hit_regions = {st.hit_region for st in statistics.values()} - {None}
     job = (A, sigma, x0, cfg, [path_indices[i] for i in order], chunk, hit_regions,
-           list(statistics.values()))
+           read_steps, list(statistics.values()))
     starts = range(0, n_paths, chunk)
 
     workers = min(_USABLE_CPUS, len(starts))

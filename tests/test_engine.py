@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import pickle
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,11 +34,26 @@ def test_config_validation():
         engine.SdeConfig(h=2.0, horizon=1.0, seed=0)
     with pytest.raises(ValidationError):
         engine.SdeConfig(h=1e-3, horizon=1.0, seed=0, y_cap=10.0)
+    for y_cap in (engine.MAX_Y_CAP * (1 + 1e-12), math.inf, math.nan):
+        with pytest.raises(ValidationError, match=r"y_cap must lie in \[50, 600\]"):
+            engine.SdeConfig(h=1e-3, horizon=1.0, seed=0, y_cap=y_cap)
+    assert engine.SdeConfig(h=1e-3, horizon=1.0, seed=0, y_cap=engine.MAX_Y_CAP).y_cap == 600.0
     with pytest.raises(ValidationError):
         engine.SdeConfig(h=1e-3, horizon=1.0, seed=-3)
     cfg = engine.SdeConfig(h=1e-3, horizon=500.0, seed=0)
     assert cfg.effective_stride == math.ceil(500_001 / engine.MAX_RECORD_POINTS)
     assert cfg.record_steps()[-1] == cfg.n_steps
+
+
+def test_deepest_floor_keeps_shares_above_state_floor():
+    # strategy 0 gains 20 per unit time on strategy 1, so it reaches the deepest
+    # floor by t = 30 and stays there; the kernel floors no share, yet none
+    # falls below exp(-MAX_Y_CAP) / n
+    cfg = engine.SdeConfig(h=1e-2, horizon=40.0, seed=4, y_cap=engine.MAX_Y_CAP)
+    traj = engine.simulate_sde([[10.0, 10.0], [-10.0, -10.0]], [0.1, 0.1], [0.5, 0.5], cfg)
+    assert traj.clamped
+    assert traj.states[-1, 1] < math.exp(-0.99 * engine.MAX_Y_CAP)
+    assert traj.states.min() >= math.exp(-engine.MAX_Y_CAP) / 2 > engine.STATE_FLOOR
 
 
 def test_drift_hand_values():
@@ -525,18 +541,19 @@ def test_hitting_only_batch_matches_full_horizon_batch(coordination_matrix, hori
 
 
 def test_hitting_only_batch_stops_once_every_path_has_hit(monkeypatch, coordination_matrix):
-    increments, taken = engine._increments, []
+    sde_chunk, integrated = engine._sde_chunk, []
 
     def counted(*args):
-        for dw in increments(*args):
-            taken.append(1)
-            yield dw
+        res = sde_chunk(*args)
+        integrated.append(res.steps)
+        return res
 
-    monkeypatch.setattr(engine, "_increments", counted)
+    monkeypatch.setattr(engine, "_sde_chunk", counted)
     cfg = engine.SdeConfig(h=1e-2, horizon=60.0, seed=17, record_stride=100)
     stat = engine.hitting_time_stat(games.Region.any_vertex_neighborhood(0.1))
     tau = engine.batch_run(coordination_matrix, [0.5] * 3, [1 / 3] * 3, cfg, 25, stat).values
-    assert len(taken) == round(tau.max() / cfg.h) < cfg.n_steps
+    assert len(integrated) == 1
+    assert integrated[0] == round(tau.max() / cfg.h) < cfg.n_steps
 
 
 def test_hitting_only_clamp_count_does_not_depend_on_chunk_layout(monkeypatch):
@@ -554,6 +571,23 @@ def test_hitting_only_clamp_count_does_not_depend_on_chunk_layout(monkeypatch):
     assert out[0]["tau"].values.tobytes() == out[1]["tau"].values.tobytes()
     assert 0 < out[0]["hit"].values.sum() < 20
     assert 0 < out[0]["tau"].clamped_paths == out[1]["tau"].clamped_paths < 20
+
+
+def test_hitting_only_batch_keeps_no_records(monkeypatch, coordination_matrix):
+    # Every step recorded, 10 paths would need 60 001 x 3 x 10 doubles (14.4 MB)
+    # that no hitting statistic reads.  Short noise blocks keep the increments small.
+    monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", 3_000)
+    cfg = engine.SdeConfig(h=1e-2, horizon=600.0, seed=17, record_stride=1)
+    stat = engine.hitting_time_stat(games.Region.any_vertex_neighborhood(0.1))
+    records = 10 * cfg.record_steps().size * 3 * 8
+    tracemalloc.start()
+    try:
+        tau = engine.batch_run(coordination_matrix, [0.5] * 3, [1 / 3] * 3, cfg, 10, stat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tau.values < 600.0).all()
+    assert peak < records / 4
 
 
 # ---------------------------------------------------------------------------
@@ -775,6 +809,35 @@ def test_column_major_kernel_matches_row_major_kernel_at_nine_strategies():
     for i, expected in ROW_MAJOR_N9_FINALS.items():
         assert abs(finals[i] - expected) <= ROW_MAJOR_N9_MAX_DEVIATION
     assert abs(finals.sum() - ROW_MAJOR_N9_FINAL_SUM) <= ROW_MAJOR_N9_MAX_DEVIATION
+
+
+# First floor times and final states of 20 lone paths on 2 I, sigma = 0.8,
+# y_cap = 50, T = 30, h = 1e-2, seed 3, from the kernel that checked the floor on
+# every step.  19 paths reach the floor, each one tens to hundreds of times.
+GOLDEN_FLOOR_SHA256 = "6249d1a0531999c0ffc8c45d512dfb90866b5f593e424cf2126d7fb018d0993c"
+GOLDEN_FLOOR_CLAMPED = 19
+
+
+@pytest.mark.parametrize("block_steps", [1, 2, None])
+def test_floor_detection_matches_every_step_check(monkeypatch, block_steps):
+    # The kernel checks the floor only where a bound on the step says a hit is
+    # possible, and again at the first step of every noise block.  A lone path
+    # keeps the chunk's gap to the floor that of one path, and short blocks let
+    # the bound change from block to block: one-step blocks catch a check skipped
+    # at a block start (every floor hit falls on one), two-step blocks a bound
+    # too small.  The bytes do not depend on the block length.
+    if block_steps is not None:
+        monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", block_steps * 2 * 3)
+    cfg = engine.SdeConfig(h=1e-2, horizon=30.0, seed=3, y_cap=50.0, record_stride=3000)
+    A, sigma, x0 = 2.0 * np.eye(3), [0.8] * 3, [1 / 3] * 3
+    h = hashlib.sha256()
+    for p in range(20):
+        res = engine._sde_chunk(A, sigma, x0, cfg, [p])
+        h.update(res.first_floor.tobytes())
+        h.update(res.states.tobytes())
+    assert h.hexdigest() == GOLDEN_FLOOR_SHA256
+    batch = engine.batch_run(A, sigma, x0, cfg, 20, engine.final_share(0))
+    assert batch.clamped_paths == GOLDEN_FLOOR_CLAMPED
 
 
 def test_golden_trajectory_digest(mixed_dominance_matrix):
