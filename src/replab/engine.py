@@ -236,7 +236,7 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
     drift_reach = cfg.h * (float(np.abs(A).max()) + float(half_var.max()))
     h = np.array(cfg.h)
     cap = cfg.y_cap
-    dot, exp, maximum = np.dot, np.exp, np.maximum     # dot: BLAS gemm, as matmul, with less overhead
+    dot, exp, maximum = np.dot, np.exp, np.maximum     # dot: the gemm of matmul, less overhead
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     add_reduce, max_reduce, min_reduce = np.add.reduce, np.maximum.reduce, np.minimum.reduce
 
@@ -279,7 +279,8 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
                             f"non-finite log-shares at step {k} (t={cfg.h * k:g}) "
                             f"for paths {[paths[i] for i in np.flatnonzero(bad)[:5]]}"
                         )
-                    first_floor[(Z[:, :m] < -cap).any(axis=0) & (first_floor == math.inf)] = k * cfg.h
+                    floored = (Z[:, :m] < -cap).any(axis=0)
+                    first_floor[floored & (first_floor == math.inf)] = k * cfg.h
                     maximum(Z, -cap, out=Z)
                     low = -cap
                 span = (low + cap) / reach

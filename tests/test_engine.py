@@ -329,10 +329,15 @@ def test_occupation_fraction_and_time_average():
 # batches
 
 
-def test_batch_single_path_equals_single_run():
+def test_batch_single_path_equals_single_run(monkeypatch):
+    # a lone path runs as two columns, but its stream is drawn once
+    path_generator, streams = rng.path_generator, []
+    monkeypatch.setattr(rng, "path_generator",
+                        lambda seed, p: streams.append(p) or path_generator(seed, p))
     cfg = engine.SdeConfig(h=1e-3, horizon=2.0, seed=12)
     single = engine.simulate_sde(PD, [0.2, 0.2], [0.5, 0.5], cfg, path_index=0)
     batch = engine.batch_run(PD, [0.2, 0.2], [0.5, 0.5], cfg, 1, engine.final_share(1))
+    assert streams == [0, 0]
     assert batch.values[0] == float(single.states[-1, 1])
     assert batch.mean == batch.values[0]
     assert math.isnan(batch.std_error)
@@ -811,11 +816,11 @@ def test_column_major_kernel_matches_row_major_kernel_at_nine_strategies():
     assert abs(finals.sum() - ROW_MAJOR_N9_FINAL_SUM) <= ROW_MAJOR_N9_MAX_DEVIATION
 
 
-# First floor times and final states of 20 lone paths on 2 I, sigma = 0.8,
+# First floor times and final states of 10 lone paths on 2 I, sigma = 0.8,
 # y_cap = 50, T = 30, h = 1e-2, seed 3, from the kernel that checked the floor on
-# every step.  19 paths reach the floor, each one tens to hundreds of times.
-GOLDEN_FLOOR_SHA256 = "6249d1a0531999c0ffc8c45d512dfb90866b5f593e424cf2126d7fb018d0993c"
-GOLDEN_FLOOR_CLAMPED = 19
+# every step.  9 paths reach the floor, each one 125 to 320 times.
+GOLDEN_FLOOR_SHA256 = "eefd94b8f6b694790348db555ab7eb9e20f76b927dfe0770cae429bb36284801"
+GOLDEN_FLOOR_CLAMPED = 9
 
 
 @pytest.mark.parametrize("block_steps", [1, 2, None])
@@ -831,12 +836,12 @@ def test_floor_detection_matches_every_step_check(monkeypatch, block_steps):
     cfg = engine.SdeConfig(h=1e-2, horizon=30.0, seed=3, y_cap=50.0, record_stride=3000)
     A, sigma, x0 = 2.0 * np.eye(3), [0.8] * 3, [1 / 3] * 3
     h = hashlib.sha256()
-    for p in range(20):
+    for p in range(10):
         res = engine._sde_chunk(A, sigma, x0, cfg, [p])
         h.update(res.first_floor.tobytes())
         h.update(res.states.tobytes())
     assert h.hexdigest() == GOLDEN_FLOOR_SHA256
-    batch = engine.batch_run(A, sigma, x0, cfg, 20, engine.final_share(0))
+    batch = engine.batch_run(A, sigma, x0, cfg, 10, engine.final_share(0))
     assert batch.clamped_paths == GOLDEN_FLOOR_CLAMPED
 
 
