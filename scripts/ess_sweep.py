@@ -2,7 +2,10 @@
 
 Writes the sweep CSV (columns ``n,v,rho,s,p_0,...,p_n,c``) and, when asked,
 cross-checks every row against the support-enumeration solver, printing the
-cross-check's elapsed time and games per second.
+cross-check's elapsed time and games per second, the microseconds per game
+for each n, and the sha256 of the enumerated equilibria.  On the default grid
+that digest is the one ``tests/test_ess.py`` pins as ``GOLDEN_GRID_DIGEST``,
+so one command per commit compares both bytes and speed.
 
 Usage: python scripts/ess_sweep.py [--out results/ess_sweep] [--check]
 """
@@ -10,9 +13,12 @@ Usage: python scripts/ess_sweep.py [--out results/ess_sweep] [--check]
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import pathlib
 import sys
 import time
+from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -42,15 +48,26 @@ def main() -> int:
     fracs = tuple(float(f) for f in args.rho_fracs.split(","))
     worst = 0.0
     specs = attrition.ess_sweep_rows(range(lo, hi + 1), fracs)
+    digest = hashlib.sha256()
+    per_n = defaultdict(lambda: [0, 0.0])     # n -> [games, seconds]
     start = time.perf_counter()
     for spec in specs:
+        t0 = time.perf_counter()
         closed = attrition.closed_form_ess(spec).strategy
-        oracle = ess.unique_ess(attrition.perturbed_matrix(spec)).strategy
-        worst = max(worst, float(np.max(np.abs(closed - oracle))))
+        oracle = ess.unique_ess(attrition.perturbed_matrix(spec))
+        per_n[spec.n][0] += 1
+        per_n[spec.n][1] += time.perf_counter() - t0
+        worst = max(worst, float(np.max(np.abs(closed - oracle.strategy))))
+        digest.update(oracle.strategy.tobytes())
+        digest.update(json.dumps([list(oracle.support), oracle.common_payoff,
+                                  oracle.status]).encode())
     elapsed = time.perf_counter() - start
     print(f"checked {len(specs)} rows; max deviation from enumeration {worst:.3e}")
     print(f"cross-check took {elapsed:.2f} s ({len(specs) / elapsed:.0f} games/s, "
           "closed form and enumeration)")
+    for n, (games, seconds) in sorted(per_n.items()):
+        print(f"n = {n}: {games} games, {1e6 * seconds / games:.0f} us/game")
+    print(f"grid digest {digest.hexdigest()}")
     return 0 if worst < 1e-9 else 2
 
 

@@ -27,6 +27,13 @@ SELF_CHECK_RTOL = 1e-9      # the two routes to the normalization constant
 WEIGHT_CLAMP = 1e-12        # closed-form weights in (-WEIGHT_CLAMP, 0) snap to 0
 
 
+def _floats(values) -> list[float]:
+    """The entries of ``values`` as floats; a string or a scalar is one entry."""
+    if isinstance(values, (str, bytes)) or not np.iterable(values):
+        return [float(values)]
+    return [float(x) for x in values]
+
+
 @dataclass(frozen=True)
 class AttritionSpec:
     """General war of attrition: costs, rewards and diagonal perturbations.
@@ -41,18 +48,17 @@ class AttritionSpec:
     rho: tuple[float, ...]
 
     def __post_init__(self):
-        c = np.asarray(self.costs, dtype=float)
-        v = np.asarray(self.rewards, dtype=float)
-        r = np.asarray(self.rho, dtype=float)
-        if not (c.size == v.size == r.size) or c.size < 2:
+        # plain Python: numpy's per-call cost dominates at these lengths
+        c, v, r = _floats(self.costs), _floats(self.rewards), _floats(self.rho)
+        if not (len(c) == len(v) == len(r)) or len(c) < 2:
             raise ValidationError("costs, rewards and rho need equal length >= 2")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(v)) and np.all(np.isfinite(r))):
+        if not all(map(math.isfinite, c + v + r)):
             raise ValidationError("attrition parameters must be finite")
-        if c[0] < 0.0 or np.any(np.diff(c) <= 0.0):
+        if c[0] < 0.0 or any(b <= a for a, b in zip(c, c[1:])):
             raise ValidationError("costs must satisfy 0 <= c_0 < c_1 < ... < c_n")
-        if np.any(np.diff(v) > 0.0) or v[-1] <= 0.0:
+        if any(b > a for a, b in zip(v, v[1:])) or v[-1] <= 0.0:
             raise ValidationError("rewards must be nonincreasing with v_n > 0")
-        if np.any(r < 0.0) or np.any(r >= v / 2.0):
+        if any(rk < 0.0 or rk >= vk / 2.0 for rk, vk in zip(r, v)):
             raise ValidationError("perturbations must satisfy 0 <= rho_k < v_k / 2")
 
     @property
@@ -113,7 +119,7 @@ def perturbed_matrix(spec) -> np.ndarray:
     """
     g = _spec(spec)
     B = base_matrix(g)
-    B[np.diag_indices_from(B)] -= np.asarray(g.rho)
+    B.flat[::B.shape[0] + 1] -= g.rho
     return B
 
 

@@ -14,10 +14,13 @@ Each same-size piece of a group is solved by one stacked LAPACK call and its
 weights are scattered into full-length rows.  The array gates then run once
 per group: one payoff product gives both the on-support residual and the
 off-support gains.  Only the few survivors reach the scalar gates,
-deduplication and classification.  A group's index tables and support masks
-depend on ``n`` alone; they are cached, read-only, when all ``2^n - 1``
-supports fit in one group (n <= 12), and built one group at a time for
-larger games, so memory at n = 20 stays bounded by ``SUPPORT_BLOCK``.
+deduplication and classification.  Weights and support masks are stored
+column-major, as transposes of (n, rows) arrays, so that each per-support
+reduction of the gates runs across up to 4096 supports rather than along a
+row of n entries.  A group's index tables and support masks depend on ``n``
+alone; they are cached, read-only, when all ``2^n - 1`` supports fit in one
+group (n <= 12), and built one group at a time for larger games, so memory
+at n = 20 stays bounded by ``SUPPORT_BLOCK``.
 """
 
 from __future__ import annotations
@@ -74,20 +77,24 @@ class _Piece(NamedTuple):
     rows: slice             # their rows in the group
     gather: np.ndarray      # (k, m+1, m+1) flat indices into the bordered payoff matrix
     rhs: np.ndarray         # (m+1, 1) right-hand side (0, ..., 0, 1)
-    scatter: np.ndarray     # (k, m) flat indices of their weights in the (rows, n) group
+    # (k, m) flat indices of their weights in the column-major (rows, n) group:
+    # weight j of row i sits at j * rows + i, so the gates reduce across supports
+    scatter: np.ndarray
 
 
 class _Group(NamedTuple):
     """Consecutive supports in canonical order, gated together."""
 
     pieces: tuple[_Piece, ...]
-    on: np.ndarray          # (rows, n) support mask
+    # (rows, n) views of C-ordered (n, rows) arrays, so masked reductions over
+    # a row's strategies run across supports
+    on: np.ndarray          # support mask
     off: np.ndarray         # its complement
 
 
 def _group(supports: list[tuple[int, ...]], n: int) -> _Group:
     """Index tables of ``supports`` (sorted by size) in an ``n``-strategy game."""
-    pieces, start = [], 0
+    pieces, start, total = [], 0, len(supports)
     for m, same in itertools.groupby(supports, len):
         S = np.array(list(same), dtype=np.intp)
         k = S.shape[0]
@@ -95,13 +102,13 @@ def _group(supports: list[tuple[int, ...]], n: int) -> _Group:
         T = np.hstack([S, np.full((k, 1), n, dtype=np.intp)])
         rows = np.arange(start, start + k, dtype=np.intp)
         pieces.append(_Piece(slice(start, start + k), T[:, :, None] * (n + 1) + T[:, None, :],
-                             np.eye(m + 1)[:, m:], rows[:, None] * n + S))
+                             np.eye(m + 1)[:, m:], S * total + rows[:, None]))
         start += k
-    on = np.zeros((start, n), dtype=bool)
+    on = np.zeros((n, total), dtype=bool)
     for piece in pieces:
         on.flat[piece.scatter] = True
-    group = _Group(tuple(pieces), on, ~on)
-    for a in (group.on, group.off, *(a for p in pieces for a in (p.gather, p.rhs, p.scatter))):
+    group = _Group(tuple(pieces), on.T, ~on.T)
+    for a in (on, group.on, group.off, *(a for p in pieces for a in (p.gather, p.rhs, p.scatter))):
         a.flags.writeable = False
     return group
 
@@ -130,15 +137,15 @@ def _solve_pieces(A, group: _Group):
     """Solve the equal-payoff systems of the supports in ``group``.
 
     Returns ``(P, c, singular)``: the weights as full-length rows (zero off
-    the support, unclipped), the common payoffs, and the number of singular
-    systems, whose rows hold NaN.
+    the support, unclipped, column-major), the common payoffs, and the number
+    of singular systems, whose rows hold NaN.
     """
     n = A.shape[0]
     bordered = np.zeros((n + 1, n + 1))
     bordered[:n, :n] = A
     bordered[:n, n] = -1.0
     bordered[n, :n] = 1.0
-    P = np.zeros(group.on.shape)
+    P = np.zeros(group.on.shape, order="F")
     c = np.empty(P.shape[0])
     singular = 0
     for piece in group.pieces:
@@ -152,7 +159,7 @@ def _solve_pieces(A, group: _Group):
             singular += lhs.shape[0] - np.count_nonzero(nonsingular)
             sol = np.full(lhs.shape[:2], np.nan)
             sol[nonsingular] = np.linalg.solve(lhs[nonsingular], piece.rhs)[:, :, 0]
-        np.put(P, piece.scatter, sol[:, :-1])
+        np.put(P.T, piece.scatter, sol[:, :-1])
         c[piece.rows] = sol[:, -1]
     return P, c, singular
 
@@ -164,6 +171,9 @@ def _gate_group(A, group: _Group, rejected: Counter):
     residual (with the weight sum), off-support best reply.  ``rejected``
     counts the other rows by the first gate they fail.  ``P`` holds the
     clipped full-length weights of the surviving rows, in row order.
+
+    Masks select through ``np.where``: exact for a maximum, and about twice
+    as fast here as a ``where=`` reduction.
     """
     P, c, singular = _solve_pieces(A, group)
     finite = np.isfinite(c) & np.isfinite(P).all(axis=1)
@@ -171,12 +181,12 @@ def _gate_group(A, group: _Group, rejected: Counter):
     nonnegative = finite & (P.min(axis=1) >= -games.TIE_TOL)
     np.clip(P, 0.0, None, out=P)
     with np.errstate(invalid="ignore", over="ignore"):
-        gains = P @ A.T - c[:, None]        # every pure reply against the common payoff
+        gains = (A @ P.T).T - c[:, None]    # every pure reply against the common payoff
         residual = np.maximum(
-            np.abs(gains).max(axis=1, where=group.on, initial=0.0),
+            np.where(group.on, np.abs(gains), 0.0).max(axis=1),
             np.abs(P.sum(axis=1) - 1.0),
         )
-        best_gain = gains.max(axis=1, where=group.off, initial=-np.inf)
+        best_gain = np.where(group.off, gains, -np.inf).max(axis=1)
     equal = nonnegative & (residual <= _PREFILTER * EQUALIZE_TOL)
     best_reply = equal & (best_gain <= _PREFILTER * OFF_SUPPORT_TOL)
     # rows left after each gate of _GATES; each gate rejects the difference
@@ -185,7 +195,7 @@ def _gate_group(A, group: _Group, rejected: Counter):
     for gate, before, after in zip(_GATES, [c.shape[0]] + passed, passed):
         rejected[gate] += before - after
     rows = np.flatnonzero(best_reply)
-    return rows, P[rows], c[rows]
+    return rows, np.ascontiguousarray(P[rows]), c[rows]
 
 
 def _residual(A, sup: list[int], p: np.ndarray, c: float) -> float:
@@ -270,8 +280,9 @@ def solve_all_equilibria(A) -> list[EquilibriumReport]:
                     off_support_slack=max(slack, 0.0),
                 )
             )
-    log.debug("support enumeration, n = %d: %d supports visited; rejected %s", n, 2**n - 1,
-              ", ".join(f"{rejected[g]} {g}" for g in _GATES))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("support enumeration, n = %d: %d supports visited; rejected %s", n, 2**n - 1,
+                  ", ".join(f"{rejected[g]} {g}" for g in _GATES))
     reports.sort(key=lambda r: (len(r.support), r.support))
     return reports
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,51 @@ def test_spec_validation():
         attrition.ConstantAttritionSpec(n=0, v=1.0)
 
 
+LENGTH = "costs, rewards and rho need equal length >= 2"
+FINITE = "attrition parameters must be finite"
+COSTS = "costs must satisfy 0 <= c_0 < c_1 < ... < c_n"
+REWARDS = "rewards must be nonincreasing with v_n > 0"
+RHO = "perturbations must satisfy 0 <= rho_k < v_k / 2"
+VALID = dict(costs=(0.0, 1.0, 2.0), rewards=(3.0, 2.0, 2.0), rho=(1.4, 0.0, 0.9))
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(rho=(0.0, 0.0)), LENGTH),
+    (dict(costs=(0.0,), rewards=(1.0,), rho=(0.0,)), LENGTH),
+    (dict(costs=(), rewards=(), rho=()), LENGTH),
+    (dict(costs=2.0), LENGTH),                           # a scalar is one entry
+    (dict(costs="012"), LENGTH),                         # so is a string
+    (dict(rewards=(3.0, math.nan, 2.0)), FINITE),
+    (dict(costs=(0.0, 1.0, math.inf)), FINITE),
+    (dict(rho=(0.0, -math.inf, 0.0)), FINITE),
+    (dict(costs=(-0.5, 1.0, 2.0)), COSTS),
+    (dict(costs=(0.0, 1.0, 1.0)), COSTS),
+    (dict(costs=(0.0, 2.0, 1.0)), COSTS),
+    (dict(rewards=(3.0, 2.0, 2.5)), REWARDS),
+    (dict(rewards=(3.0, 2.0, 0.0), rho=(0.0, 0.0, 0.0)), REWARDS),
+    (dict(rewards=(3.0, 2.0, -1.0), rho=(0.0, 0.0, 0.0)), REWARDS),
+    (dict(rho=(1.4, -0.1, 0.0)), RHO),
+    (dict(rho=(1.5, 0.0, 0.0)), RHO),                    # rho_0 = v_0 / 2
+    (dict(rho=(0.0, 0.0, 1.0)), RHO),
+])
+def test_spec_rejects_each_invariant_with_its_message(change, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        attrition.AttritionSpec(**{**VALID, **change})
+
+
+@pytest.mark.parametrize("costs, rewards, rho", [
+    ((0, 1, 2), [3, 2, 2], np.array([1.4, 0.0, 0.9])),
+    (np.arange(3.0), (np.float32(3.0), np.int64(2), np.float64(2.0)), (1.4, 0, 0.9)),
+    (("0", "1.0", " 2 "), ("3", "2e0", "2"), ("1.4", "0", "0.9")),
+])
+def test_spec_accepts_numbers_in_any_container(costs, rewards, rho):
+    g = attrition.AttritionSpec(costs=costs, rewards=rewards, rho=rho)
+    assert g.n == 2
+    if not isinstance(costs[0], str):                    # the matrices read numbers only
+        expected = attrition.perturbed_matrix(attrition.AttritionSpec(**VALID))
+        assert np.array_equal(attrition.perturbed_matrix(g), expected)
+
+
 def test_base_matrix_hand_values(attrition_testbed_matrix):
     A = attrition.base_matrix(attrition.ConstantAttritionSpec(n=1, v=1.0))
     assert np.allclose(A, [[0.5, 0.0], [1.0, -0.5]])
@@ -77,6 +123,12 @@ def test_perturbed_matrix():
     # rho == 0 collapses to the base matrix
     g0 = attrition.AttritionSpec(costs=(0.0, 1.0), rewards=(1.0, 1.0), rho=(0.0, 0.0))
     assert np.array_equal(attrition.perturbed_matrix(g0), attrition.base_matrix(g0))
+    rng = np.random.default_rng(74)
+    for n in range(1, 9):
+        g = random_general_spec(rng, n)
+        B = attrition.base_matrix(g)
+        B[np.diag_indices_from(B)] -= np.asarray(g.rho)
+        assert attrition.perturbed_matrix(g).tobytes() == B.tobytes()
 
 
 def test_perturbed_equals_effective_matrix_bridge():

@@ -195,6 +195,36 @@ def test_rejected_supports_are_counted_per_gate(caplog):
     ]
 
 
+# Integer games, seeded by n, past the size (8 entries) where numpy sums a
+# row pairwise; the column-major gates sum across supports and may round the
+# weight sums differently.  Gate counts and digests were computed with the
+# row-major gates of the previous release.
+LARGE_GAMES = {
+    8: (None, "255 supports visited; rejected 5 singular, 0 non-finite, "
+        "157 negative weight, 0 residual, 73 off-support",
+        "803a448dea387a793e030ef55e1ba6eff8a6055cb2c481c52fa20cecdd02bfab"),
+    9: ((2, 6), "511 supports visited; rejected 107 singular, 0 non-finite, "
+        "345 negative weight, 0 residual, 40 off-support",
+        "278a95ab58833dc79cebf3e84fa73155920ac93c327c562d78bb4e4afc61699a"),
+    10: (None, "1023 supports visited; rejected 4 singular, 0 non-finite, "
+         "867 negative weight, 0 residual, 144 off-support",
+         "07d93b48c62544c408eb10df44a1344770bd40b9cf995399ad45592d8500832a"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(LARGE_GAMES))
+def test_large_games_keep_gate_counts_and_digest(n, caplog):
+    twins, line, digest = LARGE_GAMES[n]
+    A = np.random.default_rng(n).integers(-3, 4, (n, n)).astype(float)
+    if twins:
+        A[twins[0]] = A[twins[1]]
+    with caplog.at_level(logging.DEBUG, logger="replab.ess"):
+        got = reports_digest(A)
+    assert [rec.getMessage() for rec in caplog.records if rec.name == "replab.ess"] == [
+        f"support enumeration, n = {n}: {line}"]
+    assert got == digest
+
+
 def test_stacked_blocks_match_one_block(monkeypatch):
     rng = np.random.default_rng(11)
     A = rng.integers(-2, 3, (7, 7)).astype(float)
@@ -230,8 +260,9 @@ def reference_enumeration(A):
 
 def test_grouped_enumeration_matches_scalar_reference():
     rng = np.random.default_rng(2010)
-    for trial in range(40):
-        n = int(rng.integers(2, 7))
+    for trial in range(46):
+        # 40 games with n = 2..6, then n = 7, 7, 8, 8, 9, 9 (numpy sums 8+ entries pairwise)
+        n = int(rng.integers(2, 7)) if trial < 40 else 7 + (trial - 40) // 2
         A = rng.integers(-2, 3, (n, n)).astype(float)    # small range: many payoff ties
         if trial % 2:
             i, j = rng.choice(n, 2, replace=False)
@@ -249,6 +280,10 @@ def test_support_tables_are_cached_read_only():
     for table in (group.on, group.off, group.pieces[1].gather, group.pieces[1].scatter):
         with pytest.raises(ValueError):
             table.flat[0] = 0
+    # column-major: the gates reduce across supports, not along short rows
+    assert group.on.T.flags.c_contiguous and group.off.T.flags.c_contiguous
+    P, _, _ = ess._solve_pieces(np.eye(5), group)
+    assert P.flags.f_contiguous and P.shape == (31, 5)
 
 
 def test_small_block_cuts_games_into_uncached_groups(monkeypatch):
