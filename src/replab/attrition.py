@@ -60,6 +60,9 @@ class AttritionSpec:
             raise ValidationError("rewards must be nonincreasing with v_n > 0")
         if any(rk < 0.0 or rk >= vk / 2.0 for rk, vk in zip(r, v)):
             raise ValidationError("perturbations must satisfy 0 <= rho_k < v_k / 2")
+        # the checked floats, so the matrix builders read numbers of one type
+        for name, values in (("costs", c), ("rewards", v), ("rho", r)):
+            object.__setattr__(self, name, tuple(values))
 
     @property
     def n(self) -> int:

@@ -27,34 +27,49 @@ Determinism contract: each path's Gaussian increments come from its own
 counter-based stream (see :mod:`replab.rng`), and the batched SDE kernel
 updates every path's column with the same operations, so a path's values do
 not depend on which other paths share its chunk, nor on which process runs
-it.  A batch is cut into chunks of sorted path indices (at most 512 paths
-each).  A batch of two or more chunks runs them in forked worker processes,
+it.  A batch is cut into the fewest chunks of sorted path indices that its
+memory budget allows (at most 512 paths each), of equal size give or take one
+path.  A batch of two or more chunks runs them in forked worker processes,
 one per usable CPU; each worker integrates and reduces whole chunks and sends
 back only per-path values, which the caller joins in chunk order.  Threads
 would not help: the interpreter lock serialises the kernel's many small
 numpy calls.  A single-chunk batch, a host with one usable CPU, and a batch
-called inside a daemonic worker run the chunks in-process.  Batch output is
-therefore byte-identical for any permutation of the requested path indices,
-any split of them into chunks or separate batches, and any number of workers.
+called inside a daemonic worker run the chunks in-process.  A wide chunk run
+in-process may draw its increments in a forked producer process instead, one
+noise block ahead of the integration, which uses the second CPU; the draws
+are the same.  Batch output is therefore byte-identical for any permutation
+of the requested path indices, any split of them into chunks or separate
+batches, any number of workers, and with or without a producer.
 
 Statistics are data, not code: a :class:`Statistic` names a kind and its
 parameters.  A batch records its states one chunk at a time, as an array of
 shape (paths, records, n), and :func:`_reduce` turns that array into each
 statistic's per-path values at once; no Python runs per path.  Hitting times
-are detected on the step grid while integrating (no Brownian-bridge
-correction: the bias is at most one step and the acceptance slacks absorb
-it); every other statistic reads the recorded grid, which is the step grid
-thinned by ``record_stride``.  A chunk integrates through the last step its
-recorded statistics read (none, if all are hitting kinds), then on while some
-path has a region still to enter.  A batch of hitting kinds only keeps no
-records, so they neither take memory nor limit its chunk size.
+are first entries on the step grid (no Brownian-bridge correction: the bias is
+at most one step and the acceptance slacks absorb it).  Each step writes its
+states over the noise increments it has just used, and once per segment of
+``_SEGMENT`` steps one region test over the segment's states finds each
+pending path's first entry, and one copy takes the segment's recorded steps.
+Every other statistic reads the recorded grid, which is the step grid thinned
+by ``record_stride``.  A chunk integrates through the last step its recorded
+statistics read (none, if all are hitting kinds), then on while some path
+has a region still to enter; since entries are seen once per segment, a
+hitting-only chunk may run up to ``_SEGMENT - 1`` steps past its last entry.
+A batch of hitting kinds only keeps no records, so they neither take memory
+nor limit its chunk size.
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import itertools
 import math
+import mmap
 import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -69,9 +84,14 @@ MAX_Y_CAP = 600.0                   # exp(-600) / n stays far above STATE_FLOOR
 STATE_FLOOR = 1e-300                # the ODE's share floor
 _STEP_ROUNDING = 1e-9               # per-step slack of the floor-reach bound, far
                                     # above a step's rounding at |Z| <= MAX_Y_CAP
-_CHUNK_FLOAT_BUDGET = 6_000_000     # recorded floats per chunk
+# Recorded floats per chunk: admits 100 paths x 20 001 records x 3 strategies,
+# so full-size 2.3a, 2.4 and 2.8 run as 100 + 100 paths.  A worker of full-size
+# 2.3a peaks at 163 MB resident (RUSAGE_CHILDREN, Linux x86-64, numpy 2.4).
+_CHUNK_FLOAT_BUDGET = 6_000_300
 _MAX_CHUNK_PATHS = 512
 _NOISE_BLOCK_FLOATS = 786_432      # increments drawn per refill
+_SEGMENT = 64                       # steps per hit test and record copy
+_PIPE_MIN_DRAWS = 512               # normals per step from which a producer pays
 _USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -176,22 +196,99 @@ def _record_slots(cfg: SdeConfig) -> tuple[np.ndarray, dict[int, int]]:
     return steps * cfg.h, {int(k): row for row, k in enumerate(steps)}
 
 
-def _increments(seed: int, paths, n: int, total_steps: int, scale: np.ndarray):
-    """Blocks of each step's Gaussian increments times ``scale``, as (steps, n,
-    columns) views valid until the next is taken.  Every path's stream is drawn
-    once, in memory-bounded blocks; a lone path's fills every column of ``scale``."""
+def _draw_blocks(seed: int, paths, n: int, total_steps: int, scale: np.ndarray,
+                 block: int, slot):
+    """Draw each path's stream once, a block of steps at a time, and yield each
+    block's increments times ``scale`` as a (steps, n, columns) view of
+    ``slot(b)``, block ``b``'s buffer.  A lone path's fills every column."""
     gens = [rng.path_generator(seed, p) for p in paths]
-    columns = scale.shape[1]
-    block = min(total_steps, max(1, _NOISE_BLOCK_FLOATS // (columns * n)))
-    draws, buf = np.empty((len(gens), block, n)), np.empty((block, n, columns))
-    for done in range(0, total_steps, block):
+    draws = np.empty((len(gens), block, n))
+    for b, done in enumerate(range(0, total_steps, block)):
         take = min(block, total_steps - done)
         for g, rows in zip(gens, draws[:, :take]):
             g.standard_normal(out=rows)
-        steps = buf[:take]
+        steps = slot(b)[:take]
         np.copyto(steps, draws[:, :take].transpose(1, 2, 0))
         steps *= scale      # in place: scaling while transposing is slower
         yield steps
+
+
+def _in_daemon() -> bool:
+    """Whether this is a daemonic process, such as a pool worker, which may not
+    have children; without ``multiprocessing`` loaded it cannot be one."""
+    mp = sys.modules.get("multiprocessing")
+    return mp is not None and mp.current_process().daemon
+
+
+def _increments(seed: int, paths, n: int, total_steps: int, scale: np.ndarray):
+    """Blocks of each step's Gaussian increments times ``scale``, as (steps, n,
+    columns) views valid until the next is taken; the caller may overwrite a
+    block it holds.  A wide chunk of several blocks, run outside a daemonic
+    process on a host with two usable CPUs, draws them in a forked producer."""
+    columns = scale.shape[1]
+    block = min(total_steps, max(1, _NOISE_BLOCK_FLOATS // (columns * n)))
+    if (block < total_steps and columns * n >= _PIPE_MIN_DRAWS and _USABLE_CPUS >= 2
+            and not _in_daemon()):
+        yield from _produced_blocks(seed, paths, n, total_steps, scale, block)
+    else:
+        buf = np.empty((block, n, columns))
+        yield from _draw_blocks(seed, paths, n, total_steps, scale, block, lambda b: buf)
+
+
+def _produced_blocks(seed: int, paths, n: int, total_steps: int, scale: np.ndarray,
+                     block: int):
+    """:func:`_draw_blocks` run in a forked child, one block ahead of the caller.
+
+    The child fills a two-slot ring in anonymous shared memory and sends one
+    byte on ``filled`` per block; the caller sends one byte on ``freed`` when it
+    takes the next block, which frees the slot of the last.  A child that fails
+    sends its pickled exception instead, which the caller raises; a child whose
+    caller has gone exits at its next read or write.  The child is killed and
+    reaped when this generator finishes or is closed."""
+    ring = np.frombuffer(mmap.mmap(-1, 2 * block * scale.size * 8))
+    ring = ring.reshape(2, block, *scale.shape)
+    filled_r, filled_w = os.pipe()
+    freed_r, freed_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:                                # the producer; never returns
+        try:
+            os.close(filled_r)
+            os.close(freed_w)
+
+            def slot(b: int) -> np.ndarray:
+                if b >= 2 and not os.read(freed_r, 1):
+                    os._exit(1)                 # the caller has gone
+                return ring[b % 2]
+
+            for _ in _draw_blocks(seed, paths, n, total_steps, scale, block, slot):
+                os.write(filled_w, b"\1")
+        except BaseException as exc:            # raised again by the caller
+            with contextlib.suppress(BaseException):
+                os.write(filled_w, b"\0" + pickle.dumps(exc))
+            os._exit(1)
+        finally:
+            os._exit(0)
+    os.close(filled_w)
+    os.close(freed_r)
+    try:
+        for b, done in enumerate(range(0, total_steps, block)):
+            if b:
+                with contextlib.suppress(BrokenPipeError):    # the child may have finished
+                    os.write(freed_w, b"\1")
+            token = os.read(filled_r, 1)
+            if token != b"\1":
+                if not token:
+                    raise SimulationError(f"noise producer exited before block {b}")
+                with open(filled_r, "rb", closefd=False) as pipe:
+                    raise pickle.load(pipe)
+            yield ring[b % 2, :min(block, total_steps - done)]
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
+        os.close(filled_r)
+        os.close(freed_w)
 
 
 @dataclass
@@ -212,26 +309,50 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
     """Euler-Maruyama in log-share coordinates for a chunk of seeded paths, held as
     (n, columns) in buffers reused every step.  A lone path runs as two columns on
     one stream: BLAS gemv rounds ``A @ x`` differently from gemm for n >= 4, and a
-    path must give the same bytes in any chunk.  The loop runs through step
-    ``read_steps`` (default: the horizon; 0: no record is read or kept), then on
-    while some path has a region still to enter."""
+    path must give the same bytes in any chunk.  Each step writes its shares over
+    the increments it has just used, so a noise block ends up holding the states
+    of its own steps; hit tests and records read them once per segment of
+    ``_SEGMENT`` steps.  The loop runs through step ``read_steps`` (default: the
+    horizon; 0: no record is read or kept), then on while some path has a region
+    still to enter, to the end of the segment where the last one enters."""
     A = games.as_payoff_matrix(A)
     n = A.shape[0]
     m = len(paths)
     columns = max(m, 2)
-    times, slots = _record_slots(cfg) if read_steps else (cfg.record_steps() * cfg.h, {})
-    states = np.empty((m, len(slots), n))
+    grid = cfg.record_steps()
+    times, record = grid * cfg.h, (grid.tolist() if read_steps else [])
+    states = np.empty((m, len(record), n))
     first_floor = np.full(m, math.inf)
     first_hit = {region: np.full(m, math.inf) for region in hit_regions}
     pending = {region: np.ones(m, dtype=bool) for region in first_hit}
+    row = 0                                             # next record row to write
+
+    def observe(seg: np.ndarray, k0: int) -> None:
+        """Hit tests and records for ``seg``, the (steps, n, columns) states of
+        steps ``k0, k0 + 1, ...``."""
+        nonlocal row
+        k1 = k0 + len(seg)
+        if row < len(record) and record[row] < k1:
+            end = bisect.bisect_left(record, k1, row)
+            states[:, row:end] = seg[np.subtract(record[row:end], k0)].transpose(2, 0, 1)[:m]
+            row = end
+        for region, mask in list(pending.items()):
+            # every column, so that a lone path's sums round as in a wider chunk
+            inside = region.contains(seg.transpose(0, 2, 1))[:, :m]
+            inside &= mask
+            entered = inside.any(axis=0)
+            if entered.any():
+                first_hit[region][entered] = (k0 + inside.argmax(axis=0)[entered]) * cfg.h
+                mask ^= entered
+                if not mask.any():
+                    del pending[region]
 
     x_start = games.as_simplex_point(x0, n, interior=True)
-    x = np.repeat(x_start[:, None], columns, axis=1)
-    Z = np.log(x)
-    step, top = np.empty_like(x), np.empty((1, columns))
+    own = np.repeat(x_start[:, None], columns, axis=1)
+    Z = np.log(own)
+    step, top = np.empty_like(own), np.empty((1, columns))
     sig = np.repeat(games.as_noise_vector(sigma, n)[:, None], columns, axis=1)
     half_var = 0.5 * sig * sig
-    noise = _increments(cfg.seed, paths, n, cfg.n_steps, math.sqrt(cfg.h) * sig)
     # |(A x)_j| <= max|A| on the simplex, so this bounds each step's drift term
     drift_reach = cfg.h * (float(np.abs(A).max()) + float(half_var.max()))
     h = np.array(cfg.h)
@@ -240,57 +361,52 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     add_reduce, max_reduce, min_reduce = np.add.reduce, np.maximum.reduce, np.minimum.reduce
 
-    def observe(k: int) -> None:
-        if k in slots:
-            states[:, slots[k], :] = x[:, :m].T
-        for region, mask in list(pending.items()):
-            # every column, so that a lone path's sums round as in a wider chunk
-            entered = region.contains(x.T)[:m] & mask
-            if entered.any():
-                first_hit[region][entered] = k * cfg.h
-                mask ^= entered
-                if not mask.any():
-                    del pending[region]
-
-    observe(0)
-    k = 0
-    while k < read_steps or pending:
-        block = next(noise, None)
-        if block is None:
-            break
-        # A step lowers a log-share by at most twice its largest |drift + increment|,
-        # so no step before ``check`` can reach the floor.  NaN or inf: check every step.
-        reach = 2.0 * (drift_reach + max(block.max(), -block.min())) + _STEP_ROUNDING
-        check = k + 1
-        for dw in block:
-            k += 1
-            dot(A, x, out=step)
-            subtract(step, half_var, out=step)
-            multiply(step, h, out=step)
-            add(Z, step, out=Z)
-            add(Z, dw, out=Z)
-            subtract(Z, max_reduce(Z, axis=0, out=top, keepdims=True), out=Z)
-            if k >= check:
-                low = min_reduce(Z, axis=None)
-                if not low >= -cap:     # a floored share, or a non-finite one
-                    bad = ~np.isfinite(Z[:, :m]).all(axis=0)
-                    if bad.any():
-                        raise SimulationError(
-                            f"non-finite log-shares at step {k} (t={cfg.h * k:g}) "
-                            f"for paths {[paths[i] for i in np.flatnonzero(bad)[:5]]}"
-                        )
-                    floored = (Z[:, :m] < -cap).any(axis=0)
-                    first_floor[floored & (first_floor == math.inf)] = k * cfg.h
-                    maximum(Z, -cap, out=Z)
-                    low = -cap
-                span = (low + cap) / reach
-                check = k + 1 + (int(span) if span >= 0.0 else 0)
-            exp(Z, out=x)
-            divide(x, add_reduce(x, axis=0, out=top, keepdims=True), out=x)
-            if pending or k in slots:
-                observe(k)
-            if k >= read_steps and not pending:
+    noise = _increments(cfg.seed, paths, n, cfg.n_steps, math.sqrt(cfg.h) * sig)
+    try:
+        observe(own[None], 0)
+        x, k = own, 0
+        while k < read_steps or pending:
+            block = next(noise, None)
+            if block is None:
                 break
+            # A step lowers a log-share by at most twice its largest |drift + increment|,
+            # so no step before ``check`` can reach the floor.  NaN or inf: check every step.
+            reach = 2.0 * (drift_reach + max(block.max(), -block.min())) + _STEP_ROUNDING
+            check = k + 1
+            for lo in range(0, len(block), _SEGMENT):
+                segment = block[lo:lo + _SEGMENT]
+                for dw in segment:
+                    k += 1
+                    dot(A, x, out=step)
+                    subtract(step, half_var, out=step)
+                    multiply(step, h, out=step)
+                    add(Z, step, out=Z)
+                    add(Z, dw, out=Z)
+                    subtract(Z, max_reduce(Z, axis=0, out=top, keepdims=True), out=Z)
+                    if k >= check:
+                        low = min_reduce(Z, axis=None)
+                        if not low >= -cap:     # a floored share, or a non-finite one
+                            bad = ~np.isfinite(Z[:, :m]).all(axis=0)
+                            if bad.any():
+                                raise SimulationError(
+                                    f"non-finite log-shares at step {k} (t={cfg.h * k:g}) "
+                                    f"for paths {[paths[i] for i in np.flatnonzero(bad)[:5]]}"
+                                )
+                            floored = (Z[:, :m] < -cap).any(axis=0)
+                            first_floor[floored & (first_floor == math.inf)] = k * cfg.h
+                            maximum(Z, -cap, out=Z)
+                            low = -cap
+                        span = (low + cap) / reach
+                        check = k + 1 + (int(span) if span >= 0.0 else 0)
+                    x = exp(Z, out=dw)
+                    divide(x, add_reduce(x, axis=0, out=top, keepdims=True), out=x)
+                observe(segment, k + 1 - len(segment))
+                if k >= read_steps and not pending:
+                    break
+            np.copyto(own, x)       # the block's buffer goes back to the noise source
+            x = own
+    finally:
+        noise.close()       # and with it any producer, also when a step has raised
     return _ChunkResult(times, states, first_floor, first_hit, k)
 
 
@@ -563,11 +679,10 @@ def _chunk_size(cfg: SdeConfig, n: int) -> int:
     return max(1, min(_MAX_CHUNK_PATHS, _CHUNK_FLOAT_BUDGET // max(1, records * n)))
 
 
-def _chunk_values(job, start: int) -> list[tuple[np.ndarray, int]]:
-    """Each statistic's values and clamped-path count on the chunk at ``start``."""
-    A, sigma, x0, cfg, sorted_paths, chunk, hit_regions, read_steps, stats = job
-    res = _sde_chunk(A, sigma, x0, cfg, sorted_paths[start:start + chunk], hit_regions,
-                     read_steps)
+def _chunk_values(job, span: tuple[int, int]) -> list[tuple[np.ndarray, int]]:
+    """Each statistic's values and clamped-path count on the chunk ``span``."""
+    A, sigma, x0, cfg, sorted_paths, hit_regions, read_steps, stats = job
+    res = _sde_chunk(A, sigma, x0, cfg, sorted_paths[slice(*span)], hit_regions, read_steps)
     return [(_reduce(st, res.times, res.states, res.first_hit.get(st.hit_region)),
              int(res.clamped(st.hit_region).sum())) for st in stats]
 
@@ -580,8 +695,8 @@ def _adopt_job(job) -> None:
     _worker_job = job
 
 
-def _worker_chunk(start: int) -> list[tuple[np.ndarray, int]]:
-    return _chunk_values(_worker_job, start)
+def _worker_chunk(span: tuple[int, int]) -> list[tuple[np.ndarray, int]]:
+    return _chunk_values(_worker_job, span)
 
 
 def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
@@ -623,23 +738,22 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
     read_steps = cfg.n_steps if any(st.hit_region is None for st in statistics.values()) else 0
     chunk = _chunk_size(cfg, n) if read_steps else _MAX_CHUNK_PATHS
     hit_regions = {st.hit_region for st in statistics.values()} - {None}
-    job = (A, sigma, x0, cfg, [path_indices[i] for i in order], chunk, hit_regions,
-           read_steps, list(statistics.values()))
-    starts = range(0, n_paths, chunk)
+    job = (A, sigma, x0, cfg, [path_indices[i] for i in order], hit_regions, read_steps,
+           list(statistics.values()))
+    count = -(-n_paths // chunk)                # chunks of equal size, give or take one
+    bounds = [n_paths * i // count for i in range(count + 1)]
+    spans = list(zip(bounds, bounds[1:]))
 
-    workers = min(_USABLE_CPUS, len(starts))
-    if workers > 1:
+    workers = min(_USABLE_CPUS, count)
+    if workers > 1 and not _in_daemon():        # a daemonic process may not have children
         import multiprocessing      # about 15 ms, paid only by multi-chunk batches
-        if multiprocessing.current_process().daemon:    # may not have children
-            workers = 1
-    if workers > 1:
-        # fork hands ``job`` to each worker without pickling it; only chunk starts
+        # fork hands ``job`` to each worker without pickling it; only chunk spans
         # and per-path values cross the pipe.  ``imap`` reports the lowest failing
         # chunk, as the in-process loop does.
         with multiprocessing.get_context("fork").Pool(workers, _adopt_job, (job,)) as pool:
-            done = list(pool.imap(_worker_chunk, starts))
+            done = list(pool.imap(_worker_chunk, spans))
     else:
-        done = [_chunk_values(job, start) for start in starts]
+        done = [_chunk_values(job, span) for span in spans]
 
     inverse = np.empty(n_paths, dtype=np.int64)
     inverse[order] = np.arange(n_paths)

@@ -86,9 +86,10 @@ def test_spec_rejects_each_invariant_with_its_message(change, message):
 def test_spec_accepts_numbers_in_any_container(costs, rewards, rho):
     g = attrition.AttritionSpec(costs=costs, rewards=rewards, rho=rho)
     assert g.n == 2
-    if not isinstance(costs[0], str):                    # the matrices read numbers only
-        expected = attrition.perturbed_matrix(attrition.AttritionSpec(**VALID))
-        assert np.array_equal(attrition.perturbed_matrix(g), expected)
+    reference = attrition.AttritionSpec(**VALID)
+    for build in (attrition.perturbed_matrix, attrition.cnd_certificate):
+        assert build(g).tobytes() == build(reference).tobytes(), build.__name__
+    assert g == reference                                # the spec keeps the checked floats
 
 
 def test_base_matrix_hand_values(attrition_testbed_matrix):

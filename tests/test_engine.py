@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
 import math
 import multiprocessing
+import os
 import pickle
 import resource
+import signal
 import tracemalloc
 
 import numpy as np
@@ -558,7 +561,10 @@ def test_hitting_only_batch_stops_once_every_path_has_hit(monkeypatch, coordinat
     stat = engine.hitting_time_stat(games.Region.any_vertex_neighborhood(0.1))
     tau = engine.batch_run(coordination_matrix, [0.5] * 3, [1 / 3] * 3, cfg, 25, stat).values
     assert len(integrated) == 1
-    assert integrated[0] == round(tau.max() / cfg.h) < cfg.n_steps
+    # hits are seen once per segment, so the chunk ends with the segment of the last one
+    last = round(tau.max() / cfg.h)
+    assert last <= integrated[0] < last + engine._SEGMENT
+    assert integrated[0] < cfg.n_steps
 
 
 def test_hitting_only_clamp_count_does_not_depend_on_chunk_layout(monkeypatch):
@@ -595,12 +601,90 @@ def test_hitting_only_batch_keeps_no_records(monkeypatch, coordination_matrix):
     assert peak < records / 4
 
 
+# States of path 2 of a cyclic game, recorded at every step (sigma = 0.5,
+# h = 1e-2, T = 3, seed 5), from the kernel that tested and recorded each step
+# as it went.
+CYCLIC = np.array([[0.0, 2.0, -1.0], [-1.0, 0.0, 2.0], [2.0, -1.0, 0.0]])
+GOLDEN_EDGE_SHA256 = "2d11f862da5935f9aeac673289fe0bc30dd35b65258c67a0c85864010efbfa02"
+EDGE_STEPS = (0, 1, 2, 63, 64, 65, 99, 100, 101, 127, 128, 129, 164, 165, 200, 201, 299, 300)
+
+
+@pytest.mark.parametrize("block_steps", [1, 2, 100, None])
+def test_hits_and_records_on_segment_and_block_edges(monkeypatch, block_steps):
+    # Each entry below falls on the first or last step of a segment or of a noise
+    # block: with one- and two-step blocks every step does; 100-step blocks put
+    # segment ends (64, 164) and block ends (100, 200) apart; the default is one
+    # 300-step block, whose segments end at 64, 128, ... and 300.
+    if block_steps is not None:
+        monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", block_steps * 2 * 3)
+    cfg = engine.SdeConfig(h=1e-2, horizon=3.0, seed=5, record_stride=1)
+    run = [CYCLIC, [0.5] * 3, [0.5, 0.3, 0.2], cfg, [2]]
+    states = engine._sde_chunk(*run).states[0]
+    assert hashlib.sha256(states.tobytes()).hexdigest() == GOLDEN_EDGE_SHA256
+    # a small ball around the state of each step, which no earlier state enters
+    regions = {}
+    for k in EDGE_STEPS:
+        gap = np.sqrt(((states[:k] - states[k]) ** 2).sum(axis=1)).min() if k else 1.0
+        regions[games.Region.ball(states[k], gap / 2)] = k * cfg.h
+    for read_steps in (math.inf, 0):
+        res = engine._sde_chunk(*run, regions, read_steps)
+        assert {region: res.first_hit[region][0] for region in regions} == regions
+        assert res.steps == cfg.n_steps
+        if read_steps:
+            assert res.states[0].tobytes() == states.tobytes()
+
+
+# First entry times and final states of 40 paths of the nine-strategy game
+# into a ball (h = 1e-2, T = 5, seed 31), as one chunk and as lone paths 0 and
+# 7, from the kernel that tested every step.  34 paths enter, at steps 14 to
+# 235.  The ball is the only region that sums over the strategies, and numpy
+# sums eight or more terms pairwise, so the layout of the states it reads matters.
+GOLDEN_BALL_N9_SHA256 = "8e451d42ad43086b515993fc675fa8c59538857c78467ab016c571e5ff036901"
+
+
+def test_golden_ball_entries_at_nine_strategies():
+    A, sigma, x0 = nine_strategy_game()
+    cfg = engine.SdeConfig(h=1e-2, horizon=5.0, seed=31, record_stride=500)
+    ball = games.Region.ball([0.1, 0.01, 0.08, 0.02, 0.01, 0.3, 0.0, 0.46, 0.02], 0.3)
+    h = hashlib.sha256()
+    for paths in (range(40), [0], [7]):
+        res = engine._sde_chunk(A, sigma, x0, cfg, list(paths), {ball})
+        h.update(res.first_hit[ball].tobytes())
+        h.update(res.states.tobytes())
+        if len(paths) == 40:
+            entered = np.isfinite(res.first_hit[ball])
+            expected = np.where(entered, res.first_hit[ball], cfg.n_steps * cfg.h)
+    assert h.hexdigest() == GOLDEN_BALL_N9_SHA256
+    assert entered.sum() == 34
+    tau = engine.batch_run(A, sigma, x0, cfg, 40, engine.hitting_time_stat(ball))
+    assert tau.values.tobytes() == expected.tobytes()
+
+
+def test_region_tests_run_once_per_segment(monkeypatch, coordination_matrix):
+    contains, calls = games.Region.contains, []
+
+    def counted(region, states):
+        calls.append(region)
+        return contains(region, states)
+
+    monkeypatch.setattr(games.Region, "contains", counted)
+    cfg = engine.SdeConfig(h=1e-2, horizon=60.0, seed=17, record_stride=100)
+    regions = [games.Region.any_vertex_neighborhood(0.1), games.Region.vertex_neighborhood(0, 0.5)]
+    res = engine._sde_chunk(coordination_matrix, [0.5] * 3, [1 / 3] * 3, cfg, list(range(25)),
+                            regions, 0)
+    assert all(np.isfinite(res.first_hit[region]).any() for region in regions)
+    assert res.steps > 10 * engine._SEGMENT                 # one noise block of many segments
+    segments = math.ceil(res.steps / engine._SEGMENT)
+    for region in regions:
+        assert 0 < calls.count(region) <= segments + 1, region
+
+
 # ---------------------------------------------------------------------------
 # batches run in worker processes
 
 
 def three_chunk_batch(stats=None) -> dict[str, engine.BatchResult]:
-    """1100 paths of the nine-strategy game: two full chunks and a partial one,
+    """1100 paths of the nine-strategy game in three chunks of 366 or 367 paths,
     with some paths clamped and every flag going both ways."""
     A, sigma, x0 = nine_strategy_game()
     cfg = engine.SdeConfig(h=4e-2, horizon=20.0, seed=8, record_stride=25, y_cap=50.0)
@@ -672,6 +756,104 @@ def test_batch_inside_daemonic_worker_matches_parent(monkeypatch):
     with multiprocessing.get_context("fork").Pool(1) as pool:
         inside = pool.apply(final_share_bytes)
     assert inside == final_share_bytes()
+
+
+# ---------------------------------------------------------------------------
+# noise drawn in a forked producer
+
+
+def force_producer(monkeypatch) -> list:
+    """Start a producer for every chunk of several noise blocks; returns the list
+    that each start appends to."""
+    monkeypatch.setattr(engine, "_PIPE_MIN_DRAWS", 0)
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", 3_000)
+    produced, started = engine._produced_blocks, []
+
+    def counted(*args):
+        started.append(args)
+        return produced(*args)
+
+    monkeypatch.setattr(engine, "_produced_blocks", counted)
+    return started
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Fail, instead of hanging, if the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_process() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def producer_batches(coordination_matrix) -> list[dict[str, engine.BatchResult]]:
+    """A recorded batch and a hitting-only batch that stops early, one chunk each."""
+    cfg = engine.SdeConfig(h=1e-2, horizon=60.0, seed=17, record_stride=100)
+    region = games.Region.any_vertex_neighborhood(0.1)
+    stats = {"tau": engine.hitting_time_stat(region), "hit": engine.hit_flag_stat(region)}
+    run = [coordination_matrix, [0.5] * 3, [1 / 3] * 3, cfg, 25]
+    return [engine.batch_run_many(*run, dict(stats, final=engine.final_share(0),
+                                             late=engine.window_max_share(1, 30.0))),
+            engine.batch_run_many(*run, stats)]
+
+
+def test_producer_gives_the_same_bytes(monkeypatch, coordination_matrix):
+    monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", 3_000)
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 1)
+    alone = producer_batches(coordination_matrix)
+    started = force_producer(monkeypatch)
+    with time_limit(120):
+        produced = producer_batches(coordination_matrix)
+    assert len(started) == 2
+    assert_no_child_process()
+    for a, b in zip(alone, produced):
+        assert a.keys() == b.keys()
+        for name in a:
+            assert b[name].to_json_dict() == a[name].to_json_dict(), name
+
+
+def test_producer_is_reaped_after_a_raised_step(monkeypatch):
+    started = force_producer(monkeypatch)
+    cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=1)
+    with np.errstate(over="ignore", invalid="ignore"), time_limit(120):
+        with pytest.raises(SimulationError, match="non-finite log-shares at step 1 "):
+            engine.batch_run(PD, [1e200, 1e200], [0.5, 0.5], cfg, 300, engine.final_share(0))
+    assert len(started) == 1
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("death", ["raises", "exits"])
+def test_dead_producer_makes_the_batch_raise(monkeypatch, death):
+    # the producer makes the path streams, so a failing path_generator fails there
+    force_producer(monkeypatch)
+    path_generator, parent = rng.path_generator, os.getpid()
+
+    def failing(seed, path):
+        if os.getpid() != parent:
+            if death == "exits":
+                os._exit(3)
+            raise ValidationError("no stream for this path")
+        return path_generator(seed, path)
+
+    monkeypatch.setattr(rng, "path_generator", failing)
+    cfg = engine.SdeConfig(h=1e-2, horizon=2.0, seed=1)
+    expected = (ValidationError, "no stream") if death == "raises" else (
+        SimulationError, "noise producer exited before block 0")
+    with time_limit(120), pytest.raises(expected[0], match=expected[1]):
+        engine.batch_run(PD, [0.5, 0.5], [0.5, 0.5], cfg, 300, engine.final_share(0))
+    assert_no_child_process()
 
 
 def test_drift_and_diffusion_zero_sum_bulk():
