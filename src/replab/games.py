@@ -15,6 +15,9 @@ mix attracts the noisy dynamics, ``aggregate_noise`` condenses the diffusion
 coefficients into a single magnitude, and the dominance/equilibrium
 classifiers provide the static side of every long-run statement the package
 checks by simulation.
+
+Inputs are checked once, at the public entry points; ``ess`` calls the private
+bodies behind them (``_classify_equilibrium``) on arrays it has checked.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ def as_payoff_matrix(A) -> np.ndarray:
         raise ValidationError(f"payoff matrix must be square, got shape {A.shape}")
     if A.shape[0] < 2:
         raise ValidationError("games need at least 2 strategies")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValidationError("payoff matrix has non-finite entries")
     return A
 
@@ -178,7 +181,11 @@ def centered_symmetrization(A) -> np.ndarray:
     The result ``D`` is symmetric, has the all-ones vector in its kernel, and
     agrees with ``A`` as a quadratic form on ``{y : sum(y) = 0}``.
     """
-    A = as_payoff_matrix(A)
+    return _centered_symmetrization(as_payoff_matrix(A))
+
+
+def _centered_symmetrization(A: np.ndarray) -> np.ndarray:
+    """``centered_symmetrization`` of a checked matrix."""
     n = A.shape[0]
     Abar = 0.5 * (A + A.T)
     ones = np.ones((n, 1))
@@ -212,7 +219,7 @@ def second_eigenvalue(A) -> float:
     attraction toward a stable mix.
 
     Memoized on the matrix's shape and bytes (a small LRU cache), so the
-    checks that each ask for it, such as ``unique_ess`` and then
+    checks that each ask for it, such as ``cnd_status`` and then
     ``classify_equilibrium``, share one eigen-solve.  A matrix changed in
     place has new bytes and is solved again.
     """
@@ -222,7 +229,7 @@ def second_eigenvalue(A) -> float:
 
 @functools.lru_cache(maxsize=32)
 def _second_eigenvalue(n: int, data: bytes) -> float:
-    D = centered_symmetrization(np.frombuffer(data).reshape(n, n))
+    D = _centered_symmetrization(np.frombuffer(data).reshape(n, n))
     Q = _zero_sum_basis(n)
     return float(np.linalg.eigvalsh(Q.T @ D @ Q)[-1])
 
@@ -249,6 +256,11 @@ def is_conditionally_negative_definite(A) -> bool:
     the sign is unambiguous.
     """
     return cnd_status(A) == "negative"
+
+
+def _is_cnd(A: np.ndarray) -> bool:
+    """``is_conditionally_negative_definite`` of a checked matrix."""
+    return _cnd_status_of(_second_eigenvalue(A.shape[0], A.tobytes())) == "negative"
 
 
 def kl_distance(x, p) -> float:
@@ -459,20 +471,25 @@ def classify_equilibrium(A, p) -> str:
        decided by its extreme rays, so no claim is made either way.
     """
     A = as_payoff_matrix(A)
+    return _classify_equilibrium(A, as_simplex_point(p, A.shape[0]))
+
+
+def _classify_equilibrium(A: np.ndarray, p: np.ndarray, cnd: bool | None = None) -> str:
+    """``classify_equilibrium`` of a checked matrix and point; ``cnd`` is the
+    matrix's CND sign if the caller holds it, else looked up when needed."""
     n = A.shape[0]
-    p = as_simplex_point(p, n)
     payoffs = A @ p
     own = float(p @ payoffs)
     if float(payoffs.max()) > own + EQ_TOL:
         return NOT_NASH
 
-    k = int(np.argmax(p))
-    if np.max(np.abs(p - vertex(n, k))) <= TIE_TOL:
+    k = int(p.argmax())
+    if abs(p - vertex(n, k)).max() <= TIE_TOL:
         col = A[:, k]
         if all(col[k] > col[j] + TIE_TOL for j in range(n) if j != k):
             return STRICT_NASH
 
-    if is_conditionally_negative_definite(A):
+    if _is_cnd(A) if cnd is None else cnd:
         return ESS_CERTIFIED
 
     face = np.flatnonzero(payoffs >= own - EQ_TOL)

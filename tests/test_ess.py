@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import logging
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,20 @@ def test_equalize_degenerate_and_negative():
     assert ess.equalize_on_support(PD, [0, 1]) is None
     with pytest.raises(ValidationError):
         ess.equalize_on_support(PD, [])
+
+
+@pytest.mark.parametrize("support", [[0, 1.7], [True, 2], [np.True_], ["1"], [0, None]])
+def test_equalize_on_support_rejects_non_integer_entries(support):
+    with pytest.raises(ValidationError, match="support entries must be integers"):
+        ess.equalize_on_support(np.eye(3), support)
+
+
+def test_equalize_on_support_accepts_numpy_integers():
+    small = np.array([[0.5, 0.0], [1.0, -0.5]])
+    p, c, _ = ess.equalize_on_support(small, [0, 1])
+    for support in (np.array([0, 1]), (np.int32(1), 0), range(2)):
+        q, d, _ = ess.equalize_on_support(small, support)
+        assert q.tobytes() == p.tobytes() and d == c
 
 
 def test_solve_all_identity_game():
@@ -93,6 +108,13 @@ def test_solve_all_refuses_large_games():
 def test_unique_ess_requires_cnd():
     with pytest.raises(PreconditionError):
         ess.unique_ess(np.eye(2))
+
+
+def test_solve_all_checks_its_matrix():
+    A = np.eye(3)
+    A[0, 1] = np.inf
+    with pytest.raises(ValidationError, match="non-finite"):
+        ess.solve_all_equilibria(A)
 
 
 def test_unique_ess_values(attrition_testbed_matrix):
@@ -170,6 +192,48 @@ def test_golden_unique_ess_grid_digest():
 def test_golden_testbed_reports_digest(name):
     A = json.loads((TESTBEDS / f"{name}.json").read_text())["A"]
     assert reports_digest(A) == GOLDEN_TESTBED_DIGESTS[name]
+
+
+def test_unique_ess_checks_its_matrix_once(monkeypatch):
+    spec = attrition.ess_sweep_rows(range(4, 5), (0.2,))[7]
+    A = attrition.perturbed_matrix(spec)
+    games._second_eigenvalue.cache_clear()
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(games, "as_payoff_matrix", counted("validations", games.as_payoff_matrix))
+    monkeypatch.setattr(games, "_second_eigenvalue", counted("lookups", games._second_eigenvalue))
+    report = ess.unique_ess(A)
+    assert report.is_ess
+    assert calls == {"validations": 1, "lookups": 1}
+
+
+def test_private_classification_agrees_with_public():
+    rng = np.random.default_rng(1515)
+    grid = attrition.ess_sweep_rows(range(1, 5), (0.0, 0.4))
+    matrices = [TWIN_ROWS, np.eye(3), np.zeros((3, 3))]
+    matrices += [attrition.perturbed_matrix(grid[i]) for i in rng.choice(len(grid), 6)]
+    matrices += [rng.integers(-2, 3, (n, n)).astype(float) for n in (2, 3, 3, 4, 5, 6)]
+    seen = set()
+    for A in matrices:
+        n = A.shape[0]
+        cnd = games.is_conditionally_negative_definite(A)
+        points = [r.strategy for r in ess.solve_all_equilibria(A)]
+        points += list(rng.dirichlet(np.ones(n), size=3)) + [games.vertex(n, 0)]
+        for p in points:
+            status = games.classify_equilibrium(A, p)
+            assert games._classify_equilibrium(A, p, cnd) == status, (A, p)
+            assert games._classify_equilibrium(A, p) == status, (A, p)
+            seen.add((cnd, status))
+    assert {status for _, status in seen} == {
+        games.NOT_NASH, games.STRICT_NASH, games.ESS_CERTIFIED, games.ESS_REFUTED,
+        games.UNDETERMINED}
+    assert (True, games.ESS_CERTIFIED) in seen and (False, games.ESS_CERTIFIED) in seen
 
 
 def test_singular_supports_are_masked_not_the_rest():

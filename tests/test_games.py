@@ -286,6 +286,32 @@ def test_classify_degenerate_game():
     assert games.classify_equilibrium(np.zeros((2, 2)), [0.5, 0.5]) == games.UNDETERMINED
 
 
+@pytest.mark.parametrize("A", [np.ones((2, 3)), [[0.0, np.nan], [1.0, 0.0]],
+                               [[0.0, 1.0], [np.inf, 0.0]]])
+def test_classify_equilibrium_checks_its_matrix(A):
+    with pytest.raises(ValidationError, match="square|non-finite"):
+        games.classify_equilibrium(A, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("p, message", [
+    ([1.0], "length 2"),
+    ([0.2, 0.3, 0.5], "length 2"),
+    ([0.6, 0.6], "sum"),
+    ([1.5, -0.5], "nonnegative"),
+    ([np.nan, 1.0], "non-finite"),
+])
+def test_classify_equilibrium_checks_its_point(p, message):
+    with pytest.raises(ValidationError, match=message):
+        games.classify_equilibrium(np.eye(2), p)
+
+
+def test_centered_symmetrization_checks_its_matrix():
+    A = np.eye(3)
+    A[1, 2] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        games.centered_symmetrization(A)
+
+
 @given(square_matrices(max_n=4), st.data())
 def test_classify_invariant_under_column_shifts(A, data):
     n = A.shape[0]
