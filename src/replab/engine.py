@@ -1,11 +1,14 @@
 """Seeded numerical integration of replicator dynamics on the simplex.
 
-Both the SDE and the ODE are integrated in unnormalized log-shares
-``Z_j = log x_j + c(t)``, with ``x = softmax(Z)`` and, for the SDE,
+The SDE is integrated in unnormalized log-shares ``Z_j = log x_j + c(t)``,
+with ``x = softmax(Z)`` and
 ``dZ_j = ((A x)_j - sigma_j^2 / 2) dt + sigma_j dW_j``: the simplex boundary
 maps to minus infinity, so every state mapped back is positive and normalized
 by construction, and the additive noise gives the Euler-Maruyama step strong
-first order here.  No strategy serves as a reference coordinate.
+first order here, which the strong-order test of the test suite checks on
+coupled Brownian increments.  No strategy serves as a reference coordinate.
+The deterministic dynamics is the ``sigma -> 0`` limit and has no integrator
+of its own.
 
 Each SDE step subtracts each path's maximum from ``Z`` and floors it at
 ``-y_cap`` (default 500, at most ``MAX_Y_CAP``): a share below ``exp(-500)``
@@ -45,11 +48,15 @@ Statistics are data, not code: a :class:`Statistic` names a kind and its
 parameters.  A batch records its states one chunk at a time, as an array of
 shape (paths, records, n), and :func:`_reduce` turns that array into each
 statistic's per-path values at once; no Python runs per path.  Hitting times
-are first entries on the step grid (no Brownian-bridge correction: the bias is
-at most one step and the acceptance slacks absorb it).  Each step writes its
-states over the noise increments it has just used, and once per segment of
-``_SEGMENT`` steps one region test over the segment's states finds each
-pending path's first entry, and one copy takes the segment's recorded steps.
+are first entries on the step grid, with no Brownian-bridge correction, so an
+entry between two steps is missed and the mean hitting time is biased upward
+at a rate of order ``sqrt(h)`` (Gobet 2000).  Measured against quadrature on
+a two-strategy model (``A = [[0, 1/2], [1/2, 0]]``, ``sigma = (0.3, 0.3)``),
+the bias was about ``1.7 sqrt(h)``: 39 steps at ``h = 0.0025``.  Whether the
+acceptance slacks cover it is not verified.  Each step writes its states over
+the noise increments it has just used, and once per segment of ``_SEGMENT``
+steps one region test over the segment's states finds each pending path's
+first entry, and one copy takes the segment's recorded steps.
 Every other statistic reads the recorded grid, which is the step grid thinned
 by ``record_stride``.  A chunk integrates through the last step its recorded
 statistics read (none, if all are hitting kinds), then on while some path
@@ -63,7 +70,6 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import itertools
 import math
 import mmap
 import os
@@ -80,8 +86,8 @@ from .errors import SimulationError, ValidationError
 from .games import Region
 
 MAX_RECORD_POINTS = 100_000
-MAX_Y_CAP = 600.0                   # exp(-600) / n stays far above STATE_FLOOR
-STATE_FLOOR = 1e-300                # the ODE's share floor
+MAX_Y_CAP = 600.0                   # every share stays above exp(-600) / n, which
+                                    # is far above the smallest normal double
 _STEP_ROUNDING = 1e-9               # per-step slack of the floor-reach bound, far
                                     # above a step's rounding at |Z| <= MAX_Y_CAP
 # Recorded floats per chunk: admits 100 paths x 20 001 records x 3 strategies,
@@ -179,21 +185,7 @@ def diffusion_matrix(sigma, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# integrators: one kernel per scheme
-
-
-def _shares(Z: np.ndarray) -> np.ndarray:
-    """Simplex states from log-shares whose row maximum is 0, floored at ``STATE_FLOOR``."""
-    x = np.exp(Z)
-    x /= x.sum(axis=1, keepdims=True)
-    np.maximum(x, STATE_FLOOR, out=x)
-    return x
-
-
-def _record_slots(cfg: SdeConfig) -> tuple[np.ndarray, dict[int, int]]:
-    """Recorded times, and the row of each recorded step."""
-    steps = cfg.record_steps()
-    return steps * cfg.h, {int(k): row for row, k in enumerate(steps)}
+# the integrator: Euler-Maruyama in log-shares
 
 
 def _draw_blocks(seed: int, paths, n: int, total_steps: int, scale: np.ndarray,
@@ -411,7 +403,7 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
 
 
 # ---------------------------------------------------------------------------
-# single-run interfaces
+# single-path interface
 
 
 def simulate_sde(A, sigma, x0, cfg: SdeConfig, path_index: int = 0) -> Trajectory:
@@ -419,77 +411,6 @@ def simulate_sde(A, sigma, x0, cfg: SdeConfig, path_index: int = 0) -> Trajector
     res = _sde_chunk(A, sigma, x0, cfg, [path_index])
     return Trajectory(times=res.times, states=res.states[0],
                       clamped=bool(res.clamped(None)[0]), seed=cfg.seed, path_index=path_index)
-
-
-def simulate_ode(A, x0, cfg: SdeConfig) -> Trajectory:
-    """Integrate the deterministic dynamics (classic fourth-order one-step method).
-
-    The seed and noise-related fields of ``cfg`` are ignored.
-    """
-    A = games.as_payoff_matrix(A)
-    n = A.shape[0]
-    At = np.ascontiguousarray(A.T)
-    times, slots = _record_slots(cfg)
-    states = np.empty((times.size, n))
-    x_start = games.as_simplex_point(x0, n, interior=True)
-    Z = np.log(x_start)[None, :]
-    h = cfg.h
-
-    def force(Zv):
-        return _shares(Zv - Zv.max(axis=1, keepdims=True)) @ At
-
-    states[0] = x_start
-    for k in range(1, cfg.n_steps + 1):
-        k1 = force(Z)
-        k2 = force(Z + 0.5 * h * k1)
-        k3 = force(Z + 0.5 * h * k2)
-        k4 = force(Z + h * k3)
-        Z += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        row = slots.get(k)
-        if row is not None:
-            states[row] = _shares(Z - Z.max(axis=1, keepdims=True))[0]
-    return Trajectory(times=times, states=states, clamped=False, seed=cfg.seed, path_index=0)
-
-
-def simulate_sizes(A, sigma, z0, cfg: SdeConfig, path_index: int = 0) -> Trajectory:
-    """Integrate raw subpopulation sizes and return the normalized path.
-
-    The multiplicative Euler-Maruyama update acts on the sizes themselves
-    (renormalized by their sum each step, which leaves the frequencies
-    untouched and prevents overflow of the total).  Driven by the same seed
-    and path index, the increments coincide with :func:`simulate_sde`'s, so
-    the two normalized paths can be compared step by step; they agree up to
-    discretization order, not exactly, because the schemes differ.  A step
-    that would leave the positive cone raises :class:`SimulationError`.
-    """
-    A = games.as_payoff_matrix(A)
-    n = A.shape[0]
-    At = np.ascontiguousarray(A.T)
-    z = np.array(z0, dtype=float).reshape(-1)
-    if z.size != n or not np.all(np.isfinite(z)) or np.any(z <= 0.0):
-        raise ValidationError("initial sizes must be finite and > 0")
-    sig = games.as_noise_vector(sigma, n)
-    times, slots = _record_slots(cfg)
-    states = np.empty((times.size, n))
-    h = cfg.h
-    noise = _increments(cfg.seed, [path_index], n, cfg.n_steps, (math.sqrt(h) * sig)[:, None])
-
-    Z = (z / z.sum())[None, :]
-    states[0] = Z[0]
-    for k, dw in enumerate(itertools.chain.from_iterable(noise), 1):
-        growth = 1.0 + h * (Z @ At) + dw.T
-        if np.any(growth <= 0.0) or not np.all(np.isfinite(growth)):
-            raise SimulationError(
-                f"size update left the positive cone at step {k} (t={k * h:g}); "
-                "reduce the step size or the noise"
-            )
-        Z = Z * growth
-        Z /= Z.sum(axis=1, keepdims=True)
-        row = slots.get(k)
-        if row is not None:
-            states[row] = Z[0]
-    return Trajectory(times=times, states=states, clamped=False, seed=cfg.seed,
-                      path_index=path_index)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +578,7 @@ class BatchResult:
 
     @property
     def aborted(self) -> int:
-        """Always 0: the log-share scheme that batches run cannot abort a path
-        (only :func:`simulate_sizes` can, and it raises instead)."""
+        """Always 0: the log-share scheme cannot abort a path."""
         return 0
 
     def to_json_dict(self) -> dict:

@@ -484,6 +484,16 @@ def test_rerun_unreadable_manifest_exits_1(tmp_path, capsys):
 # driver scripts
 
 
+def test_pd_noise_script_writes_both_batches(tmp_path):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "pd_noise_experiment.py")
+    done = subprocess.run([sys.executable, script, "--outdir", str(tmp_path), "--paths", "8"],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=300)
+    assert done.returncode == 0, done.stderr
+    for name in ("defect_wins", "cooperate_wins"):
+        payload = json.loads((tmp_path / f"pd_{name}.json").read_text())
+        assert len(payload["per_path"]) == 8
+
+
 def test_run_verifications_stops_at_an_input_error(tmp_path, monkeypatch):
     path = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_verifications.py")
     spec = importlib.util.spec_from_file_location("run_verifications", path)

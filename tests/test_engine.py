@@ -56,7 +56,7 @@ def test_deepest_floor_keeps_shares_above_state_floor():
     traj = engine.simulate_sde([[10.0, 10.0], [-10.0, -10.0]], [0.1, 0.1], [0.5, 0.5], cfg)
     assert traj.clamped
     assert traj.states[-1, 1] < math.exp(-0.99 * engine.MAX_Y_CAP)
-    assert traj.states.min() >= math.exp(-engine.MAX_Y_CAP) / 2 > engine.STATE_FLOOR
+    assert traj.states.min() >= math.exp(-engine.MAX_Y_CAP) / 2
 
 
 def test_drift_hand_values():
@@ -116,43 +116,44 @@ def test_simulation_is_deterministic_and_simplex_preserving():
     assert np.max(np.abs(a.states.sum(axis=1) - 1.0)) <= 1e-12
 
 
-def test_sde_matches_ode_in_small_noise_limit(mixed_dominance_matrix):
-    cfg = engine.SdeConfig(h=1e-4, horizon=10.0, seed=5, record_stride=100)
-    x0 = [1.0 / 3.0] * 3
-    noisy = engine.simulate_sde(mixed_dominance_matrix, [1e-6] * 3, x0, cfg)
-    clean = engine.simulate_ode(mixed_dominance_matrix, x0, cfg)
-    assert np.max(np.abs(noisy.states - clean.states)) < 1e-3
+def replicator_field(A):
+    """The deterministic replicator field ``x_j ((A x)_j - x . A x)``, for scipy."""
+    return lambda _t, x: x * (A @ x - x @ A @ x)
+
+
+def test_sde_matches_ode_in_small_noise_limit(mixed_dominance_matrix, pd_matrix):
+    from scipy.integrate import solve_ivp
+
+    # the zero game's ODE stands still, so there the noise alone moves the path
+    for A, horizon in ((mixed_dominance_matrix, 10.0), (pd_matrix, 4.0), (np.zeros((2, 2)), 5.0)):
+        n = A.shape[0]
+        x0 = [1.0 / n] * n
+        cfg = engine.SdeConfig(h=1e-4, horizon=horizon, seed=5, record_stride=100)
+        noisy = engine.simulate_sde(A, [1e-6] * n, x0, cfg)
+        ref = solve_ivp(replicator_field(A), (0.0, horizon), x0, t_eval=noisy.times,
+                        rtol=1e-10, atol=1e-12)
+        assert np.max(np.abs(noisy.states - ref.y.T)) < 1e-4
+
+
+# The deterministic dynamics is the kernel's sigma -> 0 limit, so the ODE's
+# behaviour is checked on the kernel at tiny noise.
 
 
 def test_ode_is_stationary_at_interior_equilibrium(attrition_testbed_matrix):
     cfg = engine.SdeConfig(h=1e-3, horizon=5.0, seed=0)
-    traj = engine.simulate_ode(attrition_testbed_matrix, [0.6, 0.2, 0.2], cfg)
+    traj = engine.simulate_sde(attrition_testbed_matrix, [1e-12] * 3, [0.6, 0.2, 0.2], cfg)
     assert np.max(np.abs(traj.states - np.array([0.6, 0.2, 0.2]))) < 1e-12
-
-
-def test_ode_agrees_with_scipy_reference(pd_matrix):
-    from scipy.integrate import solve_ivp
-
-    def field(_t, x):
-        ax = pd_matrix @ x
-        return x * (ax - x @ ax)
-
-    x0 = [0.5, 0.5]
-    cfg = engine.SdeConfig(h=1e-3, horizon=4.0, seed=0, record_stride=1000)
-    mine = engine.simulate_ode(pd_matrix, x0, cfg)
-    ref = solve_ivp(field, (0.0, 4.0), x0, t_eval=mine.times, rtol=1e-10, atol=1e-12)
-    assert np.max(np.abs(mine.states - ref.y.T)) < 1e-6
 
 
 def test_ode_drives_out_dominated_strategy(mixed_dominance_matrix):
     cfg = engine.SdeConfig(h=1e-3, horizon=30.0, seed=0, record_stride=100)
-    traj = engine.simulate_ode(mixed_dominance_matrix, [1 / 3] * 3, cfg)
+    traj = engine.simulate_sde(mixed_dominance_matrix, [1e-6] * 3, [1 / 3] * 3, cfg)
     assert traj.states[-1, 0] < 1e-4
 
 
 def test_ode_selects_defection_in_pd():
     cfg = engine.SdeConfig(h=1e-3, horizon=40.0, seed=0, record_stride=100)
-    traj = engine.simulate_ode(PD, [0.5, 0.5], cfg)
+    traj = engine.simulate_sde(PD, [1e-6] * 2, [0.5, 0.5], cfg)
     assert traj.states[-1, 1] > 0.999
 
 
@@ -218,7 +219,8 @@ def test_log_share_kernel_invariants(case):
     cfg = engine.SdeConfig(h=1e-2, horizon=10.0, seed=seed, record_stride=10, y_cap=50.0)
     a = engine.simulate_sde(A, sigma, x0, cfg, path_index=0)
     assert np.all(np.isfinite(a.states))
-    assert np.all(a.states >= engine.STATE_FLOOR)
+    # the module's stated floor on every share, with room for rounding only
+    assert np.all(a.states >= math.exp(-cfg.y_cap) / A.shape[0] * (1 - 1e-12))
     assert np.max(np.abs(a.states.sum(axis=1) - 1.0)) <= 1e-12
 
     again = engine.simulate_sde(A, sigma, x0, cfg, path_index=0)
@@ -235,41 +237,49 @@ def test_log_share_kernel_invariants(case):
 
 
 # ---------------------------------------------------------------------------
-# sizes process
+# strong order on coupled increments
 
 
-def test_sizes_stays_near_half_for_degenerate_game():
-    cfg = engine.SdeConfig(h=1e-3, horizon=5.0, seed=3)
-    traj = engine.simulate_sizes(np.zeros((2, 2)), [1e-4, 1e-4], [1.0, 1.0], cfg)
-    assert np.max(np.abs(traj.states - 0.5)) < 1e-2
+def coupled_increments(xi: np.ndarray, sigma: np.ndarray, h_fine: float, factor: int):
+    """A stand-in for ``engine._increments`` that yields one block: each step's
+    increment is the sum of ``factor`` consecutive increments of a run at step
+    ``h_fine``, whose normals are ``xi`` (paths, fine steps, n).  So runs at
+    ``h_fine`` and ``factor * h_fine`` share each path's Brownian motion."""
+    def increments(seed, paths, n, total_steps, scale):
+        dw = xi[:, :total_steps * factor] * (math.sqrt(h_fine) * sigma)
+        dw = dw.reshape(len(xi), total_steps, factor, n).sum(axis=2)
+        yield np.repeat(dw.transpose(1, 2, 0), scale.shape[1] // len(xi), axis=2)
+    return increments
 
 
-def test_sizes_tracks_sde_with_same_increments():
-    cfg = engine.SdeConfig(h=1e-4, horizon=5.0, seed=4, record_stride=10)
-    a = engine.simulate_sde(PD, [0.1, 0.1], [0.5, 0.5], cfg)
-    b = engine.simulate_sizes(PD, [0.1, 0.1], [1.0, 1.0], cfg)
-    assert np.max(np.abs(a.states - b.states)) < 1e-2
+def test_kernel_strong_error_halves_with_step(monkeypatch):
+    # Higham (SIAM Review 43, 2001): on shared Brownian paths, a strong-first-order
+    # scheme's pathwise error against a fine reference halves with the step.
+    sigma, x0, horizon, h_ref = np.array([0.1, 0.1]), [0.5, 0.5], 5.0, 1.25e-4
+    paths = list(range(20))
+    n_ref = round(horizon / h_ref)
+    xi = np.stack([rng.path_generator(0, p).standard_normal((n_ref, 2)) for p in paths])
 
+    def states(h, factor=None):
+        """The paths' states every 0.01 at step ``h``; with ``factor``, driven by
+        the stand-in's increments at step ``h / factor``."""
+        cfg = engine.SdeConfig(h=h, horizon=horizon, seed=0, record_stride=round(0.01 / h))
+        with monkeypatch.context() as m:
+            if factor:
+                m.setattr(engine, "_increments", coupled_increments(xi, sigma, h / factor, factor))
+            return engine._sde_chunk(PD, sigma, x0, cfg, paths).states
 
-def test_sizes_coupling_error_halves_with_step():
-    smaller = 0
-    for seed in range(20):
-        diffs = []
-        for h in (2e-3, 1e-3):
-            cfg = engine.SdeConfig(h=h, horizon=5.0, seed=seed, record_stride=int(0.01 / h))
-            a = engine.simulate_sde(PD, [0.1, 0.1], [0.5, 0.5], cfg)
-            b = engine.simulate_sizes(PD, [0.1, 0.1], [0.5, 0.5], cfg)
-            diffs.append(np.max(np.abs(a.states - b.states)))
-        if diffs[1] < diffs[0]:
-            smaller += 1
-        assert 0.3 <= diffs[1] / diffs[0] <= 0.7
-    assert smaller >= 18
+    # at factor 1 the stand-in gives the kernel's own bytes
+    real = states(2e-3)
+    assert states(2e-3, 1).tobytes() == real.tobytes()
+    cfg = engine.SdeConfig(h=2e-3, horizon=horizon, seed=0, record_stride=5)
+    assert engine.simulate_sde(PD, sigma, x0, cfg).states.tobytes() == real[0].tobytes()
 
-
-def test_sizes_abort_diagnostics():
-    cfg = engine.SdeConfig(h=0.5, horizon=10.0, seed=11)
-    with pytest.raises(SimulationError, match=r"positive cone at step 2 \(t=1\)"):
-        engine.simulate_sizes(np.zeros((2, 2)), [40.0, 40.0], [1.0, 1.0], cfg)
+    ref = states(h_ref, 1)
+    coarse, fine = (np.abs(states(h, round(h / h_ref)) - ref).max(axis=(1, 2))
+                    for h in (2e-3, 1e-3))
+    assert np.all((0.3 <= fine / coarse) & (fine / coarse <= 0.7))
+    assert np.count_nonzero(fine < coarse) >= 18
 
 
 # ---------------------------------------------------------------------------

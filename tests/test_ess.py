@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import logging
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -186,6 +188,14 @@ def test_golden_unique_ess_grid_digest():
         h.update(r.strategy.tobytes())
         h.update(json.dumps([list(r.support), r.common_payoff, r.status]).encode())
     assert h.hexdigest() == GOLDEN_GRID_DIGEST
+
+
+def test_sweep_script_prints_the_golden_grid_digest(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "ess_sweep.py"
+    done = subprocess.run([sys.executable, str(script), "--check", "--out", str(tmp_path / "sweep")],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert f"grid digest {GOLDEN_GRID_DIGEST}" in done.stdout
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TESTBED_DIGESTS))
