@@ -3,16 +3,16 @@
 Every bound here is an exact inequality for the continuous-time process; the
 campaigns check the discretized, finitely-sampled analogue.  Each check's
 verdict rule is a row of :data:`RULES`: an estimator (the batch mean, or the
-fraction of paths above or below a threshold), the side of the analytic value
-the estimate must stay on, and a slack.  A bound "holds empirically" when the
+fraction of paths above a threshold), the side of the analytic value the
+estimate must stay on, and a slack.  A bound "holds empirically" when the
 estimate does not cross the analytic value by more than three standard errors
 plus that slack: the discretization allowance ``max(h, sqrt(h) * sigma_max)``
-for 2.3a, 2.4, 2.8 and 3.1, the step ``h`` for 2.3b, and none for the 3.1
-decay proxy, 4.2 and 5.1.  Two checks keep rules of their own: 4.1 compares a
-ladder of three capture estimates within two combined standard errors, and
-4.3 asks every path to hit, the mean to respect the bound and 99% of paths to
-hit within ten times the mean.  A ``violated`` verdict therefore signals a
-real inconsistency, not Monte Carlo noise; ``inconclusive`` marks runs whose
+for 2.3a, 2.4, 2.8 and 3.1, the step ``h`` for 2.3b, and none for 4.2 and
+5.1.  Two checks keep rules of their own: 4.1 compares a ladder of three
+capture estimates within two combined standard errors, and 4.3 asks every
+path to hit, the mean to respect the bound and 99% of paths to hit within ten
+times the mean.  A ``violated`` verdict therefore signals a real
+inconsistency, not Monte Carlo noise; ``inconclusive`` marks runs whose
 hypotheses were not checkable or that sit outside the regime a statement
 covers.
 
@@ -117,7 +117,7 @@ class Rule(NamedTuple):
     """How one check turns a batch into a verdict."""
 
     name: str           # report name
-    estimator: str      # mean | above | below (fraction of finite values past the threshold)
+    estimator: str      # mean | above (fraction of finite values above the threshold)
     direction: str      # upper: estimate <= analytic value; lower: estimate >= it
     slack: str | None   # discretization | h | None
 
@@ -129,7 +129,6 @@ RULES = {
     "2.8": Rule("2.8 time-averaged squared distance (effective matrix)", "mean", "upper",
                 "discretization"),
     "3.1": Rule("3.1 dominated-strategy tail", "above", "upper", "discretization"),
-    "3.1 decay": Rule("3.1 almost-sure decay proxy", "below", "lower", None),
     "4.2": Rule("4.2 absorption at some vertex", "above", "lower", None),
     "5.1": Rule("5.1 persistence of maximum effort", "above", "lower", None),
 }
@@ -150,8 +149,7 @@ def rule_report(tag: str, analytic: float, per_path: dict, threshold, inputs: di
         estimate, se = result.mean, result.std_error
     else:
         finite = result.values[np.isfinite(result.values)]
-        past = finite > threshold if rule.estimator == "above" else finite < threshold
-        estimate = float(np.mean(past)) if finite.size else math.nan
+        estimate = float(np.mean(finite > threshold)) if finite.size else math.nan
         se = proportion_se(estimate, finite.size)
     if rule.slack == "discretization":
         slack = discretization_slack(inputs["h"], float(np.max(inputs["sigma"])))
@@ -382,28 +380,6 @@ def extinction_report(A, k: int, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
             "dominating_mix": np.asarray(p, dtype=float).tolist(),
         },
     )
-
-
-def almost_sure_decay_check(A, k: int, p, sigma, x0, cfg: engine.SdeConfig,
-                            n_paths: int) -> BoundReport:
-    """Pathwise proxy for decay faster than the exponential envelope.
-
-    Per path the envelope-compensated share ``x_k(t) exp((c1-c2) t - 3
-    sigma_max sqrt(t log log t))`` is maximized over the early and late halves
-    of the horizon; decay in the almost-sure sense predicts the late maximum
-    to fall below the early one on all but a vanishing fraction of paths.
-    Verdict is consistent when at least 95% of paths do so.
-    """
-    A = games.as_payoff_matrix(A)
-    x0 = games.as_simplex_point(x0, A.shape[0], interior=True)
-    consts = extinction_constants(A, k, p, sigma, x0)
-    if not consts.condition_holds:
-        raise PreconditionError("extinction-drift", "c2 < c1 must hold")
-    stat = engine.decay_envelope_ratio_stat(k, consts.c1 - consts.c2, consts.sigma_max)
-    result = engine.batch_run(A, sigma, x0, cfg, n_paths, stat)
-    return rule_report("3.1 decay", 0.95, {stat.name: result}, 1.0,
-                       _inputs(A, sigma, x0, cfg, n_paths, strategy=k),
-                       {"rate": consts.c1 - consts.c2, "sigma_max": consts.sigma_max})
 
 
 # ---------------------------------------------------------------------------

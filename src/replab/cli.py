@@ -104,16 +104,20 @@ def load_attrition_spec(path: str):
     return spec
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(text: str, n: int, flag: str) -> np.ndarray:
+    """The comma-separated value of ``flag``, which must have ``n`` entries."""
     try:
-        return np.array([float(v) for v in text.split(",")])
+        vector = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
-        raise InputError(f"cannot parse vector {text!r}") from exc
+        raise InputError(f"cannot parse {flag} {text!r}") from exc
+    if vector.size != n:
+        raise InputError(f"{flag} has {vector.size} entries for {n} strategies")
+    return vector
 
 
-def _sigma_arg(args, fallback):
+def _sigma_arg(args, fallback, n: int):
     """``--sigma`` if given, else ``fallback`` (the game file's, or a default)."""
-    sigma = _parse_vector(args.sigma) if args.sigma else fallback
+    sigma = _parse_vector(args.sigma, n, "--sigma") if args.sigma else fallback
     if sigma is None:
         raise InputError("no diffusion coefficients: set 'sigma' in the file or pass --sigma")
     return sigma
@@ -204,19 +208,20 @@ def _parse_stat(text: str, n: int) -> engine.Statistic:
     if text == "max_final_share":
         return engine.max_final_share()
     if text.startswith("final_share:"):
-        j = int(text.split(":", 1)[1])
-        if not 1 <= j <= n:
-            raise ValidationError(f"strategy index {j} out of range 1..{n}")
-        return engine.final_share(j - 1)
+        index = text.split(":", 1)[1]
+        if not (index.isdecimal() and 1 <= int(index) <= n):
+            raise InputError(f"strategy index {index!r} in --stat is not one of 1..{n}")
+        return engine.final_share(int(index) - 1)
     raise ValidationError(f"unknown statistic {text!r}")
 
 
 def cmd_simulate(args) -> int:
     A, sigma, _labels = load_game(args.game)
     n = A.shape[0]
-    sigma = games.as_noise_vector(_sigma_arg(args, sigma), n)
-    x0 = _parse_vector(args.x0) if args.x0 else games.uniform_point(n)
+    sigma = games.as_noise_vector(_sigma_arg(args, sigma, n), n)
+    x0 = _parse_vector(args.x0, n, "--x0") if args.x0 else games.uniform_point(n)
     x0 = games.as_simplex_point(x0, n, interior=True)
+    stat = _parse_stat(args.stat, n)
     cfg = _config_from(args)
     manifest = _manifest(args, inputs=[args.game])
 
@@ -229,7 +234,6 @@ def cmd_simulate(args) -> int:
               + (" (log-share floor reached)" if traj.clamped else ""))
         return EXIT_OK
 
-    stat = _parse_stat(args.stat, n)
     result = engine.batch_run(A, sigma, x0, cfg, args.paths, stat)
     out_json = args.out + ".json"
     manifest.write_output(out_json, fileio.json_text(result.to_json_dict()))
@@ -283,9 +287,10 @@ def cmd_verify(args) -> int:
     else:
         A, sigma, _labels = load_game(args.game)
         game, n = {"A": A}, A.shape[0]
-    sigma = games.as_noise_vector(_sigma_arg(args, sigma), n)
+    sigma = games.as_noise_vector(_sigma_arg(args, sigma, n), n)
     if "x0" in flags:
-        given["x0"] = _parse_vector(given["x0"]) if "x0" in given else games.uniform_point(n)
+        given["x0"] = (_parse_vector(given["x0"], n, "--x0") if "x0" in given
+                       else games.uniform_point(n))
     report = getattr(module, check)(**game, sigma=sigma, cfg=cfg, n_paths=args.paths,
                                     **{**defaults, **given})
     if isinstance(report, dict):    # the attraction checks share one batch

@@ -431,8 +431,6 @@ class Statistic:
     t: float | None = None                  # recorded time, or start of a window
     region: Region | None = None
     point: tuple[float, ...] | None = None
-    rate: float | None = None
-    sigma_max: float | None = None
     level: float | None = None
 
     @property
@@ -483,14 +481,6 @@ def _reduce(st: Statistic, times: np.ndarray, states: np.ndarray,
         return np.where(np.isfinite(first_hit), first_hit, times[-1])
     if kind == "hit_flag":
         return np.isfinite(first_hit).astype(float)
-    if kind == "decay_envelope_ratio":
-        envelope = st.rate * times
-        big = times > math.e
-        envelope[big] -= 3.0 * st.sigma_max * np.sqrt(times[big] * np.log(np.log(times[big])))
-        m = states[:, :, st.j] * np.exp(envelope)
-        half = times[-1] / 2.0
-        early = m[:, times <= half].max(axis=1)
-        return m[:, times > half].max(axis=1) / np.maximum(early, 1e-300)
     if kind == "captured":
         stayed = st.region.contains(states).all(axis=1)
         return (stayed & (states[:, -1, st.j] > 1.0 - st.level)).astype(float)
@@ -537,18 +527,6 @@ def hit_flag_stat(region: Region, name: str | None = None) -> Statistic:
     """1 if the path enters the region on the step grid, else 0."""
     return Statistic(name=name or f"hit[{region.describe()}]",
                      kind="hit_flag", region=region)
-
-
-def decay_envelope_ratio_stat(k: int, rate: float, sigma_max: float) -> Statistic:
-    """Late-to-early ratio of the exponential-envelope-compensated share.
-
-    Per path, ``M(t) = x_k(t) * exp(rate * t - 3 sigma_max sqrt(t log log t))``
-    (the square-root term applies only once ``log log t`` is positive); the
-    statistic is ``max M over the late half / max M over the early half`` and
-    values below one indicate decay faster than the envelope.
-    """
-    return Statistic(name=f"decay_envelope_ratio_{k}", kind="decay_envelope_ratio",
-                     j=k, rate=float(rate), sigma_max=float(sigma_max))
 
 
 def captured_stat(region: Region, j: int, level: float, name: str | None = None) -> Statistic:

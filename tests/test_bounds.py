@@ -7,7 +7,7 @@ import pytest
 from replab import attrition, bounds, engine, fileio, games
 from replab.errors import PreconditionError, ValidationError
 
-from util import normal_cdf_quadrature
+from util import normal_cdf_quadrature, scaled_noise
 
 R33 = np.array([[2.0, 2.0, 2.0], [4.0, 1.0, 1.0], [1.0, 4.0, 4.0]])
 PD = np.array([[3.0, 0.0], [5.0, 1.0]])
@@ -210,14 +210,6 @@ def test_extinction_rate_shows_in_tail_slope():
     assert slope <= -gamma / 2.0
 
 
-def test_almost_sure_decay_check():
-    cfg = engine.SdeConfig(h=1e-3, horizon=30.0, seed=31, record_stride=50)
-    report = bounds.almost_sure_decay_check(R33, 0, [0.0, 0.5, 0.5], [0.3] * 3,
-                                            [1 / 3] * 3, cfg, 60)
-    assert report.verdict == "consistent"
-    assert report.empirical_value >= 0.95
-
-
 # ---------------------------------------------------------------------------
 # vertex hitting construction
 
@@ -283,6 +275,17 @@ def test_extinction_report_consistent():
     assert report.verdict == "consistent"
     assert report.details["c1"] == pytest.approx(0.5)
     assert report.details["exceedances"] == 0
+
+
+@pytest.mark.parametrize("factor, verdict", [(1, "consistent"), (4, "violated")])
+def test_extinction_report_detects_fourfold_noise(factor, verdict, monkeypatch):
+    # the 3.1 tail check's power against an engine fault on the
+    # mixed_dominance.json testbed (R33, sigma 0.3): the kernel's noise x4
+    # with the bound at the true sigma puts 49 of 2000 paths above eps
+    scaled_noise(monkeypatch, factor)
+    cfg = engine.SdeConfig(h=1e-3, horizon=20.0, seed=1, record_stride=500)
+    report = bounds.extinction_report(R33, 0, [0.3] * 3, [1 / 3] * 3, cfg, 2000)
+    assert report.verdict == verdict
 
 
 def test_stability_basin_probe():
@@ -359,8 +362,6 @@ GOLDEN_ATTRACTION = {
     "2.8": ("c72b08713e998342dc9ef839799c58b9cc4faa5ddd96f4c3deec042b4a695ede",
             "bd4a440e4ac29a722958a42b7919c362fa85b139112a13595ffd207a1a752136"),
 }
-GOLDEN_DECAY = ("3feed48c6301bedfcc80f1e5b7512274780cb3f3b0cb0f31f985d2e3a28e3565",
-                "2c25790c2e358751c40aadec5b2d2ce9ea8d2936d52d412628f12f1ef9f42feb")
 
 
 def test_golden_attraction_batch_digests(attrition_testbed_matrix):
@@ -368,10 +369,3 @@ def test_golden_attraction_batch_digests(attrition_testbed_matrix):
     reports = bounds.ess_attraction_reports(attrition_testbed_matrix, [0.05] * 3,
                                             [1 / 3] * 3, cfg, 8)
     assert {tag: report_digests(r) for tag, r in reports.items()} == GOLDEN_ATTRACTION
-
-
-def test_golden_decay_check_digests():
-    cfg = engine.SdeConfig(h=1e-3, horizon=30.0, seed=1, record_stride=50)
-    report = bounds.almost_sure_decay_check(R33, 0, [0.0, 0.5, 0.5], [0.3] * 3,
-                                            [1 / 3] * 3, cfg, 20)
-    assert report_digests(report) == GOLDEN_DECAY

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from replab import __version__, cli, engine, games
+from replab import __version__, bounds, cli, engine, games
 
 
 def write_game(path, A, sigma=None, labels=None):
@@ -141,6 +141,18 @@ def test_simulate_batch_json(pd_file, tmp_path):
     assert 0.0 <= payload["mean"] <= 1.0
 
 
+@pytest.mark.parametrize("paths", ["1", "3"])
+@pytest.mark.parametrize("stat", ["final_share:x", "final_share:", "final_share:1.5"])
+def test_simulate_non_integer_stat_index_exits_1(stat, paths, pd_file, tmp_path, capsys):
+    # a single path reads no statistic, but a malformed one is still refused
+    out = str(tmp_path / "batch")
+    rc = cli.main(["simulate", pd_file, "--seed", "6", "--T", "1", "--paths", paths,
+                   "--stat", stat, "--out", out])
+    assert rc == 1
+    assert f"strategy index {stat.split(':')[1]!r}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["pd.json"]
+
+
 def test_simulate_batch_reports_clamped_paths(pd_file, tmp_path, capsys):
     out = str(tmp_path / "batch")
     assert cli.main(["simulate", pd_file, "--seed", "3", "--h", "0.1", "--T", "600",
@@ -203,6 +215,36 @@ def test_simulate_requires_seed(pd_file, tmp_path):
 
 # ---------------------------------------------------------------------------
 # verify
+
+
+COMMANDS = {"simulate": ["--paths", "3"],
+            "verify": ["--theorem", "3.1", "--k", "1", "--paths", "3"]}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("flag, value", [("--x0", "0.5,0.5"), ("--sigma", "0.1,0.1")])
+def test_vector_flags_of_the_wrong_length_exit_1(command, flag, value, mixed_file, tmp_path,
+                                                 capsys):
+    out = str(tmp_path / "v")
+    rc = cli.main([command, mixed_file, *COMMANDS[command], "--seed", "1", "--T", "1",
+                   flag, value, "--out", out])
+    assert rc == 1
+    assert f"{flag} has 2 entries for 3 strategies" in capsys.readouterr().err
+    assert not os.path.exists(out + ".json")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--x0", "0.5,0.4,0.2", "weights sum to"),
+    ("--sigma", "0.1,0.1,0", "must be finite and > 0"),
+])
+def test_verify_out_of_domain_vector_flags_exit_4(flag, value, message, mixed_file, tmp_path,
+                                                  capsys):
+    out = str(tmp_path / "v")
+    rc = cli.main(["verify", mixed_file, *COMMANDS["verify"], "--seed", "1", "--T", "1",
+                   flag, value, "--out", out])
+    assert rc == 4
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out + ".json")
 
 
 def test_verify_exit_codes_and_report(attrition_game_file, tmp_path):
@@ -299,6 +341,10 @@ def test_verify_passes_eps_zero_to_the_check(mixed_file, tmp_path, capsys):
     assert rc == 4
     assert "threshold must lie in (0, 1)" in capsys.readouterr().err
     assert not os.path.exists(str(tmp_path / "v.json"))
+
+
+def test_every_verdict_rule_has_a_verify_tag():
+    assert set(bounds.RULES) <= set(cli._VERIFY)
 
 
 @pytest.mark.parametrize("tag, game, flag", [

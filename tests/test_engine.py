@@ -470,7 +470,6 @@ def every_kind(n: int, t_record: float) -> list[engine.Statistic]:
         engine.window_max_share(2, 1.5),
         engine.occupation_stat(ball, 1.0),
         engine.time_avg_sq_distance_stat(centre),
-        engine.decay_envelope_ratio_stat(0, 0.5, 0.4),
         engine.captured_stat(games.Region.ball(centre, 0.7), 1, 0.8, name="captured"),
         engine.hitting_time_stat(corner, name="tau"),
         engine.hit_flag_stat(corner, name="hit"),

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: determinants come from a
 memoized Laplace (cofactor) expansion rather than any factorization, the
 lattice values from literal complex Chebyshev evaluation, and the normal
-distribution function from quadrature of the density.
+distribution function from quadrature of the density.  One engine fault, noise
+scaled in the kernel alone, shows what a check can detect.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from replab import engine
 
 
 def cofactor_det(matrix) -> float:
@@ -86,3 +89,16 @@ def random_zero_sum_directions(rng: np.random.Generator, n: int, count: int) -> 
 
 def random_interior_points(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return rng.dirichlet(np.ones(n), size=count)
+
+
+def scaled_noise(monkeypatch, factor: float) -> None:
+    """Feed the SDE kernel ``factor`` times its true Gaussian increments, while
+    every bound still reads the true diffusion coefficients."""
+    true_increments = engine._increments
+
+    def increments(*args):
+        for block in true_increments(*args):
+            block *= factor
+            yield block
+
+    monkeypatch.setattr(engine, "_increments", increments)
