@@ -1,4 +1,4 @@
-"""Discrete war of attrition: payoff construction and closed-form equilibria.
+"""Discrete war of attrition: payoffs, closed-form equilibria and the sweep grid.
 
 Strategies 0..n commit to displaying up to cost ``c_j``; the longer-persisting
 player takes the reward, equal commitments split it, and both pay the loser's
@@ -10,17 +10,17 @@ strategy has a closed form built from a real three-term recurrence ``u_k``
 (a disguised Chebyshev evaluation along the imaginary axis).  All production
 quantities are computed through that real recurrence; the terms alternate in
 sign and grow, so there is no cancellation to worry about.  The complex
-evaluation exists only as a test oracle.
+evaluation exists only as a test oracle.  The noisy dynamics of the game is
+checked in :mod:`replab.bounds` (statement 5.1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import ess, games
 from .errors import SimulationError, ValidationError
 
 SELF_CHECK_RTOL = 1e-9      # the two routes to the normalization constant
@@ -337,73 +337,7 @@ def tridiagonal_det(x: float, gamma1: float, gamma2: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dynamics experiment
-
-
-def persistence_experiment(spec, sigma, x0, cfg, n_paths: int):
-    """Check that the maximum effort strategy keeps resurfacing under noise.
-
-    Simulates the unperturbed game and records, per path, the peak frequency
-    of strategy ``n`` over the final quarter of the horizon; the event counted
-    is that peak exceeding half the stable weight ``p_n`` (which is positive
-    for every admissible spec).  The verdict is ``consistent`` when at least
-    ``1 - eps_target`` of paths (minus Monte Carlo slack) show the event,
-    ``inconclusive`` instead of ``violated`` when the noise level sits outside
-    the sufficient regime derived from the time-average bound (reported, not
-    enforced), since no theorem speaks about that case.
-    """
-    from . import bounds, engine  # local import: bounds depends on this module's statics
-
-    g = _spec(spec)
-    A = base_matrix(g)
-    n_strat = g.n + 1
-    sig = games.as_noise_vector(sigma, n_strat)
-    x0 = games.as_simplex_point(x0, n_strat, interior=True)
-
-    if isinstance(spec, ConstantAttritionSpec):
-        p = closed_form_ess(spec).strategy
-    else:
-        report = ess.unique_ess(A)
-        if report is None:
-            raise SimulationError("no stable strategy found for the base matrix")
-        p = report.strategy
-    p_n = float(p[-1])
-
-    eps_target = 0.05
-    t_start = 0.75 * cfg.n_steps * cfg.h
-    stat = engine.window_max_share(n_strat - 1, t_start)
-    result = engine.batch_run(A, sig, x0, cfg, n_paths, stat)
-
-    lam2 = games.second_eigenvalue(A)
-    sigma_max = float(np.max(sig))
-    d0 = games.kl_distance(x0, p)
-    regime_ok = (
-        lam2 < 0.0
-        and sigma_max**2 / abs(lam2) < p_n**2 * eps_target / 8.0
-        and d0 / (abs(lam2) * max(cfg.horizon / 2.0, 1e-12)) < p_n**2 * eps_target / 16.0
-    )
-
-    report = bounds.rule_report(
-        "5.1", 1.0 - eps_target, {stat.name: result}, p_n / 2.0,
-        {
-            "n": g.n,
-            "sigma": sig.tolist(),
-            "x0": x0.tolist(),
-            "h": cfg.h,
-            "horizon": cfg.horizon,
-            "seed": cfg.seed,
-            "n_paths": n_paths,
-        },
-        {
-            "stable_weight": p_n,
-            "threshold": p_n / 2.0,
-            "window_start": t_start,
-            "noise_regime_sufficient": bool(regime_ok),
-        },
-    )
-    if report.verdict == "violated" and not regime_ok:
-        report = replace(report, verdict="inconclusive")
-    return report
+# sweep grid
 
 
 def ess_sweep_rows(n_values, rho_fractions, v_step: float = 0.25):
@@ -415,6 +349,8 @@ def ess_sweep_rows(n_values, rho_fractions, v_step: float = 0.25):
     left-hand equality are nudged by 1e-9 (and would otherwise sit on a
     measure-zero set where the support system loses rank).
     """
+    if not (math.isfinite(v_step) and v_step > 0.0):
+        raise ValidationError("reward step must be finite and > 0")
     specs = []
     for n in n_values:
         for frac in rho_fractions:

@@ -249,35 +249,33 @@ def cmd_simulate(args) -> int:
 # verify
 
 
-# tag -> (module, check, check-specific flags it reads, keyword defaults).  The
-# check is looked up in its module when it runs, and a flag left out falls back
-# to the check's own default.
+# tag -> (check in bounds, check-specific flags it reads, keyword defaults).  The
+# check is looked up on bounds at call time, so a wrapper set on the module is
+# seen; a flag left out falls back to the check's own default.
 _VERIFY = {
-    "2.3a": (bounds, "ess_attraction_reports", ("x0", "delta", "burn_in"), {"which": ("2.3a",)}),
-    "2.3b": (bounds, "ess_attraction_reports", ("x0", "delta"), {"which": ("2.3b",)}),
-    "2.4": (bounds, "ess_attraction_reports", ("x0",), {"which": ("2.4",)}),
-    "2.8": (bounds, "ess_attraction_reports", ("x0",), {"which": ("2.8",)}),
-    "3.1": (bounds, "extinction_report", ("x0", "k", "eps"), {}),
-    "4.1": (bounds, "stability_basin_probe", ("k", "radius"), {"radius": 0.05}),
-    "4.2": (bounds, "coordination_absorption", ("x0", "eps"), {}),
-    "4.3": (bounds, "vertex_hitting_report", ("x0", "eps"), {}),
-    "5.1": (attrition, "persistence_experiment", ("x0",), {}),
+    "2.3a": ("ess_attraction_reports", ("x0", "delta", "burn_in"), {"which": ("2.3a",)}),
+    "2.3b": ("ess_attraction_reports", ("x0", "delta"), {"which": ("2.3b",)}),
+    "2.4": ("ess_attraction_reports", ("x0",), {"which": ("2.4",)}),
+    "2.8": ("ess_attraction_reports", ("x0",), {"which": ("2.8",)}),
+    "3.1": ("extinction_report", ("x0", "k", "eps"), {}),
+    "4.1": ("stability_basin_probe", ("k", "radius"), {"radius": 0.05}),
+    "4.2": ("coordination_absorption", ("x0", "eps"), {}),
+    "4.3": ("vertex_hitting_report", ("x0", "eps"), {}),
+    "5.1": ("persistence_experiment", ("x0",), {}),
 }
-_CHECK_FLAGS = tuple(dict.fromkeys(f for row in _VERIFY.values() for f in row[2]))
+_CHECK_FLAGS = tuple(dict.fromkeys(f for row in _VERIFY.values() for f in row[1]))
 
 
 def cmd_verify(args) -> int:
     tag = args.theorem
-    module, check, flags, defaults = _VERIFY[tag]
+    check, flags, defaults = _VERIFY[tag]
     given = {name: getattr(args, name) for name in _CHECK_FLAGS
              if getattr(args, name) is not None}
     stray = ["--" + name.replace("_", "-") for name in given if name not in flags]
     if stray:
         raise InputError(f"{', '.join(stray)} not read by --theorem {tag}")
-    if "k" in flags:
-        if "k" not in given:
-            raise InputError(f"--k (1-based strategy index) is required for {tag}")
-        given["k"] -= 1
+    if "k" in flags and "k" not in given:
+        raise InputError(f"--k (1-based strategy index) is required for {tag}")
     cfg = _config_from(args)
     manifest = _manifest(args, inputs=[args.game])
 
@@ -288,10 +286,14 @@ def cmd_verify(args) -> int:
         A, sigma, _labels = load_game(args.game)
         game, n = {"A": A}, A.shape[0]
     sigma = games.as_noise_vector(_sigma_arg(args, sigma, n), n)
+    if "k" in given:
+        if not 1 <= given["k"] <= n:
+            raise InputError(f"strategy index {given['k']} in --k is not one of 1..{n}")
+        given["k"] -= 1
     if "x0" in flags:
         given["x0"] = (_parse_vector(given["x0"], n, "--x0") if "x0" in given
                        else games.uniform_point(n))
-    report = getattr(module, check)(**game, sigma=sigma, cfg=cfg, n_paths=args.paths,
+    report = getattr(bounds, check)(**game, sigma=sigma, cfg=cfg, n_paths=args.paths,
                                     **{**defaults, **given})
     if isinstance(report, dict):    # the attraction checks share one batch
         report = report[tag]
@@ -358,6 +360,8 @@ def cmd_attrition(args) -> int:
             fracs = tuple(float(f) for f in args.rho_fracs.split(","))
         except ValueError as exc:
             raise InputError(f"cannot parse --n-range lo:hi or --rho-fracs: {exc}") from exc
+        if n_lo > n_hi:
+            raise InputError(f"--n-range {args.n_range} is empty: lo must not exceed hi")
         specs = attrition.ess_sweep_rows(range(n_lo, n_hi + 1), fracs, v_step=args.v_step)
         out_csv = args.out + ".csv"
         manifest.write_output(out_csv, _sweep_csv(specs, map(attrition.closed_form_ess, specs)))
@@ -458,10 +462,10 @@ def _manifest(args, inputs) -> fileio.RunManifest:
 def _check_help(name: str, what: str) -> str:
     """``what`` plus, per tag reading the flag, its default or "required"."""
     uses = []
-    for tag, (module, check, flags, defaults) in _VERIFY.items():
+    for tag, (check, flags, defaults) in _VERIFY.items():
         if name in flags:
             default = defaults.get(
-                name, inspect.signature(getattr(module, check)).parameters[name].default)
+                name, inspect.signature(getattr(bounds, check)).parameters[name].default)
             uses.append(f"{tag}: " + ("required" if default is inspect.Parameter.empty
                                       else f"default {default}"))
     return f"{what} ({'; '.join(uses)})"

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ CND_TOL = 1e-10      # |second eigenvalue| below this counts as boundary
 CONE_SAMPLES = 10_000   # random face directions that classify_equilibrium tries
 
 NOT_NASH = "NotNash"
-NASH = "Nash"
 STRICT_NASH = "StrictNash"
 ESS_CERTIFIED = "ESS-certified"
 ESS_REFUTED = "ESS-refuted"
@@ -325,7 +324,6 @@ class DominanceResult:
 
     kind: str                  # "none" | "weak" | "strict"
     margin: float
-    per_vertex: tuple[float, ...] = field(repr=False, default=())
 
 
 def verify_dominance(A, k: int, p) -> DominanceResult:
@@ -345,7 +343,7 @@ def verify_dominance(A, k: int, p) -> DominanceResult:
         kind = "weak"
     else:
         kind = "none"
-    return DominanceResult(kind=kind, margin=margin, per_vertex=tuple(float(d) for d in diffs))
+    return DominanceResult(kind=kind, margin=margin)
 
 
 def best_dominating_mix(A, k: int):

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import json
@@ -347,6 +348,69 @@ def test_every_verdict_rule_has_a_verify_tag():
     assert set(bounds.RULES) <= set(cli._VERIFY)
 
 
+def test_every_verify_tag_runs_a_check_of_bounds():
+    for tag, (check, _flags, _defaults) in cli._VERIFY.items():
+        assert callable(getattr(bounds, check, None)), tag
+
+
+def test_no_replab_module_imports_replab_inside_a_function():
+    package = os.path.dirname(cli.__file__)
+    local = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        tree = ast.parse(open(os.path.join(package, name), encoding="utf-8").read())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] if node.level == 0 else ["replab"]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(m.split(".")[0] == "replab" for m in modules):
+                    local.append(f"{name}:{node.lineno}")
+    assert local == []
+
+
+@pytest.mark.parametrize("eps", ["0", "-0.5", "nan", "1", "1.5"])
+def test_verify_coordination_eps_out_of_range_exits_4(eps, tmp_path, capsys):
+    out = str(tmp_path / "v")
+    rc = cli.main(["verify", os.path.join(TESTBEDS, "coordination.json"), "--theorem", "4.2",
+                   "--seed", "1", "--T", "5", "--paths", "8", "--eps", eps, "--out", out])
+    assert rc == 4
+    assert "eps must lie in (0, 1 - 1/n)" in capsys.readouterr().err
+    assert not os.path.exists(out + ".json")
+
+
+@pytest.mark.parametrize("tag, game, n", [
+    ("3.1", "mixed_dominance.json", 3),
+    ("4.1", "prisoners_dilemma.json", 2),
+])
+@pytest.mark.parametrize("k", ["0", "5", "-1"])
+def test_verify_k_out_of_range_exits_1(tag, game, n, k, tmp_path, capsys):
+    out = str(tmp_path / "v")
+    rc = cli.main(["verify", os.path.join(TESTBEDS, game), "--theorem", tag, "--seed", "1",
+                   "--T", "1", "--paths", "2", "--k", k, "--out", out])
+    assert rc == 1
+    assert f"strategy index {k} in --k is not one of 1..{n}" in capsys.readouterr().err
+    assert not os.path.exists(out + ".json")
+
+
+def test_verify_persistence_out_of_regime_exits_3(tmp_path, capsys):
+    out = str(tmp_path / "v")
+    rc = cli.main(["verify", os.path.join(TESTBEDS, "attrition_small.json"), "--theorem", "5.1",
+                   "--sigma", "1.5,1.5,1.5", "--T", "20", "--paths", "40", "--seed", "22",
+                   "--stride", "100", "--out", out])
+    assert rc == cli.EXIT_INCONCLUSIVE == 3
+    assert "inconclusive" in capsys.readouterr().out
+    report = json.loads(open(out + ".json").read())
+    assert report["verdict"] == "inconclusive"
+    assert report["details"]["noise_regime_sufficient"] is False
+
+
 @pytest.mark.parametrize("tag, game, flag", [
     ("4.2", "coordination.json", ["--k", "7"]),
     ("4.1", "prisoners_dilemma.json", ["--k", "2", "--x0", "0.5,0.5"]),
@@ -436,6 +500,19 @@ def test_attrition_spec_file_errors_exit_1(tmp_path, capsys):
     assert cli.main(["attrition", "--spec", str(no_v)]) == 1
     assert cli.main(["attrition", "--sweep", "--n-range", "1-3",
                      "--out", str(tmp_path / "s")]) == 1
+    assert cli.main(["attrition", "--sweep", "--n-range", "3:1",
+                     "--out", str(tmp_path / "s")]) == 1
+    assert "--n-range 3:1 is empty" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "s.csv"))
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "0", "-0.25"])
+def test_attrition_sweep_bad_reward_step_exits_4(step, tmp_path, capsys):
+    out = str(tmp_path / "s")
+    assert cli.main(["attrition", "--sweep", "--n-range", "1:2", "--v-step", step,
+                     "--out", out]) == 4
+    assert "reward step must be finite and > 0" in capsys.readouterr().err
+    assert not os.path.exists(out + ".csv")
 
 
 def test_attrition_general_spec(tmp_path, capsys):
