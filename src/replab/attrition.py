@@ -182,16 +182,16 @@ def cheb_u(k: int, rho: float, gamma_sq: float) -> float:
         raise ValidationError("lattice index starts at -1")
     if not gamma_sq > 0.0:
         raise ValidationError("gamma_sq must be > 0")
-    return _u_sequence(k, rho, gamma_sq)[-1]
+    return _u_sequence(k, 2.0 * rho + 1.0, gamma_sq)[-1]
 
 
-def _u_sequence(kmax: int, rho: float, gamma_sq: float) -> np.ndarray:
-    """Values ``u_{-1}, u_0, ..., u_kmax`` (index shift +1)."""
+def _u_sequence(kmax: int, a: float, gamma_sq: float) -> np.ndarray:
+    """Values ``u_{-1}, u_0, ..., u_kmax`` of ``u_k = -a u_{k-1} + gamma_sq u_{k-2}``
+    (index shift +1); the lattice has ``a = 2 rho + 1``."""
     out = np.empty(kmax + 2)
     out[0] = 0.0  # u_{-1}
     if kmax >= 0:
         out[1] = 1.0
-    a = 2.0 * rho + 1.0
     for k in range(1, kmax + 1):
         out[k + 1] = -a * out[k] + gamma_sq * out[k - 1]
     return out
@@ -227,7 +227,7 @@ def closed_form_ess(spec: ConstantAttritionSpec) -> ClosedFormEss:
         return ClosedFormEss(strategy=p, s=None, c=None)
 
     g2 = spec.gamma_sq
-    u = _u_sequence(s + 2, rho, g2)     # u[-1 + i] = u_{i-1}
+    u = _u_sequence(s + 2, 2.0 * rho + 1.0, g2)     # u[-1 + i] = u_{i-1}
 
     def uval(k: int) -> float:
         return float(u[k + 1])
@@ -314,7 +314,7 @@ def constant_matrix_det(spec: ConstantAttritionSpec) -> float:
     """
     if not isinstance(spec, ConstantAttritionSpec):
         raise ValidationError("recurrence determinant applies to the constant family")
-    u = _u_sequence(spec.n, spec.rho, spec.gamma_sq)
+    u = _u_sequence(spec.n, 2.0 * spec.rho + 1.0, spec.gamma_sq)
     un = float(u[spec.n + 1])
     un1 = float(u[spec.n])
     return (spec.v / 2.0 - spec.rho) * (un + (spec.v / 2.0 + spec.rho) * un1)
@@ -323,17 +323,13 @@ def constant_matrix_det(spec: ConstantAttritionSpec) -> float:
 def tridiagonal_det(x: float, gamma1: float, gamma2: float, n: int) -> float:
     """Determinant of the n-by-n tridiagonal matrix with ``x`` on the diagonal,
     ``gamma1`` above and ``-gamma2`` below, via the two-term recurrence
-    ``d_n = x d_{n-1} + gamma1 gamma2 d_{n-2}``.
+    ``d_n = x d_{n-1} + gamma1 gamma2 d_{n-2}``: the ``u`` lattice with ``a = -x``.
     """
     if not (gamma1 > 0.0 and gamma2 > 0.0):
         raise ValidationError("off-diagonal magnitudes must be > 0")
     if n < 1:
         raise ValidationError("matrix order must be >= 1")
-    prod = gamma1 * gamma2
-    prev2, prev1 = 1.0, x          # orders 0 and 1
-    for _ in range(2, n + 1):
-        prev2, prev1 = prev1, x * prev1 + prod * prev2
-    return prev1
+    return float(_u_sequence(n, -x, gamma1 * gamma2)[-1])
 
 
 # ---------------------------------------------------------------------------

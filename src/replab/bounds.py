@@ -248,7 +248,7 @@ def modified_time_average_bound(A, sigma, p, x, t: float) -> tuple[float, float]
     if not t > 0.0:
         raise ValidationError("averaging horizon must be > 0")
     lam2p = modified_second_eigenvalue(A, s)
-    if not lam2p < -games.CND_TOL:
+    if games.cnd_status(lam2p) != "negative":
         raise PreconditionError(
             "half-noise-matrix-cnd",
             "A - diag(sigma^2/2) must be conditionally negative definite",
@@ -412,11 +412,6 @@ def ess_attraction_reports(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
     which = tuple(which)
 
     lam2 = games.second_eigenvalue(A)
-    if not lam2 < -games.CND_TOL:
-        raise PreconditionError(
-            "conditionally-negative-definite",
-            "the payoff matrix must be conditionally negative definite",
-        )
     report = ess.unique_ess(A)
     if report is None:
         raise PreconditionError("stable-mix", "no stable strategy found")

@@ -8,10 +8,11 @@ outputs come back with their recorded digests).  Output is
 machine-first (JSON/CSV files); a short human-readable summary goes to
 standard output.
 
-Exit codes: 0 success/consistent, 1 malformed input (an input file or value
-that cannot be read, parsed or used as given), 2 a bound check came out
-violated, 3 inconclusive, 4 a named hypothesis or, for ``verify`` and
-``attrition``, a domain precondition of a parameter failed.
+Exit codes: 0 success/consistent, 1 malformed input (a command line that does
+not parse, or an input file or value that cannot be read, parsed or used as
+given), 2 a bound check came out violated, 3 inconclusive, 4 a named
+hypothesis or, for ``verify`` and ``attrition``, a domain precondition of a
+parameter failed.  ``--help`` and ``--version`` exit 0.
 Seeds are always explicit arguments; nothing is ever seeded from the clock.
 """
 
@@ -50,6 +51,13 @@ def _read_json(path: str, what: str):
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _integer_n(value, where: str) -> int:
+    """A file's ``n``: a JSON integer, so ``2.7``, ``"3"`` and ``true`` are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{where}: 'n' must be an integer, got {value!r}")
+    return value
+
+
 def load_game(path: str):
     """Game file: ``{"n": int, "A": [[...]], "sigma": [...], "labels": [...]?}``.
 
@@ -59,7 +67,7 @@ def load_game(path: str):
     """
     raw = _read_json(path, "game file")
     try:
-        n = int(raw["n"])
+        n = raw["n"]
         A = np.array(raw["A"], dtype=float)
         sigma = raw.get("sigma")
         labels = raw.get("labels")
@@ -67,6 +75,7 @@ def load_game(path: str):
                  len(labels) if labels is not None else n)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"game file {path} needs integer 'n' and matrix 'A': {exc!r}") from exc
+    n = _integer_n(n, f"game file {path}")
     if A.shape != (n, n):
         raise InputError(f"game file {path}: 'A' has shape {A.shape}, 'n' is {n}")
     if sizes != (n, n):
@@ -88,13 +97,14 @@ def load_attrition_spec(path: str):
     raw = _read_json(path, "attrition spec")
     try:
         if raw.get("mode") == "constant" or ("v" in raw and "costs" not in raw):
-            n, v, rho = int(raw["n"]), float(raw["v"]), float(raw.get("rho", 0.0))
+            n = _integer_n(raw["n"], f"attrition spec {path}")
+            v, rho = float(raw["v"]), float(raw.get("rho", 0.0))
             return attrition.ConstantAttritionSpec(n=n, v=v, rho=rho)
         costs = tuple(float(c) for c in raw["costs"])
         rewards = tuple(float(v) for v in raw["rewards"])
         rho = tuple(float(r) for r in raw.get("rho", [0.0] * len(costs)))
         spec = attrition.AttritionSpec(costs=costs, rewards=rewards, rho=rho)
-        if "n" in raw and int(raw["n"]) != spec.n:
+        if "n" in raw and _integer_n(raw["n"], f"attrition spec {path}") != spec.n:
             raise InputError(f"attrition spec {path}: 'n' disagrees with the cost vector")
     except ValidationError:
         raise
@@ -135,7 +145,7 @@ def cmd_analyze(args) -> int:
     A, sigma, labels = load_game(args.game)
     n = A.shape[0]
     lam2 = games.second_eigenvalue(A)
-    cnd = games._cnd_status_of(lam2)
+    cnd = games.cnd_status(lam2)
     report: dict = {
         "n": n,
         "labels": labels or [str(j + 1) for j in range(n)],
@@ -539,8 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:    # argparse has printed the usage and why it refused the line
+            return EXIT_BAD_INPUT
+        raise           # --help and --version
     args._argv = list(argv)
     try:
         return args.func(args)

@@ -466,6 +466,8 @@ def _reduce(st: Statistic, times: np.ndarray, states: np.ndarray,
             raise ValidationError(
                 f"share_at: t={st.t:g} is not a recorded time (nearest {times[i]:g})")
         return states[:, i, st.j].copy()
+    if kind in ("window_max_share", "occupation") and st.t < 0.0:
+        raise ValidationError(f"t_start={st.t:g} must be >= 0")
     if kind == "window_max_share":
         return states[:, times >= st.t, st.j].max(axis=1)
     if kind == "occupation":

@@ -317,7 +317,7 @@ def unique_ess(A) -> EquilibriumReport | None:
     if not games._is_cnd(A):
         raise PreconditionError(
             "conditionally-negative-definite",
-            "unique_ess requires a conditionally negative definite payoff matrix",
+            "the payoff matrix must be conditionally negative definite",
         )
     reports = _solve_all(A, cnd=True)
     stable = [r for r in reports if r.is_ess]

@@ -16,8 +16,13 @@ coefficients into a single magnitude, and the dominance/equilibrium
 classifiers provide the static side of every long-run statement the package
 checks by simulation.
 
+Conditional negative definiteness ("CND": the payoff form is negative on the
+zero-sum hyperplane) is decided in one place, :func:`cnd_status`, from the
+second eigenvalue; every module that needs the sign asks it.
+
 Inputs are checked once, at the public entry points; ``ess`` calls the private
-bodies behind them (``_classify_equilibrium``) on arrays it has checked.
+bodies behind them (``_classify_equilibrium``, ``_is_cnd``) on arrays it has
+checked.
 """
 
 from __future__ import annotations
@@ -218,7 +223,7 @@ def second_eigenvalue(A) -> float:
     attraction toward a stable mix.
 
     Memoized on the matrix's shape and bytes (a small LRU cache), so the
-    checks that each ask for it, such as ``cnd_status`` and then
+    checks that each ask for it, such as a bound's precondition and then
     ``classify_equilibrium``, share one eigen-solve.  A matrix changed in
     place has new bytes and is solved again.
     """
@@ -233,13 +238,12 @@ def _second_eigenvalue(n: int, data: bytes) -> float:
     return float(np.linalg.eigvalsh(Q.T @ D @ Q)[-1])
 
 
-def cnd_status(A) -> str:
-    """One of ``negative`` / ``boundary`` / ``nonnegative`` for the centered form."""
-    return _cnd_status_of(second_eigenvalue(A))
+def cnd_status(lam2: float) -> str:
+    """``negative`` / ``boundary`` / ``nonnegative``: the CND sign of a second eigenvalue.
 
-
-def _cnd_status_of(lam2: float) -> str:
-    """``cnd_status`` from an already computed second eigenvalue."""
+    Only ``negative`` counts as CND: certificates are claimed only when the
+    sign is unambiguous, so a value within ``CND_TOL`` of zero, or NaN, is not.
+    """
     if lam2 < -CND_TOL:
         return "negative"
     if lam2 <= CND_TOL:
@@ -247,19 +251,9 @@ def _cnd_status_of(lam2: float) -> str:
     return "nonnegative"
 
 
-def is_conditionally_negative_definite(A) -> bool:
-    """True iff the quadratic form is negative on the zero-sum hyperplane.
-
-    Boundary cases (second eigenvalue within ``CND_TOL`` of zero) report
-    False: the certificates built on top of this test are only claimed when
-    the sign is unambiguous.
-    """
-    return cnd_status(A) == "negative"
-
-
 def _is_cnd(A: np.ndarray) -> bool:
-    """``is_conditionally_negative_definite`` of a checked matrix."""
-    return _cnd_status_of(_second_eigenvalue(A.shape[0], A.tobytes())) == "negative"
+    """Whether a checked matrix is conditionally negative definite."""
+    return cnd_status(_second_eigenvalue(A.shape[0], A.tobytes())) == "negative"
 
 
 def kl_distance(x, p) -> float:
@@ -401,9 +395,6 @@ def best_dominating_mix(A, k: int):
                     best_points = [p]
                 elif abs(val - best_val) <= 1e-12:
                     best_points.append(p)
-
-    if not best_points or best_val < -TIE_TOL:
-        return None
 
     candidates = [p for p in best_points
                   if np.max(np.abs(p - vertex(n, k))) > TIE_TOL]

@@ -109,6 +109,21 @@ def test_analyze_malformed_input(tmp_path):
     assert cli.main(["analyze", str(tmp_path / "badn.json"), "--out", str(tmp_path / "r")]) == 1
 
 
+@pytest.mark.parametrize("n", [2.7, "3", True])
+def test_a_non_integer_n_in_an_input_file_exits_1(n, tmp_path, capsys):
+    files = {"game": {"n": n, "A": [[0, 1], [1, 0]]},
+             "constant": {"n": n, "v": 1.0},
+             "general": {"n": n, "costs": [0, 1, 2], "rewards": [1, 1, 1]}}
+    for name, payload in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        argv = (["analyze", str(path), "--out", str(tmp_path / "a")] if name == "game"
+                else ["attrition", "--spec", str(path)])
+        assert cli.main(argv) == 1, name
+        assert f"'n' must be an integer, got {n!r}" in capsys.readouterr().err, name
+    assert not os.path.exists(str(tmp_path / "a.json"))
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -210,8 +225,64 @@ def test_importing_the_cli_leaves_multiprocessing_unimported():
 
 
 def test_simulate_requires_seed(pd_file, tmp_path):
-    with pytest.raises(SystemExit):
-        cli.main(["simulate", pd_file, "--out", str(tmp_path / "x")])
+    assert cli.main(["simulate", pd_file, "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "coordination.json", "--theorem", "9.9", "--seed", "1"], "invalid choice"),
+    (["verify", "coordination.json", "--theorem", "4.3"], "--seed"),
+    (["simulate", "coordination.json", "--seed", "1", "--T", "abc"], "invalid float value"),
+])
+def test_a_command_line_argparse_refuses_exits_1(argv, message, tmp_path, capsys):
+    out = str(tmp_path / "x")
+    argv = [os.path.join(TESTBEDS, a) if a.endswith(".json") else a for a in argv]
+    assert cli.main([*argv, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: replab") and message in err
+    assert not os.path.exists(out + ".json")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--stat", "max_final_share"], None),
+    (["--stat", "bogus"], "unknown statistic 'bogus'"),
+    (["--paths", "0"], "need at least one path"),
+    (["--stride", "0"], "record_stride must be >= 1"),
+])
+def test_simulate_batch_flags(flags, message, tmp_path, capsys):
+    out = str(tmp_path / "s")
+    rc = cli.main(["simulate", os.path.join(TESTBEDS, "coordination.json"), "--seed", "1",
+                   "--T", "1", "--paths", "3", *flags, "--out", out])
+    if message is None:
+        assert rc == 0
+        report = json.loads(open(out + ".json").read())
+        assert report["statistic"] == "max_final_share"
+        assert min(report["per_path"]) >= 1.0 / 3.0
+    else:
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out + ".json")
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"n": 2, "A": [[0, 1], [1, 0]]}, "no diffusion coefficients"),
+    ({"n": 2, "A": [[0, 1], [1, 0]], "sigma": [0.1]}, "1 diffusion coefficients"),
+])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_missing_or_miscounted_sigma_exits_1(payload, message, command, tmp_path, capsys):
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps(payload))
+    flags = ["--theorem", "4.3"] if command == "verify" else []
+    assert cli.main([command, str(game), *flags, "--seed", "1", "--T", "1",
+                     "--out", str(tmp_path / "x")]) == 1
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +317,39 @@ def test_verify_out_of_domain_vector_flags_exit_4(flag, value, message, mixed_fi
     assert rc == 4
     assert message in capsys.readouterr().err
     assert not os.path.exists(out + ".json")
+
+
+@pytest.mark.parametrize("burn_in", ["-0.001", "-5", "0"])
+def test_verify_refuses_a_negative_burn_in(burn_in, tmp_path, capsys):
+    out = str(tmp_path / "v")
+    rc = cli.main(["verify", os.path.join(TESTBEDS, "attrition_game.json"), "--theorem", "2.3a",
+                   "--seed", "1", "--T", "10", "--stride", "10", "--paths", "20",
+                   "--burn-in", burn_in, "--out", out])
+    if burn_in == "0":      # 0.583017 of the time in the ball, against a bound of 0.75
+        assert rc == 2
+        assert (sha(out + ".json"), sha(out + "_paths.csv")) == (
+            "78a812d7aadead4a9a1b14bfb427ed876308e14c907e9dd504a721925a8a15c9",
+            "cc7ce49d303fbbb4c7c79f455fbaf9b7807447c3635fc744dc93ea21126b8984")
+    else:
+        assert rc == 4
+        assert f"t_start={float(burn_in):g} must be >= 0" in capsys.readouterr().err
+        assert not os.path.exists(out + ".json")
+
+
+def test_verify_extinction_needs_k(tmp_path, capsys):
+    assert cli.main(["verify", os.path.join(TESTBEDS, "mixed_dominance.json"),
+                     "--theorem", "3.1", "--seed", "1", "--out", str(tmp_path / "v")]) == 1
+    assert "--k (1-based strategy index) is required for 3.1" in capsys.readouterr().err
+
+
+def test_verify_persistence_on_a_general_spec(tmp_path):
+    spec = tmp_path / "general.json"
+    spec.write_text(json.dumps({"costs": [0, 1, 2], "rewards": [3, 2, 2], "rho": [0, 0, 0]}))
+    out = str(tmp_path / "v")
+    assert cli.main(["verify", str(spec), "--theorem", "5.1", "--seed", "1", "--T", "20",
+                     "--paths", "20", "--stride", "100", "--out", out]) == 0
+    report = json.loads(open(out + ".json").read())
+    assert report["verdict"] == "consistent"
 
 
 def test_verify_exit_codes_and_report(attrition_game_file, tmp_path):
@@ -487,6 +591,23 @@ def test_attrition_vertex_row(capsys):
     assert out == "2,4,0,,0,0,1,"
 
 
+def test_attrition_row_file_replays(tmp_path, capsys):
+    out = str(tmp_path / "P")
+    assert cli.main(["attrition", "--n", "2", "--v", "1", "--out", out]) == 0
+    assert open(out + ".csv").read() == "n,v,rho,s,p_0,p_1,p_2,c\n2,1,0,1,0.6,0.2,0.2,1.25\n"
+    assert cli.main(["rerun", out + ".manifest.json"]) == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["attrition"], "give --spec FILE or both --n and --v"),
+    (["attrition", "--n", "2"], "give --spec FILE or both --n and --v"),
+    (["attrition", "--sweep"], "--out is required in sweep mode"),
+])
+def test_attrition_missing_flags_exit_1(argv, message, capsys):
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_attrition_invalid_rho_exits_4(capsys):
     assert cli.main(["attrition", "--n", "2", "--v", "1", "--rho", "0.6"]) == 4
 
@@ -504,6 +625,10 @@ def test_attrition_spec_file_errors_exit_1(tmp_path, capsys):
                      "--out", str(tmp_path / "s")]) == 1
     assert "--n-range 3:1 is empty" in capsys.readouterr().err
     assert not os.path.exists(str(tmp_path / "s.csv"))
+    disagrees = tmp_path / "disagrees.json"
+    disagrees.write_text(json.dumps({"n": 3, "costs": [0, 1, 2], "rewards": [1, 1, 1]}))
+    assert cli.main(["attrition", "--spec", str(disagrees)]) == 1
+    assert "'n' disagrees with the cost vector" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("step", ["nan", "inf", "0", "-0.25"])
@@ -593,6 +718,8 @@ def test_rerun_checks_output_digests(pd_file, tmp_path, capsys):
     assert code == 1 and missing in err
     code, err = rerun_edited(output_sha256=None)
     assert code == 1 and "no output digests" in err
+    code, err = rerun_edited(command=manifest["command"] + ["--T", "abc"])
+    assert code == 1 and "invalid float value: 'abc'" in err
 
 
 def test_rerun_unreadable_manifest_exits_1(tmp_path, capsys):
@@ -632,3 +759,36 @@ def test_run_verifications_stops_at_an_input_error(tmp_path, monkeypatch):
     monkeypatch.setattr(script, "replab", stub)
     assert script.run_all(tmp_path, seed=1, fast=True) == 1
     assert len(calls) == 1
+
+
+def test_linecov_plugin_lists_statements_never_run():
+    root = os.path.dirname(TESTBEDS)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        os.path.join(root, d) for d in ("src", "scripts")))
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "linecov",
+                           "-p", "no:cacheprovider", os.path.join("tests", "test_rng.py")],
+                          capture_output=True, text=True, cwd=root, env=env, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    listing = dict(line.split(": ", 1) for line in done.stdout.splitlines()
+                   if line.startswith("replab/"))
+    assert "replab/engine.py" in listing     # test_rng.py never imports the engine
+    missing, total = map(int, listing["replab/rng.py"].split(" not run")[0].split(" of "))
+    assert missing < total      # test_rng.py runs most of rng.py
+
+
+def test_linecov_statements_skip_docstrings_and_span_their_lines():
+    spec = importlib.util.spec_from_file_location(
+        "linecov", os.path.join(os.path.dirname(TESTBEDS), "scripts", "linecov.py"))
+    linecov = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(linecov)
+    source = ('"""module doc"""\n'
+              'import os\n'
+              '\n'
+              '@staticmethod\n'
+              'def f(x):\n'
+              '    """function doc"""\n'
+              '    if x:\n'
+              '        return (1 +\n'
+              '                2)\n'
+              '    return 0\n')
+    assert linecov.statements(source) == {2: {2}, 4: {4, 5}, 7: {7}, 8: {8, 9}, 10: {10}}

@@ -41,8 +41,9 @@ def test_config_validation():
         with pytest.raises(ValidationError, match=r"y_cap must lie in \[50, 600\]"):
             engine.SdeConfig(h=1e-3, horizon=1.0, seed=0, y_cap=y_cap)
     assert engine.SdeConfig(h=1e-3, horizon=1.0, seed=0, y_cap=engine.MAX_Y_CAP).y_cap == 600.0
-    with pytest.raises(ValidationError):
-        engine.SdeConfig(h=1e-3, horizon=1.0, seed=-3)
+    for seed in (-3, 1.5):
+        with pytest.raises(ValidationError):
+            engine.SdeConfig(h=1e-3, horizon=1.0, seed=seed)
     cfg = engine.SdeConfig(h=1e-3, horizon=500.0, seed=0)
     assert cfg.effective_stride == math.ceil(500_001 / engine.MAX_RECORD_POINTS)
     assert cfg.record_steps()[-1] == cfg.n_steps
@@ -446,6 +447,8 @@ def test_share_at_reads_recorded_times_and_rejects_others():
     (engine.final_share(2), "does not fit this batch"),
     (engine.share_at(3, 0.5), "does not fit this batch"),
     (engine.captured_stat(games.Region.ball([0.5, 0.5], 0.2), 4, 1e-3), "does not fit this batch"),
+    (engine.occupation_stat(games.Region.ball([0.5, 0.5], 0.1), -0.001), "must be >= 0"),
+    (engine.window_max_share(0, -5.0), "must be >= 0"),
 ])
 def test_bad_statistic_refused_before_any_path_runs(monkeypatch, bad, message):
     def no_integration(*args, **kwargs):
@@ -456,6 +459,19 @@ def test_bad_statistic_refused_before_any_path_runs(monkeypatch, bad, message):
     stats = {"ok": engine.final_share(0), "bad": bad}
     with pytest.raises(ValidationError, match=message):
         engine.batch_run_many(PD, [0.3, 0.3], [0.5, 0.5], cfg, 600, stats)
+
+
+@pytest.mark.parametrize("n_paths, path_indices, statistics, message", [
+    (3, [0, 1], {"s": engine.final_share(0)}, "must match the number of path indices"),
+    (3, [0, 1, 1], {"s": engine.final_share(0)}, "must be distinct"),
+    (3, None, {}, "at least one statistic"),
+    (0, None, {"s": engine.final_share(0)}, "at least one path"),
+])
+def test_batch_arguments_refused(n_paths, path_indices, statistics, message):
+    cfg = engine.SdeConfig(h=1e-3, horizon=1.0, seed=16)
+    with pytest.raises(ValidationError, match=message):
+        engine.batch_run_many(PD, [0.3, 0.3], [0.5, 0.5], cfg, n_paths, statistics,
+                              path_indices=path_indices)
 
 
 def every_kind(n: int, t_record: float) -> list[engine.Statistic]:

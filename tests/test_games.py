@@ -115,12 +115,15 @@ def test_rayleigh_quotient_is_maximized_by_lambda2(seed):
     assert lam2 - best < 1e-3
 
 
+def cnd_status(A) -> str:
+    return games.cnd_status(games.second_eigenvalue(A))
+
+
 def test_cnd_statuses(mixed_dominance_matrix):
-    assert games.is_conditionally_negative_definite(-np.eye(2))
-    assert not games.is_conditionally_negative_definite(np.eye(2))
-    assert games.cnd_status(np.zeros((2, 2))) == "boundary"
-    assert not games.is_conditionally_negative_definite(np.zeros((2, 2)))
-    assert games.cnd_status(mixed_dominance_matrix) == "nonnegative"
+    assert cnd_status(-np.eye(2)) == "negative"
+    assert cnd_status(np.eye(2)) == "nonnegative"
+    assert cnd_status(np.zeros((2, 2))) == "boundary"
+    assert cnd_status(mixed_dominance_matrix) == "nonnegative"
     assert games.second_eigenvalue(mixed_dominance_matrix) == pytest.approx(math.sqrt(3.0))
 
 
@@ -131,7 +134,7 @@ def test_cnd_agrees_with_brute_force_signs():
         A = rng.standard_normal((n, n)) * 2.0
         ys = random_zero_sum_directions(rng, n, 10_000)
         forms = np.einsum("ij,jk,ik->i", ys, A, ys)
-        verdict = games.is_conditionally_negative_definite(A)
+        verdict = cnd_status(A) == "negative"
         if verdict:
             assert np.all(forms < 0.0)
         lam2 = games.second_eigenvalue(A)
