@@ -78,9 +78,10 @@ def load_game(path: str):
     n = _integer_n(n, f"game file {path}")
     if A.shape != (n, n):
         raise InputError(f"game file {path}: 'A' has shape {A.shape}, 'n' is {n}")
-    if sizes != (n, n):
-        raise InputError(f"game file {path}: {sizes[0]} diffusion coefficients and "
-                         f"{sizes[1]} labels for {n} strategies")
+    wrong = [f"{size} {what}" for size, what in zip(sizes, ("diffusion coefficients", "labels"))
+             if size != n]
+    if wrong:
+        raise InputError(f"game file {path}: {' and '.join(wrong)} for {n} strategies")
     A = games.as_payoff_matrix(A)
     if sigma is not None:
         sigma = games.as_noise_vector(sigma, n)
@@ -221,7 +222,7 @@ def _parse_stat(text: str, n: int) -> engine.Statistic:
         index = text.split(":", 1)[1]
         if not (index.isdecimal() and 1 <= int(index) <= n):
             raise InputError(f"strategy index {index!r} in --stat is not one of 1..{n}")
-        return engine.final_share(int(index) - 1)
+        return engine.final_share(int(index) - 1, name=f"final_share_{int(index)}")
     raise ValidationError(f"unknown statistic {text!r}")
 
 

@@ -10,21 +10,26 @@ coupled Brownian increments.  No strategy serves as a reference coordinate.
 The deterministic dynamics is the ``sigma -> 0`` limit and has no integrator
 of its own.
 
-Each SDE step subtracts each path's maximum from ``Z`` and floors it at
-``-y_cap`` (default 500, at most ``MAX_Y_CAP``): a share below ``exp(-500)``
-times the largest is physically extinct, and the floor keeps ``Z`` bounded.
-The floor acts on each strategy alone, so the surviving shares keep moving.
-Every share stays above ``exp(-y_cap) / n``, far above the smallest positive
-double, so the loop needs no floor on the shares themselves.  The floor check
-runs only on steps where a floor hit is possible: one step lowers a log-share
-by at most twice its largest drift-plus-increment, which is bounded from the
-payoffs, the noise and the block of increments drawn, so after a check the
-next one is due once that bound could have used up the gap to the floor, and
-at the start of every block.  The kernel records each path's first floor
-time, and the clamp rule is: a statistic counts a path as clamped when that
-time is no later than the last step the statistic reads, which is the first
-entry into its region for a hitting kind and the horizon for every other kind.
-A statistic's count therefore does not depend on which others share its batch.
+The SDE kernel floors each log-share at ``y_cap`` (default 500, at most
+``MAX_Y_CAP``) below its path's largest: a share below ``exp(-500)`` times the
+largest is physically extinct, and the floor keeps ``Z`` bounded.  The floor
+acts on each strategy alone, so the surviving shares keep moving.  Every share
+stays above ``exp(-y_cap) / n``, far above the smallest positive double, so
+the loop needs no floor on the shares themselves.  The floor check runs only
+on steps where a floor hit is possible: one step lowers a log-share against
+its path's largest by at most twice its largest drift-plus-increment, which is
+bounded from the payoffs, the noise and the block of increments drawn, so
+after a check the next one is due once that bound could have used up the gap
+to the floor, and at the start of every block.  Each path's maximum is
+subtracted from ``Z`` every ``period`` steps (at most 64), where ``period``
+depends on the payoffs, the noise and the step alone: unless an increment
+passes 16 standard deviations, the largest log-share moves by less than 100 in
+between, so ``exp(Z)`` neither overflows nor leaves the normal doubles.  The
+kernel records each path's first floor time, and the clamp rule is: a
+statistic counts a path as clamped when that time is no later than the last
+step the statistic reads, which is the first entry into its region for a
+hitting kind and the horizon for every other kind.  A statistic's count
+therefore does not depend on which others share its batch.
 
 Determinism contract: each path's Gaussian increments come from its own
 counter-based stream (see :mod:`replab.rng`), and the batched SDE kernel
@@ -88,8 +93,8 @@ from .games import Region
 MAX_RECORD_POINTS = 100_000
 MAX_Y_CAP = 600.0                   # every share stays above exp(-600) / n, which
                                     # is far above the smallest normal double
-_STEP_ROUNDING = 1e-9               # per-step slack of the floor-reach bound, far
-                                    # above a step's rounding at |Z| <= MAX_Y_CAP
+_STEP_ROUNDING = 1e-9               # per-step slack of the floor-reach bound, far above
+                                    # a step's rounding at |Z| <= MAX_Y_CAP + 100
 # Recorded floats per chunk: admits 100 paths x 20 001 records x 3 strategies,
 # so full-size 2.3a, 2.4 and 2.8 run as 100 + 100 paths.  A worker of full-size
 # 2.3a peaks at 163 MB resident (RUSAGE_CHILDREN, Linux x86-64, numpy 2.4).
@@ -301,12 +306,15 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
     """Euler-Maruyama in log-share coordinates for a chunk of seeded paths, held as
     (n, columns) in buffers reused every step.  A lone path runs as two columns on
     one stream: BLAS gemv rounds ``A @ x`` differently from gemm for n >= 4, and a
-    path must give the same bytes in any chunk.  Each step writes its shares over
-    the increments it has just used, so a noise block ends up holding the states
-    of its own steps; hit tests and records read them once per segment of
-    ``_SEGMENT`` steps.  The loop runs through step ``read_steps`` (default: the
-    horizon; 0: no record is read or kept), then on while some path has a region
-    still to enter, to the end of the segment where the last one enters."""
+    path must give the same bytes in any chunk.  Each noise block takes the
+    constant drift ``-h sigma^2 / 2`` once, so a step makes six numpy calls:
+    ``(hA) x``, two adds, ``exp``, a sum and a divide, plus a re-centering every
+    ``period`` steps and a floor check where one is due.  Each step writes its
+    shares over the increments it has just used, so a noise block ends up holding
+    the states of its own steps; hit tests and records read them once per segment
+    of ``_SEGMENT`` steps.  The loop runs through step ``read_steps`` (default:
+    the horizon; 0: no record is read or kept), then on while some path has a
+    region still to enter, to the end of the segment where the last one enters."""
     A = games.as_payoff_matrix(A)
     n = A.shape[0]
     m = len(paths)
@@ -344,13 +352,17 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
     Z = np.log(own)
     step, top = np.empty_like(own), np.empty((1, columns))
     sig = np.repeat(games.as_noise_vector(sigma, n)[:, None], columns, axis=1)
-    half_var = 0.5 * sig * sig
-    # |(A x)_j| <= max|A| on the simplex, so this bounds each step's drift term
-    drift_reach = cfg.h * (float(np.abs(A).max()) + float(half_var.max()))
-    h = np.array(cfg.h)
+    ito = 0.5 * cfg.h * sig * sig                       # each step's constant drift is -ito
+    hA = cfg.h * A
+    # |(hA x)_j| <= max|hA| on the simplex, so this bounds each step's payoff term
+    drift_reach = float(np.abs(hA).max())
+    # a bound on one step's move of the largest log-share, but for increments past 16
+    # standard deviations; from the game and the step alone, never from the layout
+    move = drift_reach + float(ito.max()) + 16.0 * math.sqrt(cfg.h) * float(sig.max())
+    period = max(1, min(64, int(100.0 // max(move, 1.0))))
     cap = cfg.y_cap
     dot, exp, maximum = np.dot, np.exp, np.maximum     # dot: the gemm of matmul, less overhead
-    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    add, subtract, divide = np.add, np.subtract, np.divide
     add_reduce, max_reduce, min_reduce = np.add.reduce, np.maximum.reduce, np.minimum.reduce
 
     noise = _increments(cfg.seed, paths, n, cfg.n_steps, math.sqrt(cfg.h) * sig)
@@ -361,34 +373,39 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
             block = next(noise, None)
             if block is None:
                 break
-            # A step lowers a log-share by at most twice its largest |drift + increment|,
-            # so no step before ``check`` can reach the floor.  NaN or inf: check every step.
+            subtract(block, ito, out=block)
+            # A step lowers a log-share against the largest by at most twice its largest
+            # |payoff term + block entry|, so no step before ``check`` can reach the floor.
+            # NaN or inf: check every step.
             reach = 2.0 * (drift_reach + max(block.max(), -block.min())) + _STEP_ROUNDING
             check = k + 1
             for lo in range(0, len(block), _SEGMENT):
                 segment = block[lo:lo + _SEGMENT]
                 for dw in segment:
                     k += 1
-                    dot(A, x, out=step)
-                    subtract(step, half_var, out=step)
-                    multiply(step, h, out=step)
-                    add(Z, step, out=Z)
+                    add(Z, dot(hA, x, out=step), out=Z)
                     add(Z, dw, out=Z)
-                    subtract(Z, max_reduce(Z, axis=0, out=top, keepdims=True), out=Z)
+                    if not k % period:
+                        subtract(Z, max_reduce(Z, axis=0, out=top, keepdims=True), out=Z)
                     if k >= check:
-                        low = min_reduce(Z, axis=None)
-                        if not low >= -cap:     # a floored share, or a non-finite one
+                        # the floor lies y_cap below each path's largest log-share, and
+                        # Z - level < 0 exactly when Z < level, so the floor moves only
+                        # the entries found below it
+                        level = subtract(max_reduce(Z, axis=0, out=top, keepdims=True), cap,
+                                         out=top)
+                        gap = min_reduce(subtract(Z, level, out=step), axis=None)
+                        if not gap >= 0.0:      # a floored share, or a non-finite one
                             bad = ~np.isfinite(Z[:, :m]).all(axis=0)
                             if bad.any():
                                 raise SimulationError(
                                     f"non-finite log-shares at step {k} (t={cfg.h * k:g}) "
                                     f"for paths {[paths[i] for i in np.flatnonzero(bad)[:5]]}"
                                 )
-                            floored = (Z[:, :m] < -cap).any(axis=0)
+                            floored = (step[:, :m] < 0.0).any(axis=0)
                             first_floor[floored & (first_floor == math.inf)] = k * cfg.h
-                            maximum(Z, -cap, out=Z)
-                            low = -cap
-                        span = (low + cap) / reach
+                            maximum(Z, level, out=Z)
+                            gap = 0.0
+                        span = gap / reach
                         check = k + 1 + (int(span) if span >= 0.0 else 0)
                     x = exp(Z, out=dw)
                     divide(x, add_reduce(x, axis=0, out=top, keepdims=True), out=x)
@@ -489,8 +506,8 @@ def _reduce(st: Statistic, times: np.ndarray, states: np.ndarray,
     raise ValidationError(f"unknown statistic kind {kind!r}")
 
 
-def final_share(j: int) -> Statistic:
-    return Statistic(name=f"final_share_{j}", kind="final_share", j=j)
+def final_share(j: int, name: str | None = None) -> Statistic:
+    return Statistic(name=name or f"final_share_{j}", kind="final_share", j=j)
 
 
 def max_final_share() -> Statistic:

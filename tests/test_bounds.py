@@ -357,10 +357,10 @@ GOLDEN_ATTRACTION = {
              "521fe57d9ea09f011a222189e4351d44df3738582f7b2014e8f55ab343136723"),
     "2.3b": ("5fd63bc0350480c76c5cef385139f952e70a4759e06688ba07e4539c8ed6f5e6",
              "27563484409086a70900965223dde230a9e8039a716283c669e6319aa8d79f87"),
-    "2.4": ("48eda282c693276315324b241cc7cd3296bfd8f639a5dac3d7621d3252960fc3",
-            "286f6cc4a0586ff356c451c25cc35f2bfc09fc05385f2b902870f49b991993ff"),
-    "2.8": ("c72b08713e998342dc9ef839799c58b9cc4faa5ddd96f4c3deec042b4a695ede",
-            "bd4a440e4ac29a722958a42b7919c362fa85b139112a13595ffd207a1a752136"),
+    "2.4": ("bf0265b511dbef16f48df02c13ff6ac53785edde4c865b1f436914c7a71d59b5",
+            "7e4c83b6a8ad2911faa92618c24882d42419ab36f8e946950c45fe4ae4fe1be6"),
+    "2.8": ("9299e2f9ca720fa28a5323dd8d1acd44c3a42c6b8f1c881a1aca38f821edc4e7",
+            "3a646241f6a90c9b3e390e43be17757417d2e1b3ccb91c1a624e9911abc66923"),
 }
 
 

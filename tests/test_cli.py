@@ -151,6 +151,7 @@ def test_simulate_batch_json(pd_file, tmp_path):
     payload = json.loads(open(out + ".json").read())
     assert set(payload) == {"statistic", "mean", "std_error", "n_paths", "seed",
                             "clamped_paths", "per_path"}
+    assert payload["statistic"] == "final_share_2"          # named by the 1-based flag
     assert payload["n_paths"] == 12 and payload["seed"] == 6
     assert payload["clamped_paths"] == 0
     assert len(payload["per_path"]) == 12
@@ -274,6 +275,10 @@ def test_simulate_batch_flags(flags, message, tmp_path, capsys):
 @pytest.mark.parametrize("payload, message", [
     ({"n": 2, "A": [[0, 1], [1, 0]]}, "no diffusion coefficients"),
     ({"n": 2, "A": [[0, 1], [1, 0]], "sigma": [0.1]}, "1 diffusion coefficients"),
+    ({"n": 2, "A": [[0, 1], [1, 0]], "sigma": [0.1]},
+     "g.json: 1 diffusion coefficients for 2 strategies\n"),
+    ({"n": 2, "A": [[0, 1], [1, 0]], "sigma": [0.1, 0.1], "labels": ["a"]},
+     "g.json: 1 labels for 2 strategies\n"),
 ])
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_missing_or_miscounted_sigma_exits_1(payload, message, command, tmp_path, capsys):
@@ -542,26 +547,26 @@ GOLDEN_VERIFY = {
              "5fd63bc0350480c76c5cef385139f952e70a4759e06688ba07e4539c8ed6f5e6",
              "27563484409086a70900965223dde230a9e8039a716283c669e6319aa8d79f87"),
     "2.4": ("attrition_game.json", SMALL + ["--stride", "10"],
-            "48eda282c693276315324b241cc7cd3296bfd8f639a5dac3d7621d3252960fc3",
-            "286f6cc4a0586ff356c451c25cc35f2bfc09fc05385f2b902870f49b991993ff"),
+            "bf0265b511dbef16f48df02c13ff6ac53785edde4c865b1f436914c7a71d59b5",
+            "7e4c83b6a8ad2911faa92618c24882d42419ab36f8e946950c45fe4ae4fe1be6"),
     "2.8": ("attrition_game.json", SMALL + ["--stride", "10"],
-            "c72b08713e998342dc9ef839799c58b9cc4faa5ddd96f4c3deec042b4a695ede",
-            "bd4a440e4ac29a722958a42b7919c362fa85b139112a13595ffd207a1a752136"),
+            "9299e2f9ca720fa28a5323dd8d1acd44c3a42c6b8f1c881a1aca38f821edc4e7",
+            "3a646241f6a90c9b3e390e43be17757417d2e1b3ccb91c1a624e9911abc66923"),
     "3.1": ("mixed_dominance.json", ["--T", "5", "--paths", "40", "--stride", "500", "--k", "1"],
-            "28b76ce5436647e96d59e82ec5621f7c4bee4c5c3f7c5359825260fc9c5d876d",
-            "9c6a90420f1a714b32d88cdd7a0281e3a52a6c357e2196c8d4fdc72b6c33f0bc"),
+            "4be90b3ae64a19551c333e5400d574afc8166d97e6da011d52740127bb2d7d7d",
+            "e486c889a961bd250a69a34c02fe373b87fb64e4e92f6953e2bef9a71be7d540"),
     "4.1": ("prisoners_dilemma.json", ["--T", "10", "--paths", "8", "--stride", "100", "--k", "2"],
             "2e203a37cd1d9ee6076974d94f45e24018957449783fd9532ce7ff5159c207ff",
             "9c09127aa3c5e89837fd465b956975835398f6e69eacbe91d2a0d23c71039fff"),
     "4.2": ("coordination.json", SMALL + ["--stride", "100"],
             "27643ce77fe3d379a5a7b4d6674a9e1292d6c1c8ec452a205bc05298d0f375e0",
-            "11109aa748857ea22a600ec23b6018ad19ce56ad0a7e7925dc84ad24f13f5b1e"),
+            "4f555790e1ed96539a3cb5e2515e8fdded1f35ad9451495ed281e1f2c24566a5"),
     "4.3": ("coordination.json", SMALL + ["--stride", "100"],
             "58108476165734c8fa6685b6235aa56c504d7517f006770aa9fca857adb23eea",
             "287b31873aa7f9e4dfb7ddbb111f53002de31475c60a937ae5c63f2a11fa8b62"),
     "5.1": ("attrition_small.json", SMALL + ["--stride", "100"],
             "7bbf05df9be767ca364a903c15404a96efacb72d0305adaecb483f0a36b35279",
-            "20330f7ec245ae82888ad9e75b0a7a303caefeac2b0fed18589d25aa01d831f7"),
+            "cc46db3d67964d995971b0f0eb954eef7151ac841f0e643b11c6413f1e92bff7"),
 }
 
 

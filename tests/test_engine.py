@@ -630,7 +630,7 @@ def test_hitting_only_batch_keeps_no_records(monkeypatch, coordination_matrix):
 # h = 1e-2, T = 3, seed 5), from the kernel that tested and recorded each step
 # as it went.
 CYCLIC = np.array([[0.0, 2.0, -1.0], [-1.0, 0.0, 2.0], [2.0, -1.0, 0.0]])
-GOLDEN_EDGE_SHA256 = "2d11f862da5935f9aeac673289fe0bc30dd35b65258c67a0c85864010efbfa02"
+GOLDEN_EDGE_SHA256 = "f8e61c34b7dbaebb87aae5361a644cbe8adaa8e31a4c32d31362d8a848dceea6"
 EDGE_STEPS = (0, 1, 2, 63, 64, 65, 99, 100, 101, 127, 128, 129, 164, 165, 200, 201, 299, 300)
 
 
@@ -662,9 +662,9 @@ def test_hits_and_records_on_segment_and_block_edges(monkeypatch, block_steps):
 # First entry times and final states of 40 paths of the nine-strategy game
 # into a ball (h = 1e-2, T = 5, seed 31), as one chunk and as lone paths 0 and
 # 7, from the kernel that tested every step.  34 paths enter, at steps 14 to
-# 235.  The ball is the only region that sums over the strategies, and numpy
+# 232.  The ball is the only region that sums over the strategies, and numpy
 # sums eight or more terms pairwise, so the layout of the states it reads matters.
-GOLDEN_BALL_N9_SHA256 = "8e451d42ad43086b515993fc675fa8c59538857c78467ab016c571e5ff036901"
+GOLDEN_BALL_N9_SHA256 = "3a2f5ca43ef07101a8bf0d7de54d8ecc477c74dc26a3a0dd6e0368092baeee9b"
 
 
 def test_golden_ball_entries_at_nine_strategies():
@@ -947,8 +947,8 @@ def test_trajectory_csv_matches_per_value_formatting():
 # golden digests of the log-share kernel; a change means a changed kernel or a
 # changed numpy Gaussian stream (NEP 19)
 
-GOLDEN_TRAJECTORY_SHA256 = "fe88eade97d05007da00f01e3e9a243055d2881ed7c61815fe2b06016c44b318"
-GOLDEN_BATCH_SHA256 = "55a6c610bdb89ae1ebd0b4b5a948c9f8b8982db45f6c6a5456c46a25d20fe816"
+GOLDEN_TRAJECTORY_SHA256 = "4bd19ea0769a507c2cdcddc8eada9e09827be03d10bab4bd9d3e4bd3b6eacf25"
+GOLDEN_BATCH_SHA256 = "bcb7e3a09d823b5ba15ae28acb36cfed09c6cb1f9c1182f2f980565329d854c3"
 
 # Values of the same fixtures from the log-ratio kernel that the log-share
 # kernel replaced.  The two agree in exact arithmetic, so floats may move by
@@ -991,22 +991,23 @@ def test_log_share_kernel_matches_parent_kernel(mixed_dominance_matrix):
     assert hit_digest == LOG_RATIO_KERNEL_HIT_SHA256
 
 
-# Values of nine-strategy fixtures from the kernel that held the state as
-# (paths, n).  The column-major kernel sums each path's shares one strategy
-# after another, where that kernel summed eight or more of them pairwise, so
-# floats may move by rounding only; the largest move measured is the bound.
+# Values of nine-strategy fixtures from a copy of the kernel's step that holds
+# the state as (paths, n).  The column-major kernel sums each path's shares one
+# strategy after another, where that copy sums eight or more of them pairwise,
+# so floats may move by rounding only; the bound is twice the largest move
+# measured (2**-54, at row 100 and at final 512).
 ROW_MAJOR_N9_ROWS = {
-    50: [0.02862685989159939, 0.022640778258011213, 0.13882390935483974,
-         0.06944496411941521, 0.10365661269285507, 0.09273664151122622,
-         0.10301960212698033, 0.25454014403128083, 0.18651048801379203],
-    100: [0.0277555812473916, 0.01487533241405919, 0.15193297058339422,
-          0.049614062922310194, 0.048133782299550364, 0.13556039089781877,
-          0.030427424167411544, 0.28393003323621585, 0.25777042223184815],
+    50: [0.028626859891599323, 0.02264077825801107, 0.1388239093548399,
+         0.06944496411941524, 0.10365661269285496, 0.09273664151122583,
+         0.1030196021269806, 0.2545401440312809, 0.1865104880137922],
+    100: [0.027755581247391557, 0.014875332414058959, 0.15193297058339472,
+          0.04961406292231001, 0.04813378229955004, 0.1355603908978177,
+          0.0304274241674113, 0.2839300332362168, 0.2577704222318488],
 }
-ROW_MAJOR_N9_FINALS = {0: 0.08414496112657936, 511: 0.0009647824160802889,
-                       512: 0.3347563106074006, 599: 0.02615037029971163}
-ROW_MAJOR_N9_FINAL_SUM = 20.100080306339954
-ROW_MAJOR_N9_MAX_DEVIATION = 1.1102230246251565e-16   # measured: 2**-53, at row 100
+ROW_MAJOR_N9_FINALS = {0: 0.0841449611265796, 511: 0.0009647824160802872,
+                       512: 0.33475631060740096, 599: 0.026150370299711595}
+ROW_MAJOR_N9_FINAL_SUM = 20.100080306339937
+ROW_MAJOR_N9_MAX_DEVIATION = 1.1102230246251565e-16   # 2**-53
 
 
 def test_column_major_kernel_matches_row_major_kernel_at_nine_strategies():
@@ -1026,7 +1027,7 @@ def test_column_major_kernel_matches_row_major_kernel_at_nine_strategies():
 # First floor times and final states of 10 lone paths on 2 I, sigma = 0.8,
 # y_cap = 50, T = 30, h = 1e-2, seed 3, from the kernel that checked the floor on
 # every step.  9 paths reach the floor, each one 125 to 320 times.
-GOLDEN_FLOOR_SHA256 = "eefd94b8f6b694790348db555ab7eb9e20f76b927dfe0770cae429bb36284801"
+GOLDEN_FLOOR_SHA256 = "6e7ad2740ea317db79f33fb53ae3783916a0954df42e0ef3236f84335e976685"
 GOLDEN_FLOOR_CLAMPED = 9
 
 
@@ -1050,6 +1051,44 @@ def test_floor_detection_matches_every_step_check(monkeypatch, block_steps):
     assert h.hexdigest() == GOLDEN_FLOOR_SHA256
     batch = engine.batch_run(A, sigma, x0, cfg, 10, engine.final_share(0))
     assert batch.clamped_paths == GOLDEN_FLOOR_CLAMPED
+
+
+def test_recentering_period_keeps_bytes_in_every_layout(monkeypatch):
+    # At h = 1e-2, A = 300 I lets the largest log-share move by 3.8 a step, so the
+    # kernel re-centers every 26 steps, which is no segment or block length; the
+    # paths reach the floor, so floor checks fall between re-centerings too.
+    A, sigma, x0 = 300.0 * np.eye(3), [0.5] * 3, [0.4, 0.35, 0.25]
+    cfg = engine.SdeConfig(h=1e-2, horizon=3.0, seed=4, record_stride=7)
+    chunk = engine._sde_chunk(A, sigma, x0, cfg, [0, 1, 2])
+    assert np.isfinite(chunk.first_floor).all()
+    for p in range(3):
+        alone = engine._sde_chunk(A, sigma, x0, cfg, [p])
+        assert alone.states.tobytes() == chunk.states[p:p + 1].tobytes()
+        assert alone.first_floor[0] == chunk.first_floor[p]
+    stats = {"final": engine.final_share(1), "late": engine.window_max_share(0, 1.0)}
+    run = [A, sigma, x0, cfg, 5, stats]
+    base = {name: res.to_json_dict() for name, res in engine.batch_run_many(*run).items()}
+    order = [3, 0, 4, 2, 1]
+    permuted = engine.batch_run_many(*run, path_indices=order)
+    for name, res in permuted.items():
+        assert res.values.tobytes() == np.array(base[name]["per_path"])[order].tobytes()
+    monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", 3 * 3 * 5)       # 3-step blocks
+    layouts = [engine.batch_run_many(*run)]
+    started = force_producer(monkeypatch)
+    with time_limit(120):
+        layouts.append(engine.batch_run_many(*run))
+    assert len(started) == 1
+    for out in layouts:
+        assert {name: res.to_json_dict() for name, res in out.items()} == base
+
+
+def test_payoffs_of_ten_thousand_give_finite_shares():
+    # h max|A| = 100 here, so the kernel re-centers on every step
+    cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=2, record_stride=1)
+    res = engine._sde_chunk(1e4 * CYCLIC, [0.5] * 3, [0.5, 0.3, 0.2], cfg, [0, 1, 2])
+    assert np.isfinite(res.states).all()
+    assert np.abs(res.states.sum(axis=2) - 1.0).max() <= 1e-15
+    assert np.isfinite(res.first_floor).all()
 
 
 def test_golden_trajectory_digest(mixed_dominance_matrix):
