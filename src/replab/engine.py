@@ -42,12 +42,16 @@ one per usable CPU; each worker integrates and reduces whole chunks and sends
 back only per-path values, which the caller joins in chunk order.  Threads
 would not help: the interpreter lock serialises the kernel's many small
 numpy calls.  A single-chunk batch, a host with one usable CPU, and a batch
-called inside a daemonic worker run the chunks in-process.  A wide chunk run
-in-process may draw its increments in a forked producer process instead, one
-noise block ahead of the integration, which uses the second CPU; the draws
-are the same.  Batch output is therefore byte-identical for any permutation
-of the requested path indices, any split of them into chunks or separate
-batches, any number of workers, and with or without a producer.
+called inside a daemonic worker run the chunks in-process.  An in-process
+chunk of more than one noise block draws its increments in a forked producer
+process instead, one block ahead of the integration, which uses the second
+CPU; the first block is one segment of steps, so the integration starts soon,
+and each later block doubles up to the full block.  The draws are the same
+in any block sizes.  Batch output is therefore byte-identical for any
+permutation of the requested path indices, any split of them into chunks or
+separate batches, any number of workers, and with or without a producer.
+The kernel takes at most ``MAX_STRATEGIES`` = 15 strategies: from 16 on,
+BLAS rounds a path's payoff term differently in chunks of different widths.
 
 Statistics are data, not code: a :class:`Statistic` names a kind and its
 parameters.  A batch records its states one chunk at a time, as an array of
@@ -87,10 +91,11 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import games, rng
-from .errors import SimulationError, ValidationError
+from .errors import InputError, SimulationError, ValidationError
 from .games import Region
 
 MAX_RECORD_POINTS = 100_000
+MAX_STRATEGIES = 15                 # from K = 16 on, OpenBLAS gemm rounds by column count
 MAX_Y_CAP = 600.0                   # every share stays above exp(-600) / n, which
                                     # is far above the smallest normal double
 _STEP_ROUNDING = 1e-9               # per-step slack of the floor-reach bound, far above
@@ -102,7 +107,6 @@ _CHUNK_FLOAT_BUDGET = 6_000_300
 _MAX_CHUNK_PATHS = 512
 _NOISE_BLOCK_FLOATS = 786_432      # increments drawn per refill
 _SEGMENT = 64                       # steps per hit test and record copy
-_PIPE_MIN_DRAWS = 512               # normals per step from which a producer pays
 _USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -193,15 +197,25 @@ def diffusion_matrix(sigma, x) -> np.ndarray:
 # the integrator: Euler-Maruyama in log-shares
 
 
+def _spans(total_steps: int, block: int) -> list[tuple[int, int]]:
+    """The (start, stop) steps of each noise block: the first is ``_SEGMENT``
+    steps long, at most ``block``, and each later one doubles, up to ``block``."""
+    spans, start, size = [], 0, min(block, _SEGMENT)
+    while start < total_steps:
+        spans.append((start, min(start + size, total_steps)))
+        start, size = spans[-1][1], min(2 * size, block)
+    return spans
+
+
 def _draw_blocks(seed: int, paths, n: int, total_steps: int, scale: np.ndarray,
                  block: int, slot):
-    """Draw each path's stream once, a block of steps at a time, and yield each
-    block's increments times ``scale`` as a (steps, n, columns) view of
+    """Draw each path's stream once, in the blocks of :func:`_spans`, and yield
+    each block's increments times ``scale`` as a (steps, n, columns) view of
     ``slot(b)``, block ``b``'s buffer.  A lone path's fills every column."""
     gens = [rng.path_generator(seed, p) for p in paths]
     draws = np.empty((len(gens), block, n))
-    for b, done in enumerate(range(0, total_steps, block)):
-        take = min(block, total_steps - done)
+    for b, (start, stop) in enumerate(_spans(total_steps, block)):
+        take = stop - start
         for g, rows in zip(gens, draws[:, :take]):
             g.standard_normal(out=rows)
         steps = slot(b)[:take]
@@ -220,12 +234,12 @@ def _in_daemon() -> bool:
 def _increments(seed: int, paths, n: int, total_steps: int, scale: np.ndarray):
     """Blocks of each step's Gaussian increments times ``scale``, as (steps, n,
     columns) views valid until the next is taken; the caller may overwrite a
-    block it holds.  A wide chunk of several blocks, run outside a daemonic
-    process on a host with two usable CPUs, draws them in a forked producer."""
+    block it holds.  A chunk of more than one block (:func:`_spans`), run
+    outside a daemonic process on a host with two usable CPUs, draws them in a
+    forked producer."""
     columns = scale.shape[1]
     block = min(total_steps, max(1, _NOISE_BLOCK_FLOATS // (columns * n)))
-    if (block < total_steps and columns * n >= _PIPE_MIN_DRAWS and _USABLE_CPUS >= 2
-            and not _in_daemon()):
+    if block < total_steps and _USABLE_CPUS >= 2 and not _in_daemon():
         yield from _produced_blocks(seed, paths, n, total_steps, scale, block)
     else:
         buf = np.empty((block, n, columns))
@@ -268,7 +282,7 @@ def _produced_blocks(seed: int, paths, n: int, total_steps: int, scale: np.ndarr
     os.close(filled_w)
     os.close(freed_r)
     try:
-        for b, done in enumerate(range(0, total_steps, block)):
+        for b, (start, stop) in enumerate(_spans(total_steps, block)):
             if b:
                 with contextlib.suppress(BrokenPipeError):    # the child may have finished
                     os.write(freed_w, b"\1")
@@ -278,7 +292,7 @@ def _produced_blocks(seed: int, paths, n: int, total_steps: int, scale: np.ndarr
                     raise SimulationError(f"noise producer exited before block {b}")
                 with open(filled_r, "rb", closefd=False) as pipe:
                     raise pickle.load(pipe)
-            yield ring[b % 2, :min(block, total_steps - done)]
+            yield ring[b % 2, :stop - start]
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.kill(pid, signal.SIGKILL)
@@ -308,15 +322,25 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
     one stream: BLAS gemv rounds ``A @ x`` differently from gemm for n >= 4, and a
     path must give the same bytes in any chunk.  Each noise block takes the
     constant drift ``-h sigma^2 / 2`` once, so a step makes six numpy calls:
-    ``(hA) x``, two adds, ``exp``, a sum and a divide, plus a re-centering every
-    ``period`` steps and a floor check where one is due.  Each step writes its
-    shares over the increments it has just used, so a noise block ends up holding
-    the states of its own steps; hit tests and records read them once per segment
-    of ``_SEGMENT`` steps.  The loop runs through step ``read_steps`` (default:
-    the horizon; 0: no record is read or kept), then on while some path has a
-    region still to enter, to the end of the segment where the last one enters."""
+    ``(hA) x``, two adds, ``exp``, the column sums as the gemm ``1 x`` (``1`` the
+    all-ones matrix) and a full-shape divide, plus a re-centering every
+    ``period`` steps and a floor check where one is due.  For n <=
+    ``MAX_STRATEGIES`` both gemms sum in one chain from zero, in row order, in
+    any column count, which is also the order of ``add.reduce`` over the
+    strategies; more strategies raise ``InputError``.  The fused gemm
+    ``[hA | I | I] [x; Z; dw]`` would cut a step to four calls, but it sums 3n
+    terms, which rounds by column count from n = 6 on, and a second loop body
+    for small n would be a second kernel.  Each step writes its shares over the
+    increments it has just used, so a noise block ends up holding the states of
+    its own steps; hit tests and records read them once per segment of
+    ``_SEGMENT`` steps.  The loop runs through step ``read_steps`` (default: the
+    horizon; 0: no record is read or kept), then on while some path has a region
+    still to enter, to the end of the segment where the last one enters."""
     A = games.as_payoff_matrix(A)
     n = A.shape[0]
+    if n > MAX_STRATEGIES:
+        raise InputError(f"the SDE kernel takes at most {MAX_STRATEGIES} strategies, got {n}: "
+                         "beyond that BLAS rounds a path differently in chunks of other widths")
     m = len(paths)
     columns = max(m, 2)
     grid = cfg.record_steps()
@@ -351,6 +375,7 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
     own = np.repeat(x_start[:, None], columns, axis=1)
     Z = np.log(own)
     step, top = np.empty_like(own), np.empty((1, columns))
+    ones = np.ones((n, n))
     sig = np.repeat(games.as_noise_vector(sigma, n)[:, None], columns, axis=1)
     ito = 0.5 * cfg.h * sig * sig                       # each step's constant drift is -ito
     hA = cfg.h * A
@@ -363,7 +388,7 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
     cap = cfg.y_cap
     dot, exp, maximum = np.dot, np.exp, np.maximum     # dot: the gemm of matmul, less overhead
     add, subtract, divide = np.add, np.subtract, np.divide
-    add_reduce, max_reduce, min_reduce = np.add.reduce, np.maximum.reduce, np.minimum.reduce
+    max_reduce, min_reduce = np.maximum.reduce, np.minimum.reduce
 
     noise = _increments(cfg.seed, paths, n, cfg.n_steps, math.sqrt(cfg.h) * sig)
     try:
@@ -408,7 +433,7 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
                         span = gap / reach
                         check = k + 1 + (int(span) if span >= 0.0 else 0)
                     x = exp(Z, out=dw)
-                    divide(x, add_reduce(x, axis=0, out=top, keepdims=True), out=x)
+                    divide(x, dot(ones, x, out=step), out=x)
                 observe(segment, k + 1 - len(segment))
                 if k >= read_steps and not pending:
                     break

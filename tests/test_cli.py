@@ -290,6 +290,17 @@ def test_missing_or_miscounted_sigma_exits_1(payload, message, command, tmp_path
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [("simulate", ["--paths", "1"]),
+                                            ("simulate", ["--paths", "3"]),
+                                            ("verify", ["--theorem", "4.3", "--paths", "3"])])
+def test_sixteen_strategies_exit_1(command, flags, tmp_path, capsys):
+    game = write_game(tmp_path / "g16.json", np.eye(16).tolist(), [0.3] * 16)
+    out = str(tmp_path / "x")
+    assert cli.main([command, game, *flags, "--seed", "1", "--T", "1", "--out", out]) == 1
+    assert "the SDE kernel takes at most 15 strategies, got 16" in capsys.readouterr().err
+    assert not any(os.path.exists(out + ext) for ext in (".json", ".csv", "_paths.csv"))
+
+
 # ---------------------------------------------------------------------------
 # verify
 

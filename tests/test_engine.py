@@ -416,6 +416,30 @@ def test_one_path_chunk_matches_other_layouts_at_nine_strategies():
     assert backward.tobytes() == whole[39::-1].tobytes()
 
 
+def test_layout_invariance_at_fifteen_strategies(monkeypatch):
+    # Both gemms of a step sum at most MAX_STRATEGIES terms in one chain from zero,
+    # in every column count, so the widest game the kernel takes keeps every layout
+    # byte-identical: lone paths, one chunk, a permuted batch and a producer.
+    gen = np.random.default_rng(1515)
+    n = engine.MAX_STRATEGIES
+    A, sigma, x0 = gen.uniform(-2.0, 2.0, (n, n)), gen.uniform(0.2, 1.2, n), np.full(n, 1 / n)
+    cfg = engine.SdeConfig(h=1e-2, horizon=3.0, seed=15, record_stride=30)
+    chunk = engine._sde_chunk(A, sigma, x0, cfg, list(range(20))).states
+    for p in range(20):
+        assert engine._sde_chunk(A, sigma, x0, cfg, [p]).states.tobytes() == chunk[p:p + 1].tobytes()
+    order = [int(p) for p in gen.permutation(20)]
+    out = engine.batch_run_many(A, sigma, x0, cfg, 20,
+                                {f"x{j}": engine.final_share(j) for j in range(n)},
+                                path_indices=order)
+    finals = np.array([out[f"x{j}"].values for j in range(n)]).T
+    assert finals.tobytes() == chunk[order, -1].tobytes()
+    started = force_producer(monkeypatch)
+    with time_limit(120):
+        produced = engine._sde_chunk(A, sigma, x0, cfg, list(range(20))).states
+    assert len(started) == 1
+    assert produced.tobytes() == chunk.tobytes()
+
+
 def test_batch_standard_error_scales():
     cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=15)
     stat = engine.final_share(0)
@@ -637,9 +661,9 @@ EDGE_STEPS = (0, 1, 2, 63, 64, 65, 99, 100, 101, 127, 128, 129, 164, 165, 200, 2
 @pytest.mark.parametrize("block_steps", [1, 2, 100, None])
 def test_hits_and_records_on_segment_and_block_edges(monkeypatch, block_steps):
     # Each entry below falls on the first or last step of a segment or of a noise
-    # block: with one- and two-step blocks every step does; 100-step blocks put
-    # segment ends (64, 164) and block ends (100, 200) apart; the default is one
-    # 300-step block, whose segments end at 64, 128, ... and 300.
+    # block: with one- and two-step blocks every step does; 100-step blocks run
+    # 64, 100, 100 and 36 steps, which puts block ends (164, 264) and segment ends
+    # (128, 228) apart; the default blocks run 64, 128 and 108 steps.
     if block_steps is not None:
         monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", block_steps * 2 * 3)
     cfg = engine.SdeConfig(h=1e-2, horizon=3.0, seed=5, record_stride=1)
@@ -698,7 +722,7 @@ def test_region_tests_run_once_per_segment(monkeypatch, coordination_matrix):
     res = engine._sde_chunk(coordination_matrix, [0.5] * 3, [1 / 3] * 3, cfg, list(range(25)),
                             regions, 0)
     assert all(np.isfinite(res.first_hit[region]).any() for region in regions)
-    assert res.steps > 10 * engine._SEGMENT                 # one noise block of many segments
+    assert res.steps > 10 * engine._SEGMENT                 # blocks of many segments
     segments = math.ceil(res.steps / engine._SEGMENT)
     for region in regions:
         assert 0 < calls.count(region) <= segments + 1, region
@@ -790,7 +814,6 @@ def test_batch_inside_daemonic_worker_matches_parent(monkeypatch):
 def force_producer(monkeypatch) -> list:
     """Start a producer for every chunk of several noise blocks; returns the list
     that each start appends to."""
-    monkeypatch.setattr(engine, "_PIPE_MIN_DRAWS", 0)
     monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
     monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", 3_000)
     produced, started = engine._produced_blocks, []
@@ -801,6 +824,39 @@ def force_producer(monkeypatch) -> list:
 
     monkeypatch.setattr(engine, "_produced_blocks", counted)
     return started
+
+
+@pytest.mark.parametrize("total, block", [(1, 1), (7, 1), (300, 10), (300, 64), (1000, 100),
+                                          (1000, 999), (100_000, 87_381), (131_072, 131_072)])
+def test_spans_ramp_up_from_one_segment(total, block):
+    spans = engine._spans(total, block)
+    assert spans[0][0] == 0 and spans[-1][1] == total
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    sizes = [stop - start for start, stop in spans]
+    assert sizes[0] == min(block, engine._SEGMENT)
+    for before, size in zip(sizes, sizes[1:-1]):
+        assert size == min(2 * before, block)
+    assert 0 < sizes[-1] <= (min(2 * sizes[-2], block) if len(sizes) > 1 else block)
+
+
+def test_narrow_chunk_of_several_blocks_uses_a_producer(monkeypatch):
+    # 3 paths of 3 strategies draw 87 381 steps a block at most, so a chunk of
+    # 100 000 steps takes several blocks (64, 128, ..., 32 768, then the last
+    # 34 528) and, at the default settings, draws them in a producer
+    cfg = engine.SdeConfig(h=1e-3, horizon=100.0, seed=23, record_stride=1000)
+    run = [CYCLIC, [0.5] * 3, [0.5, 0.3, 0.2], cfg, [2, 4, 9]]
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 1)
+    alone = engine._sde_chunk(*run)
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    produced, blocks = engine._produced_blocks, []
+    monkeypatch.setattr(engine, "_produced_blocks",
+                        lambda *args: blocks.append(args[-1]) or produced(*args))
+    with time_limit(120):
+        piped = engine._sde_chunk(*run)
+    assert blocks == [engine._NOISE_BLOCK_FLOATS // 9]
+    assert_no_child_process()
+    assert piped.states.tobytes() == alone.states.tobytes()
+    assert piped.first_floor.tobytes() == alone.first_floor.tobytes()
 
 
 @contextlib.contextmanager
