@@ -13,7 +13,7 @@ A statement is a simple statement or the header of a compound one (``if``,
 its lines did.  Docstrings and statements that compile to no code are not
 counted.  A module that was never imported lists every statement.
 
-Code that runs only in forked children, such as pool workers and the noise
+Code that runs only in forked children, such as chunk workers and the noise
 producer, is traced in the child, whose record dies with it: it shows as not
 run.  Tracing made the tier-1 run 10-25% slower (68 and 85 s against 62 and
 67 s untraced, on a 2-vCPU x86-64 host with Python 3.11).

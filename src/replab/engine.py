@@ -34,20 +34,24 @@ therefore does not depend on which others share its batch.
 Determinism contract: each path's Gaussian increments come from its own
 counter-based stream (see :mod:`replab.rng`), and the batched SDE kernel
 updates every path's column with the same operations, so a path's values do
-not depend on which other paths share its chunk, nor on which process runs
-it.  A batch is cut into the fewest chunks of sorted path indices that its
-memory budget allows (at most 512 paths each), of equal size give or take one
-path.  A batch of two or more chunks runs them in forked worker processes,
-one per usable CPU; each worker integrates and reduces whole chunks and sends
+not depend on which other paths share its chunk, nor on which process draws
+or integrates it.  A batch is cut into the fewest chunks of sorted path
+indices that its memory budget allows (at most 512 paths each), of equal size
+give or take one path.  Where this process may fork (two usable CPUs, and
+neither a chunk worker nor a daemonic process), a batch that draws at least
+``2 * _CHUNK_MIN_DRAWS`` normals a step is cut into at least one chunk per
+usable CPU, each drawing at least ``_CHUNK_MIN_DRAWS``: a single forked noise
+producer, at 20-30 ns a normal, would leave the caller waiting on it.  A batch
+of two or more chunks runs them in plain forked workers, one per usable CPU:
+worker ``w`` integrates and reduces chunks ``w, w + workers, ...`` and sends
 back only per-path values, which the caller joins in chunk order.  Threads
 would not help: the interpreter lock serialises the kernel's many small
-numpy calls.  A single-chunk batch, a host with one usable CPU, and a batch
-called inside a daemonic worker run the chunks in-process.  An in-process
+numpy calls.  Every other batch runs its chunk in-process, and an in-process
 chunk of more than one noise block draws its increments in a forked producer
 process instead, one block ahead of the integration, which uses the second
 CPU; the first block is one segment of steps, so the integration starts soon,
-and each later block doubles up to the full block.  The draws are the same
-in any block sizes.  Batch output is therefore byte-identical for any
+and each later block doubles up to the full block.  The draws are the same in
+any block sizes.  Batch output is therefore byte-identical for any
 permutation of the requested path indices, any split of them into chunks or
 separate batches, any number of workers, and with or without a producer.
 The kernel takes at most ``MAX_STRATEGIES`` = 15 strategies: from 16 on,
@@ -107,6 +111,14 @@ _CHUNK_FLOAT_BUDGET = 6_000_300
 _MAX_CHUNK_PATHS = 512
 _NOISE_BLOCK_FLOATS = 786_432      # increments drawn per refill
 _SEGMENT = 64                       # steps per hit test and record copy
+# Normals drawn per step by each chunk of a batch that is cut for the CPUs.  The
+# forked producer draws about 20-30 ns a normal, so from some hundreds of draws a
+# step the caller waits on it.  scripts/layout_crossover.py (2-CPU x86-64 host,
+# 20 000 steps) timed one chunk per CPU, each worker drawing its own noise, at
+# 1.14x one chunk plus producer for 300 draws a step at n = 3, 0.94x for 600 and
+# 0.72x for 1500; at n = 9, 0.98x for 450 and 0.84x for 900.  So a batch is cut
+# from 2 x 256 = 512 draws a step, and each chunk draws at least 256.
+_CHUNK_MIN_DRAWS = 256
 _USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -224,22 +236,34 @@ def _draw_blocks(seed: int, paths, n: int, total_steps: int, scale: np.ndarray,
         yield steps
 
 
-def _in_daemon() -> bool:
-    """Whether this is a daemonic process, such as a pool worker, which may not
-    have children; without ``multiprocessing`` loaded it cannot be one."""
+def _may_fork() -> bool:
+    """Whether a batch here may start worker or producer processes: not with
+    one usable CPU, where they would only take turns (a chunk worker counts
+    one, since its siblings use the others), nor in a daemonic process, such
+    as a ``multiprocessing`` pool worker, which may not have children (without
+    ``multiprocessing`` loaded this cannot be one)."""
     mp = sys.modules.get("multiprocessing")
-    return mp is not None and mp.current_process().daemon
+    return _USABLE_CPUS >= 2 and (mp is None or not mp.current_process().daemon)
+
+
+def _fork() -> int:
+    """``os.fork``, once this process has made the path-key type, so that no
+    child imports ``numpy.random`` (about 18 ms) for itself."""
+    rng._path_key()
+    return os.fork()
 
 
 def _increments(seed: int, paths, n: int, total_steps: int, scale: np.ndarray):
     """Blocks of each step's Gaussian increments times ``scale``, as (steps, n,
     columns) views valid until the next is taken; the caller may overwrite a
-    block it holds.  A chunk of more than one block (:func:`_spans`), run
-    outside a daemonic process on a host with two usable CPUs, draws them in a
-    forked producer."""
+    block it holds.  A chunk of more than one block (:func:`_spans`) draws
+    them in a forked producer where :func:`_may_fork` allows: in the caller of
+    a batch that runs in-process, never in a chunk worker, which draws its own.
+    A batch wide enough to keep a producer busy runs in workers instead (see
+    ``_CHUNK_MIN_DRAWS``)."""
     columns = scale.shape[1]
     block = min(total_steps, max(1, _NOISE_BLOCK_FLOATS // (columns * n)))
-    if block < total_steps and _USABLE_CPUS >= 2 and not _in_daemon():
+    if block < total_steps and _may_fork():
         yield from _produced_blocks(seed, paths, n, total_steps, scale, block)
     else:
         buf = np.empty((block, n, columns))
@@ -260,7 +284,7 @@ def _produced_blocks(seed: int, paths, n: int, total_steps: int, scale: np.ndarr
     ring = ring.reshape(2, block, *scale.shape)
     filled_r, filled_w = os.pipe()
     freed_r, freed_w = os.pipe()
-    pid = os.fork()
+    pid = _fork()
     if pid == 0:                                # the producer; never returns
         try:
             os.close(filled_r)
@@ -629,16 +653,62 @@ def _chunk_values(job, span: tuple[int, int]) -> list[tuple[np.ndarray, int]]:
              int(res.clamped(st.hit_region).sum())) for st in stats]
 
 
-_worker_job = None      # a pool worker's batch, set once by its initializer
+def _forked_chunks(job, spans: list[tuple[int, int]], workers: int) -> list:
+    """:func:`_chunk_values` of every span, run in ``workers`` forked children.
 
-
-def _adopt_job(job) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _worker_chunk(span: tuple[int, int]) -> list[tuple[np.ndarray, int]]:
-    return _chunk_values(_worker_job, span)
+    Worker ``w`` runs chunks ``w, w + workers, ...`` and sends back their
+    pickled values, or its first exception with that chunk's index; the
+    caller raises the lowest failing chunk's exception, as an in-process loop
+    would, and a ``SimulationError`` for a worker that exits without sending.
+    Fork hands ``job`` to each worker without pickling it.  Every child is
+    killed and reaped when this returns or raises."""
+    global _USABLE_CPUS
+    pids, pipes = [], []
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            pid = _fork()
+            if pid == 0:                        # a worker; never returns
+                try:
+                    _USABLE_CPUS = 1            # so it forks no producer of its own
+                    failure, values = None, []
+                    for i in range(w, len(spans), workers):
+                        try:
+                            values.append(_chunk_values(job, spans[i]))
+                        except BaseException as exc:    # raised again by the caller
+                            failure = (i, exc)
+                            break
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump((failure, values), pipe)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(write_end)
+        sent = []
+        for w, read_end in enumerate(pipes):
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            try:
+                sent.append(pickle.loads(data))
+            except (EOFError, pickle.UnpicklingError):     # empty or cut short
+                raise SimulationError(f"chunk worker {w} exited before sending "
+                                      f"its values ({len(data)} bytes)") from None
+        failures = [failure for failure, _ in sent if failure is not None]
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        done = [None] * len(spans)
+        for w, (_, values) in enumerate(sent):
+            done[w::workers] = values
+        return done
+    finally:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+        for read_end in pipes:
+            os.close(read_end)
 
 
 def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
@@ -683,17 +753,15 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
     job = (A, sigma, x0, cfg, [path_indices[i] for i in order], hit_regions, read_steps,
            list(statistics.values()))
     count = -(-n_paths // chunk)                # chunks of equal size, give or take one
+    workers = _USABLE_CPUS if _may_fork() else 1
+    # a batch that would keep one producer busy runs as one chunk per CPU instead
+    if workers > 1 and n_paths * n >= 2 * _CHUNK_MIN_DRAWS:
+        count = max(count, min(workers, n_paths * n // _CHUNK_MIN_DRAWS))
     bounds = [n_paths * i // count for i in range(count + 1)]
     spans = list(zip(bounds, bounds[1:]))
-
-    workers = min(_USABLE_CPUS, count)
-    if workers > 1 and not _in_daemon():        # a daemonic process may not have children
-        import multiprocessing      # about 15 ms, paid only by multi-chunk batches
-        # fork hands ``job`` to each worker without pickling it; only chunk spans
-        # and per-path values cross the pipe.  ``imap`` reports the lowest failing
-        # chunk, as the in-process loop does.
-        with multiprocessing.get_context("fork").Pool(workers, _adopt_job, (job,)) as pool:
-            done = list(pool.imap(_worker_chunk, spans))
+    workers = min(workers, count)
+    if workers > 1:
+        done = _forked_chunks(job, spans, workers)
     else:
         done = [_chunk_values(job, span) for span in spans]
 

@@ -214,7 +214,7 @@ def test_module_entry_points_print_version(module):
 
 
 def test_importing_the_cli_leaves_multiprocessing_unimported():
-    # a batch imports it only when it forks workers, so the CLI starts without it
+    # batches fork their workers and producers with os.fork, so no replab module imports it
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

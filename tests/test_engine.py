@@ -6,6 +6,9 @@ import os
 import pickle
 import resource
 import signal
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -775,7 +778,56 @@ def test_pooled_batch_reports_the_lowest_failing_chunk(monkeypatch):
             with pytest.raises(SimulationError, match=r"for paths \[0, 1, 2, 3, 4\]$"):
                 engine.batch_run(PD, [1e200, 1e200], [0.5, 0.5], cfg, 1100,
                                  engine.final_share(0))
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
+
+
+def failing_chunks(monkeypatch, fail) -> None:
+    """Make ``engine._sde_chunk`` run ``fail(first_path)`` before each chunk;
+    workers inherit the patch, since they fork after it."""
+    sde_chunk = engine._sde_chunk
+
+    def chunk(A, sigma, x0, cfg, paths, *args):
+        fail(paths[0])
+        return sde_chunk(A, sigma, x0, cfg, paths, *args)
+
+    monkeypatch.setattr(engine, "_sde_chunk", chunk)
+
+
+@pytest.mark.parametrize("failing, lowest", [({10, 20}, 10), ({20, 30}, 20), ({30}, 30)])
+def test_raising_worker_reports_the_lowest_failing_chunk(monkeypatch, failing, lowest):
+    # four 10-path chunks: worker 0 runs chunks 0 and 2, worker 1 chunks 1 and 3,
+    # so the lowest failure may come from either worker, first or second
+    def fail(first):
+        if first in failing:
+            raise ValidationError(f"chunk from path {first}")
+
+    failing_chunks(monkeypatch, fail)
+    monkeypatch.setattr(engine, "_MAX_CHUNK_PATHS", 10)
+    cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=1)
+    for cpus in (1, 2):
+        monkeypatch.setattr(engine, "_USABLE_CPUS", cpus)
+        with time_limit(120), pytest.raises(ValidationError, match=f"from path {lowest}$"):
+            engine.batch_run(PD, [0.5, 0.5], [0.5, 0.5], cfg, 40, engine.final_share(0))
+        assert_no_child_process()
+
+
+@pytest.mark.parametrize("exiting", [0, 1])
+def test_exiting_worker_makes_the_batch_raise(monkeypatch, exiting):
+    # worker ``exiting`` dies at its first chunk; the other finishes or is killed
+    parent = os.getpid()
+
+    def fail(first):
+        if os.getpid() != parent and first == 10 * exiting:
+            os._exit(3)
+
+    failing_chunks(monkeypatch, fail)
+    monkeypatch.setattr(engine, "_MAX_CHUNK_PATHS", 10)
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=1)
+    with time_limit(120), pytest.raises(
+            SimulationError, match=f"chunk worker {exiting} exited before sending its values"):
+        engine.batch_run(PD, [0.5, 0.5], [0.5, 0.5], cfg, 40, engine.final_share(0))
+    assert_no_child_process()
 
 
 def test_unpicklable_statistic_runs_in_pooled_batch(monkeypatch):
@@ -906,18 +958,22 @@ def test_producer_gives_the_same_bytes(monkeypatch, coordination_matrix):
 
 
 def test_producer_is_reaped_after_a_raised_step(monkeypatch):
+    # 100 paths of 2 strategies draw fewer normals a step than would cut the
+    # batch for the CPUs, so it keeps one chunk, which draws in a producer
+    assert 100 * 2 < 2 * engine._CHUNK_MIN_DRAWS
     started = force_producer(monkeypatch)
     cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=1)
     with np.errstate(over="ignore", invalid="ignore"), time_limit(120):
         with pytest.raises(SimulationError, match="non-finite log-shares at step 1 "):
-            engine.batch_run(PD, [1e200, 1e200], [0.5, 0.5], cfg, 300, engine.final_share(0))
+            engine.batch_run(PD, [1e200, 1e200], [0.5, 0.5], cfg, 100, engine.final_share(0))
     assert len(started) == 1
     assert_no_child_process()
 
 
 @pytest.mark.parametrize("death", ["raises", "exits"])
 def test_dead_producer_makes_the_batch_raise(monkeypatch, death):
-    # the producer makes the path streams, so a failing path_generator fails there
+    # the producer makes the path streams, so a failing path_generator fails
+    # there; 100 paths of 2 strategies keep one chunk, as above
     force_producer(monkeypatch)
     path_generator, parent = rng.path_generator, os.getpid()
 
@@ -933,8 +989,79 @@ def test_dead_producer_makes_the_batch_raise(monkeypatch, death):
     expected = (ValidationError, "no stream") if death == "raises" else (
         SimulationError, "noise producer exited before block 0")
     with time_limit(120), pytest.raises(expected[0], match=expected[1]):
-        engine.batch_run(PD, [0.5, 0.5], [0.5, 0.5], cfg, 300, engine.final_share(0))
+        engine.batch_run(PD, [0.5, 0.5], [0.5, 0.5], cfg, 100, engine.final_share(0))
     assert_no_child_process()
+
+
+# ---------------------------------------------------------------------------
+# the layout chosen from the normals drawn per step
+
+
+def layout_batch(paths: int) -> dict[str, dict]:
+    cfg = engine.SdeConfig(h=1e-2, horizon=10.0, seed=29, record_stride=100)
+    stats = {"final": engine.final_share(0), "late": engine.window_max_share(1, 5.0)}
+    out = engine.batch_run_many(CYCLIC, [0.5] * 3, [0.5, 0.3, 0.2], cfg, paths, stats)
+    return {name: res.to_json_dict() for name, res in out.items()}
+
+
+@pytest.mark.parametrize("paths, chunks", [(500, [(0, 250), (250, 500)]), (50, None)])
+def test_batch_layout_follows_the_draws_per_step(monkeypatch, paths, chunks):
+    # 500 paths of 3 strategies draw 1500 normals a step, so the batch runs as two
+    # chunks in two workers; 50 paths draw 150 and run in-process with a producer.
+    # Short noise blocks give every chunk several, so a producer could start in each.
+    monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", 30_000)
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 1)
+    alone = layout_batch(paths)
+    assert forks == []                  # one usable CPU: nothing forks
+    parent, produced, forked = os.getpid(), engine._produced_blocks, engine._forked_chunks
+    started, pooled = [], []
+
+    def producer(*args):
+        assert os.getpid() == parent, "a chunk worker started a producer"
+        started.append(args)
+        return produced(*args)
+
+    monkeypatch.setattr(engine, "_produced_blocks", producer)
+    monkeypatch.setattr(engine, "_forked_chunks",
+                        lambda job, spans, workers: pooled.append((spans, workers))
+                        or forked(job, spans, workers))
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    with time_limit(120):
+        assert layout_batch(paths) == alone
+    assert_no_child_process()
+    if chunks:
+        assert pooled == [(chunks, 2)] and started == [] and len(forks) == 2
+    else:
+        assert pooled == [] and len(started) == len(forks) == 1
+
+
+def test_fresh_caller_makes_the_path_key_before_it_forks():
+    # Importing numpy.random takes about 18 ms; a caller that never made a path
+    # stream itself left every producer child to import it on its own.  Neither
+    # the import of the engine nor its batches import multiprocessing.
+    probe = textwrap.dedent("""
+        import sys
+        from replab import engine
+        loaded = lambda: [m in sys.modules for m in ("numpy.random", "multiprocessing")]
+        print(loaded())
+        engine._USABLE_CPUS, engine._NOISE_BLOCK_FLOATS = 2, 3_000    # 300-step blocks
+        cfg = engine.SdeConfig(h=1e-2, horizon=20.0, seed=1)
+        engine.batch_run([[3.0, 0.0], [5.0, 1.0]], [0.5, 0.5], [0.5, 0.5], cfg, 5,
+                         engine.final_share(0))
+        print(loaded())
+        engine.batch_run([[3.0, 0.0], [5.0, 1.0]], [0.5, 0.5], [0.5, 0.5], cfg, 500,
+                         engine.final_share(0))
+        print(loaded())
+    """)
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:3] == ["[False, False]", "[True, False]", "[True, False]"]
 
 
 def test_drift_and_diffusion_zero_sum_bulk():
