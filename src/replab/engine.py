@@ -44,14 +44,17 @@ usable CPU, each drawing at least ``_CHUNK_MIN_DRAWS``: a single forked noise
 producer, at 20-30 ns a normal, would leave the caller waiting on it.  A batch
 of two or more chunks runs them in plain forked workers, one per usable CPU:
 worker ``w`` integrates and reduces chunks ``w, w + workers, ...`` and sends
-back only per-path values, which the caller joins in chunk order.  Threads
-would not help: the interpreter lock serialises the kernel's many small
-numpy calls.  Every other batch runs its chunk in-process, and an in-process
-chunk of more than one noise block draws its increments in a forked producer
-process instead, one block ahead of the integration, which uses the second
-CPU; the first block is one segment of steps, so the integration starts soon,
-and each later block doubles up to the full block.  The draws are the same in
-any block sizes.  Batch output is therefore byte-identical for any
+back each chunk's per-path values, which the caller takes in chunk order.
+Threads would not help: the interpreter lock serialises the kernel's many
+small numpy calls.  Every other batch runs its chunk in-process, and an
+in-process chunk of more than one noise block draws its increments in a forked
+producer process instead, one block ahead of the integration, which uses the
+second CPU; the first block is one segment of steps, so the integration starts
+soon, and each later block doubles up to the full block.  The draws are the
+same in any block sizes.  Workers and producer share one protocol
+(:func:`_child`): each sends pickled messages on its own pipe, which the
+caller takes in order, so a batch raises the first failure in chunk order, as
+an in-process loop would.  Batch output is therefore byte-identical for any
 permutation of the requested path indices, any split of them into chunks or
 separate batches, any number of workers, and with or without a producer.
 The kernel takes at most ``MAX_STRATEGIES`` = 15 strategies: from 16 on,
@@ -246,21 +249,63 @@ def _may_fork() -> bool:
     return _USABLE_CPUS >= 2 and (mp is None or not mp.current_process().daemon)
 
 
-def _fork() -> int:
-    """``os.fork``, once this process has made the path-key type, so that no
-    child imports ``numpy.random`` (about 18 ms) for itself."""
+def _child(body):
+    """Fork a child that runs ``body(send)``, and return its pid and the read end
+    of its pipe, for :func:`_take`.  ``send`` pickles one message onto the
+    child's buffered write pipe and flushes it; an exception that escapes
+    ``body`` is pickled as the child's last message, and the child then exits.
+    The path-key type is made before the fork, so that no child imports
+    ``numpy.random`` (about 18 ms) for itself."""
     rng._path_key()
-    return os.fork()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:                                # the child; never returns
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+
+                def send(value) -> None:
+                    pickle.dump(value, pipe)
+                    pipe.flush()
+
+                try:
+                    body(send)
+                except BaseException as exc:    # raised again by the caller
+                    send(exc)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _take(pipe, gone: str):
+    """The next message of a :func:`_child`: its value, or its exception raised
+    again here; ``SimulationError(gone)`` if the pipe ends before it."""
+    try:
+        value = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):     # empty or cut short
+        raise SimulationError(gone) from None
+    if isinstance(value, BaseException):
+        raise value
+    return value
+
+
+def _reap(pid: int) -> None:
+    """Kill the child ``pid`` if it still runs, and wait for it."""
+    with contextlib.suppress(ProcessLookupError):
+        os.kill(pid, signal.SIGKILL)
+    with contextlib.suppress(ChildProcessError):
+        os.waitpid(pid, 0)
 
 
 def _increments(seed: int, paths, n: int, total_steps: int, scale: np.ndarray):
     """Blocks of each step's Gaussian increments times ``scale``, as (steps, n,
     columns) views valid until the next is taken; the caller may overwrite a
     block it holds.  A chunk of more than one block (:func:`_spans`) draws
-    them in a forked producer where :func:`_may_fork` allows: in the caller of
-    a batch that runs in-process, never in a chunk worker, which draws its own.
-    A batch wide enough to keep a producer busy runs in workers instead (see
-    ``_CHUNK_MIN_DRAWS``)."""
+    them in a producer, a :func:`_child`, where :func:`_may_fork` allows: in
+    the caller of a batch that runs in-process, never in a chunk worker, which
+    draws its own.  A batch wide enough to keep a producer busy runs in workers
+    instead (see ``_CHUNK_MIN_DRAWS``)."""
     columns = scale.shape[1]
     block = min(total_steps, max(1, _NOISE_BLOCK_FLOATS // (columns * n)))
     if block < total_steps and _may_fork():
@@ -272,57 +317,40 @@ def _increments(seed: int, paths, n: int, total_steps: int, scale: np.ndarray):
 
 def _produced_blocks(seed: int, paths, n: int, total_steps: int, scale: np.ndarray,
                      block: int):
-    """:func:`_draw_blocks` run in a forked child, one block ahead of the caller.
+    """:func:`_draw_blocks` run in a :func:`_child`, one block ahead of the caller.
 
-    The child fills a two-slot ring in anonymous shared memory and sends one
-    byte on ``filled`` per block; the caller sends one byte on ``freed`` when it
-    takes the next block, which frees the slot of the last.  A child that fails
-    sends its pickled exception instead, which the caller raises; a child whose
-    caller has gone exits at its next read or write.  The child is killed and
-    reaped when this generator finishes or is closed."""
+    The child fills a two-slot ring in anonymous shared memory and sends each
+    block's index once it is filled; the caller sends one byte on ``freed``
+    when it takes the next block, which frees the slot of the last.  A child
+    that fails sends its exception instead, which the caller raises; a child
+    whose caller has gone exits at its next message.  The child is reaped when
+    this generator finishes or is closed."""
     ring = np.frombuffer(mmap.mmap(-1, 2 * block * scale.size * 8))
     ring = ring.reshape(2, block, *scale.shape)
-    filled_r, filled_w = os.pipe()
     freed_r, freed_w = os.pipe()
-    pid = _fork()
-    if pid == 0:                                # the producer; never returns
-        try:
-            os.close(filled_r)
-            os.close(freed_w)
 
-            def slot(b: int) -> np.ndarray:
-                if b >= 2 and not os.read(freed_r, 1):
-                    os._exit(1)                 # the caller has gone
-                return ring[b % 2]
+    def produce(send) -> None:
+        os.close(freed_w)
 
-            for _ in _draw_blocks(seed, paths, n, total_steps, scale, block, slot):
-                os.write(filled_w, b"\1")
-        except BaseException as exc:            # raised again by the caller
-            with contextlib.suppress(BaseException):
-                os.write(filled_w, b"\0" + pickle.dumps(exc))
-            os._exit(1)
-        finally:
-            os._exit(0)
-    os.close(filled_w)
+        def slot(b: int) -> np.ndarray:
+            if b >= 2:
+                os.read(freed_r, 1)
+            return ring[b % 2]
+
+        for b, _ in enumerate(_draw_blocks(seed, paths, n, total_steps, scale, block, slot)):
+            send(b)
+
+    pid, filled = _child(produce)
     os.close(freed_r)
     try:
         for b, (start, stop) in enumerate(_spans(total_steps, block)):
             if b:
                 with contextlib.suppress(BrokenPipeError):    # the child may have finished
                     os.write(freed_w, b"\1")
-            token = os.read(filled_r, 1)
-            if token != b"\1":
-                if not token:
-                    raise SimulationError(f"noise producer exited before block {b}")
-                with open(filled_r, "rb", closefd=False) as pipe:
-                    raise pickle.load(pipe)
-            yield ring[b % 2, :stop - start]
+            yield ring[_take(filled, f"noise producer exited before block {b}") % 2, :stop - start]
     finally:
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(pid, signal.SIGKILL)
-        with contextlib.suppress(ChildProcessError):
-            os.waitpid(pid, 0)
-        os.close(filled_r)
+        _reap(pid)
+        filled.close()
         os.close(freed_w)
 
 
@@ -654,61 +682,32 @@ def _chunk_values(job, span: tuple[int, int]) -> list[tuple[np.ndarray, int]]:
 
 
 def _forked_chunks(job, spans: list[tuple[int, int]], workers: int) -> list:
-    """:func:`_chunk_values` of every span, run in ``workers`` forked children.
+    """:func:`_chunk_values` of every span, run in ``workers`` :func:`_child` workers.
 
-    Worker ``w`` runs chunks ``w, w + workers, ...`` and sends back their
-    pickled values, or its first exception with that chunk's index; the
-    caller raises the lowest failing chunk's exception, as an in-process loop
-    would, and a ``SimulationError`` for a worker that exits without sending.
-    Fork hands ``job`` to each worker without pickling it.  Every child is
-    killed and reaped when this returns or raises."""
-    global _USABLE_CPUS
-    pids, pipes = [], []
+    Worker ``w`` runs chunks ``w, w + workers, ...`` and sends one message per
+    chunk: its values, or the exception it raised, after which it stops.  The
+    caller takes chunk ``i`` from worker ``i % workers``, in index order, so it
+    raises the lowest failing chunk's exception, as an in-process loop would,
+    or a ``SimulationError`` for the lowest chunk whose worker exited before
+    sending it.  Fork hands ``job`` to each worker without pickling it.  Every
+    child is reaped when this returns or raises."""
+
+    def work(send, w: int) -> None:
+        global _USABLE_CPUS
+        _USABLE_CPUS = 1                        # so it forks no producer of its own
+        for i in range(w, len(spans), workers):
+            send(_chunk_values(job, spans[i]))
+
+    children = []
     try:
         for w in range(workers):
-            read_end, write_end = os.pipe()
-            pipes.append(read_end)
-            pid = _fork()
-            if pid == 0:                        # a worker; never returns
-                try:
-                    _USABLE_CPUS = 1            # so it forks no producer of its own
-                    failure, values = None, []
-                    for i in range(w, len(spans), workers):
-                        try:
-                            values.append(_chunk_values(job, spans[i]))
-                        except BaseException as exc:    # raised again by the caller
-                            failure = (i, exc)
-                            break
-                    with open(write_end, "wb") as pipe:
-                        pickle.dump((failure, values), pipe)
-                finally:
-                    os._exit(0)
-            pids.append(pid)
-            os.close(write_end)
-        sent = []
-        for w, read_end in enumerate(pipes):
-            with open(read_end, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            try:
-                sent.append(pickle.loads(data))
-            except (EOFError, pickle.UnpicklingError):     # empty or cut short
-                raise SimulationError(f"chunk worker {w} exited before sending "
-                                      f"its values ({len(data)} bytes)") from None
-        failures = [failure for failure, _ in sent if failure is not None]
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
-        done = [None] * len(spans)
-        for w, (_, values) in enumerate(sent):
-            done[w::workers] = values
-        return done
+            children.append(_child(lambda send, w=w: work(send, w)))
+        return [_take(children[i % workers][1], f"chunk worker {i % workers} exited "
+                      f"before sending its values for chunk {i}") for i in range(len(spans))]
     finally:
-        for pid in pids:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-        for read_end in pipes:
-            os.close(read_end)
+        for pid, pipe in children:
+            _reap(pid)
+            pipe.close()
 
 
 def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,

@@ -13,11 +13,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from replab import attrition, engine, games, rng
 from replab.errors import SimulationError, ValidationError
+from util import faulty_payoffs, stationary_beta
 
 PD = np.array([[3.0, 0.0], [5.0, 1.0]])
 
@@ -793,11 +795,18 @@ def failing_chunks(monkeypatch, fail) -> None:
     monkeypatch.setattr(engine, "_sde_chunk", chunk)
 
 
-@pytest.mark.parametrize("failing, lowest", [({10, 20}, 10), ({20, 30}, 20), ({30}, 30)])
+@pytest.mark.parametrize("failing, lowest", [({10, 20}, 10), ({20, 30}, 20), ({30}, 30),
+                                             ({10, "exit 20"}, 10)])
 def test_raising_worker_reports_the_lowest_failing_chunk(monkeypatch, failing, lowest):
     # four 10-path chunks: worker 0 runs chunks 0 and 2, worker 1 chunks 1 and 3,
-    # so the lowest failure may come from either worker, first or second
+    # so the lowest failure may come from either worker, first or second; a
+    # worker that exits at a later chunk ("exit 20": worker 0 at chunk 2) must
+    # not hide a lower chunk's exception
+    parent = os.getpid()
+
     def fail(first):
+        if f"exit {first}" in failing and os.getpid() != parent:
+            os._exit(3)
         if first in failing:
             raise ValidationError(f"chunk from path {first}")
 
@@ -828,6 +837,29 @@ def test_exiting_worker_makes_the_batch_raise(monkeypatch, exiting):
             SimulationError, match=f"chunk worker {exiting} exited before sending its values"):
         engine.batch_run(PD, [0.5, 0.5], [0.5, 0.5], cfg, 40, engine.final_share(0))
     assert_no_child_process()
+
+
+def test_chunk_messages_larger_than_a_pipe_buffer(monkeypatch):
+    # 24 statistics of 512 paths make each chunk's message about 98 KB, more than
+    # a pipe holds, so a worker that runs ahead blocks in its write until taken
+    cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=5)
+    stats = {st.name: st for st in (engine.share_at(j, 0.04 * k)
+                                    for j in (0, 1) for k in range(1, 13))}
+    assert len(stats) == 24
+
+    def run():
+        return engine.batch_run_many(PD, [0.5, 0.5], [0.5, 0.5], cfg, 2048, stats)
+
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 1)
+    alone = run()
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    before = children_cpu_seconds()
+    with time_limit(120):
+        pooled = run()
+    assert children_cpu_seconds() > before          # the chunks ran in workers
+    assert_no_child_process()
+    for name, res in alone.items():
+        assert pooled[name].values.tobytes() == res.values.tobytes(), name
 
 
 def test_unpicklable_statistic_runs_in_pooled_batch(monkeypatch):
@@ -1062,6 +1094,51 @@ def test_fresh_caller_makes_the_path_key_before_it_forks():
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[:3] == ["[False, False]", "[True, False]", "[True, False]"]
+
+
+# ---------------------------------------------------------------------------
+# the long-run law of two strategies, two-sided against the exact Beta law
+
+HAWK_DOVE = [[0.0, 0.5], [0.5, 0.0]]
+
+
+def central_mass_error(sigma) -> tuple[float, float]:
+    """The engine's long-run mass on ``|x_1 - 1/2| <= 0.1`` minus the exact Beta
+    mass, and its tolerance: 3 SE plus the difference between the runs at h and 2h,
+    which record the same times."""
+    near_half = games.Region.ball((0.5, 0.5), 0.1 * math.sqrt(2.0))
+    stat = engine.occupation_stat(near_half, 20.0)
+    fine, coarse = (engine.batch_run(HAWK_DOVE, sigma, [0.5, 0.5],
+                                     engine.SdeConfig(h=h, horizon=200.0, seed=3,
+                                                      record_stride=stride), 200, stat)
+                    for h, stride in ((0.01, 10), (0.02, 5)))
+    law = scipy.stats.beta(*stationary_beta(HAWK_DOVE, sigma))
+    return (fine.mean - (law.cdf(0.6) - law.cdf(0.4)),
+            3.0 * fine.std_error + abs(fine.mean - coarse.mean))
+
+
+@pytest.mark.parametrize("sigma, mass", [((0.3, 0.3), 0.48983), ((0.2, 0.4), 0.43505)])
+def test_two_strategy_long_run_law_is_the_exact_beta(sigma, mass):
+    # Beta(50/9, 50/9) and Beta(5.6, 4.4): c > 0 > c + d, so x_1 is positive recurrent
+    law = scipy.stats.beta(*stationary_beta(HAWK_DOVE, sigma))
+    assert law.cdf(0.6) - law.cdf(0.4) == pytest.approx(mass, abs=5e-6)
+    error, tolerance = central_mass_error(sigma)
+    assert abs(error) <= tolerance
+
+
+def test_unequal_noise_detects_the_dropped_ito_term(monkeypatch):
+    # with equal noise every log-share loses the same sigma^2 / 2, which the shares
+    # cancel, so only unequal noise shows the Ito term dropped
+    faulty_payoffs(monkeypatch, lambda A, sigma: A + 0.5 * (sigma * sigma)[:, None])
+    error, tolerance = central_mass_error((0.2, 0.4))
+    assert abs(error) > tolerance
+
+
+@pytest.mark.parametrize("A", [PD, [[2.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [0.0, 0.0]]])
+def test_stationary_beta_refuses_games_without_an_interior_law(A):
+    # strategy 2 dominant, bistable coordination, strategy 1 dominant
+    with pytest.raises(ValueError, match="no stationary law"):
+        stationary_beta(A, (0.3, 0.3))
 
 
 def test_drift_and_diffusion_zero_sum_bulk():

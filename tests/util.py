@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: determinants come from a
 memoized Laplace (cofactor) expansion rather than any factorization, the
 lattice values from literal complex Chebyshev evaluation, and the normal
-distribution function from quadrature of the density.  One engine fault, noise
-scaled in the kernel alone, shows what a check can detect.
+distribution function from quadrature of the density.  Two engine faults, the
+noise scaled or the payoffs changed in the kernel alone, show what a check can
+detect, and the exact long-run law of two strategies is a two-sided reference.
 """
 
 from __future__ import annotations
@@ -102,3 +103,39 @@ def scaled_noise(monkeypatch, factor: float) -> None:
             yield block
 
     monkeypatch.setattr(engine, "_increments", increments)
+
+
+def faulty_payoffs(monkeypatch, payoffs) -> None:
+    """Feed the SDE kernel the payoff matrix ``payoffs(A, sigma)`` (both arrays)
+    in place of ``A``, while every bound still reads the true game.  Every drift
+    fault is one of these: with ``1`` the all-ones vector, ``A + (sigma^2 / 2) 1^T``
+    drops the Ito term, and ``c A - (c - 1) (sigma^2 / 2) 1^T`` scales the drift
+    by ``c``.  Chunk workers fork after the patch, so they run it too."""
+    true_chunk = engine._sde_chunk
+
+    def chunk(A, sigma, *args):
+        changed = payoffs(np.asarray(A, dtype=float), np.asarray(sigma, dtype=float))
+        return true_chunk(changed, sigma, *args)
+
+    monkeypatch.setattr(engine, "_sde_chunk", chunk)
+
+
+def stationary_beta(A, sigma) -> tuple[float, float]:
+    """Parameters of the Beta law of ``x_1`` that the SDE of a two-strategy game
+    settles into.
+
+    ``y = log(x_1 / x_2)`` solves ``dy = (c + d x_1) dt + s dW``, with
+    ``s^2 = sigma_1^2 + sigma_2^2``, ``c = a_12 - a_22 - (sigma_1^2 - sigma_2^2) / 2``
+    and ``d = a_11 - a_21 - a_12 + a_22``.  Where ``c > 0 > c + d`` it is positive
+    recurrent, and its speed measure gives ``x_1 ~ Beta(2c / s^2, -2(c + d) / s^2)``
+    (Fudenberg and Harris, J. Econ. Theory 57, 1992).  Any other game has no
+    stationary law inside the simplex and raises ``ValueError``.
+    """
+    (a11, a12), (a21, a22) = np.asarray(A, dtype=float)
+    s1, s2 = (float(v) for v in sigma)
+    c = a12 - a22 - (s1 * s1 - s2 * s2) / 2.0
+    d = a11 - a21 - a12 + a22
+    if not c > 0.0 > c + d:
+        raise ValueError(f"no stationary law inside the simplex: c = {c:g}, c + d = {c + d:g}")
+    s_sq = s1 * s1 + s2 * s2
+    return 2.0 * c / s_sq, -2.0 * (c + d) / s_sq
