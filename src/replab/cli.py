@@ -70,6 +70,7 @@ def load_game(path: str):
         n = raw["n"]
         A = np.array(raw["A"], dtype=float)
         sigma = raw.get("sigma")
+        sigma = None if sigma is None else np.array(sigma, dtype=float)
         labels = raw.get("labels")
         sizes = (np.size(sigma) if sigma is not None else n,
                  len(labels) if labels is not None else n)

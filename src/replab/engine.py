@@ -38,7 +38,8 @@ not depend on which other paths share its chunk, nor on which process draws
 or integrates it.  A batch is cut into the fewest chunks of sorted path
 indices that its memory budget allows (at most 512 paths each), of equal size
 give or take one path.  Where this process may fork (two usable CPUs, and
-neither a chunk worker nor a daemonic process), a batch that draws at least
+neither a chunk worker nor a daemonic process such as a pool worker, whose
+pool already uses the CPUs), a batch that draws at least
 ``2 * _CHUNK_MIN_DRAWS`` normals a step is cut into at least one chunk per
 usable CPU, each drawing at least ``_CHUNK_MIN_DRAWS``: a single forked noise
 producer, at 20-30 ns a normal, would leave the caller waiting on it.  A batch
@@ -177,7 +178,6 @@ class Trajectory:
     states: np.ndarray          # (m, n)
     clamped: bool
     seed: int
-    path_index: int = 0
 
     @property
     def n_strategies(self) -> int:
@@ -243,8 +243,9 @@ def _may_fork() -> bool:
     """Whether a batch here may start worker or producer processes: not with
     one usable CPU, where they would only take turns (a chunk worker counts
     one, since its siblings use the others), nor in a daemonic process, such
-    as a ``multiprocessing`` pool worker, which may not have children (without
-    ``multiprocessing`` loaded this cannot be one)."""
+    as a ``multiprocessing`` pool worker: the pool already spreads its work
+    over the CPUs, so children of its workers would oversubscribe them
+    (without ``multiprocessing`` loaded this cannot be one)."""
     mp = sys.modules.get("multiprocessing")
     return _USABLE_CPUS >= 2 and (mp is None or not mp.current_process().daemon)
 
@@ -504,7 +505,7 @@ def simulate_sde(A, sigma, x0, cfg: SdeConfig, path_index: int = 0) -> Trajector
     """Integrate the noisy dynamics from an interior state; one seeded path."""
     res = _sde_chunk(A, sigma, x0, cfg, [path_index])
     return Trajectory(times=res.times, states=res.states[0],
-                      clamped=bool(res.clamped(None)[0]), seed=cfg.seed, path_index=path_index)
+                      clamped=bool(res.clamped(None)[0]), seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -673,30 +674,22 @@ def _chunk_size(cfg: SdeConfig, n: int) -> int:
     return max(1, min(_MAX_CHUNK_PATHS, _CHUNK_FLOAT_BUDGET // max(1, records * n)))
 
 
-def _chunk_values(job, span: tuple[int, int]) -> list[tuple[np.ndarray, int]]:
-    """Each statistic's values and clamped-path count on the chunk ``span``."""
-    A, sigma, x0, cfg, sorted_paths, hit_regions, read_steps, stats = job
-    res = _sde_chunk(A, sigma, x0, cfg, sorted_paths[slice(*span)], hit_regions, read_steps)
-    return [(_reduce(st, res.times, res.states, res.first_hit.get(st.hit_region)),
-             int(res.clamped(st.hit_region).sum())) for st in stats]
-
-
-def _forked_chunks(job, spans: list[tuple[int, int]], workers: int) -> list:
-    """:func:`_chunk_values` of every span, run in ``workers`` :func:`_child` workers.
+def _forked_chunks(run, spans: list[tuple[int, int]], workers: int) -> list:
+    """``run(span)`` of every span, run in ``workers`` :func:`_child` workers.
 
     Worker ``w`` runs chunks ``w, w + workers, ...`` and sends one message per
     chunk: its values, or the exception it raised, after which it stops.  The
     caller takes chunk ``i`` from worker ``i % workers``, in index order, so it
     raises the lowest failing chunk's exception, as an in-process loop would,
     or a ``SimulationError`` for the lowest chunk whose worker exited before
-    sending it.  Fork hands ``job`` to each worker without pickling it.  Every
+    sending it.  Fork hands ``run`` to each worker without pickling it.  Every
     child is reaped when this returns or raises."""
 
     def work(send, w: int) -> None:
         global _USABLE_CPUS
         _USABLE_CPUS = 1                        # so it forks no producer of its own
         for i in range(w, len(spans), workers):
-            send(_chunk_values(job, spans[i]))
+            send(run(spans[i]))
 
     children = []
     try:
@@ -749,8 +742,14 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
     read_steps = cfg.n_steps if any(st.hit_region is None for st in statistics.values()) else 0
     chunk = _chunk_size(cfg, n) if read_steps else _MAX_CHUNK_PATHS
     hit_regions = {st.hit_region for st in statistics.values()} - {None}
-    job = (A, sigma, x0, cfg, [path_indices[i] for i in order], hit_regions, read_steps,
-           list(statistics.values()))
+    sorted_paths = [path_indices[i] for i in order]
+
+    def run(span: tuple[int, int]) -> list[tuple[np.ndarray, int]]:
+        """Each statistic's values and clamped-path count on the chunk ``span``."""
+        res = _sde_chunk(A, sigma, x0, cfg, sorted_paths[slice(*span)], hit_regions, read_steps)
+        return [(_reduce(st, res.times, res.states, res.first_hit.get(st.hit_region)),
+                 int(res.clamped(st.hit_region).sum())) for st in statistics.values()]
+
     count = -(-n_paths // chunk)                # chunks of equal size, give or take one
     workers = _USABLE_CPUS if _may_fork() else 1
     # a batch that would keep one producer busy runs as one chunk per CPU instead
@@ -760,9 +759,9 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
     spans = list(zip(bounds, bounds[1:]))
     workers = min(workers, count)
     if workers > 1:
-        done = _forked_chunks(job, spans, workers)
+        done = _forked_chunks(run, spans, workers)
     else:
-        done = [_chunk_values(job, span) for span in spans]
+        done = [run(span) for span in spans]
 
     inverse = np.empty(n_paths, dtype=np.int64)
     inverse[order] = np.arange(n_paths)

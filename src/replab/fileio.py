@@ -40,22 +40,8 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _np_default(obj):
-    import numpy as np
-
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def json_text(obj) -> str:
-    return json.dumps(obj, indent=2, default=_np_default) + "\n"
+    return json.dumps(obj, indent=2) + "\n"
 
 
 @dataclass

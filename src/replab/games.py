@@ -112,15 +112,13 @@ def vertex(n: int, k: int) -> np.ndarray:
 class Region:
     """A measurable target set used for hitting times and occupation fractions.
 
-    Kinds: ``ball`` (Euclidean ball around a point), ``vertex`` (one coordinate
-    at least ``1 - eps``), ``any_vertex`` (some coordinate at least ``1 - eps``)
-    and ``coordinate_below`` (one coordinate at most ``eps``).
+    Kinds: ``ball`` (Euclidean ball around a point) and ``any_vertex`` (some
+    coordinate at least ``1 - eps``).
     """
 
     kind: str
     center: tuple[float, ...] | None = None
     radius: float | None = None
-    index: int | None = None
     eps: float | None = None
 
     @classmethod
@@ -131,22 +129,10 @@ class Region:
         return cls(kind="ball", center=tuple(float(v) for v in c), radius=float(radius))
 
     @classmethod
-    def vertex_neighborhood(cls, index: int, eps: float) -> "Region":
-        if not 0.0 < eps < 1.0:
-            raise ValidationError("eps must lie in (0, 1)")
-        return cls(kind="vertex", index=int(index), eps=float(eps))
-
-    @classmethod
     def any_vertex_neighborhood(cls, eps: float) -> "Region":
         if not 0.0 < eps < 1.0:
             raise ValidationError("eps must lie in (0, 1)")
         return cls(kind="any_vertex", eps=float(eps))
-
-    @classmethod
-    def coordinate_below(cls, index: int, eps: float) -> "Region":
-        if not 0.0 < eps < 1.0:
-            raise ValidationError("eps must lie in (0, 1)")
-        return cls(kind="coordinate_below", index=int(index), eps=float(eps))
 
     def contains(self, states) -> np.ndarray:
         """Vectorized membership test over the last axis of any ``(..., n)`` stack;
@@ -155,24 +141,16 @@ class Region:
         if self.kind == "ball":
             c = np.asarray(self.center)
             inside = ((x - c) ** 2).sum(axis=-1) < self.radius**2
-        elif self.kind == "vertex":
-            inside = x[..., self.index] >= 1.0 - self.eps
         elif self.kind == "any_vertex":
             inside = x.max(axis=-1) >= 1.0 - self.eps
-        elif self.kind == "coordinate_below":
-            inside = x[..., self.index] <= self.eps
-        else:  # pragma: no cover - constructors prevent this
+        else:
             raise ValidationError(f"unknown region kind {self.kind!r}")
         return bool(inside) if x.ndim == 1 else inside
 
     def describe(self) -> str:
         if self.kind == "ball":
             return f"ball(radius={self.radius:g})"
-        if self.kind == "vertex":
-            return f"x[{self.index}] >= {1.0 - self.eps:g}"
-        if self.kind == "any_vertex":
-            return f"max_k x[k] >= {1.0 - self.eps:g}"
-        return f"x[{self.index}] <= {self.eps:g}"
+        return f"max_k x[k] >= {1.0 - self.eps:g}"
 
 
 # ---------------------------------------------------------------------------

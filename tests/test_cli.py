@@ -279,6 +279,8 @@ def test_simulate_batch_flags(flags, message, tmp_path, capsys):
      "g.json: 1 diffusion coefficients for 2 strategies\n"),
     ({"n": 2, "A": [[0, 1], [1, 0]], "sigma": [0.1, 0.1], "labels": ["a"]},
      "g.json: 1 labels for 2 strategies\n"),
+    ({"n": 2, "A": [[0, 1], [1, 0]], "sigma": [0.1, "x"]},
+     "could not convert string to float: 'x'"),
 ])
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_missing_or_miscounted_sigma_exits_1(payload, message, command, tmp_path, capsys):

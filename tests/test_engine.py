@@ -324,14 +324,14 @@ def test_occupation_fraction_and_time_average():
     traj = engine.Trajectory(times=times, states=states, clamped=False, seed=0)
     everything = games.Region.ball([0.5, 0.5], 10.0)
     assert engine.occupation_stat(everything, 0.0).fn(traj) == 1.0
-    corner = games.Region.vertex_neighborhood(0, 0.2)
+    corner = games.Region.ball([1.0, 0.0], 0.2)
     assert engine.occupation_stat(corner, 0.0).fn(traj) == 0.5
     assert engine.occupation_stat(corner, 2.0).fn(traj) == 1.0
     with pytest.raises(ValidationError):
         engine.occupation_stat(corner, 3.0).fn(traj)
     assert engine.hitting_time_stat(corner).fn(traj) == 2.0
     assert engine.hit_flag_stat(corner).fn(traj) == 1.0
-    far = games.Region.vertex_neighborhood(1, 0.2)
+    far = games.Region.ball([0.0, 1.0], 0.2)
     assert (engine.hitting_time_stat(far).fn(traj), engine.hit_flag_stat(far).fn(traj)) == (3.0, 0.0)
     assert engine.captured_stat(everything, 0, 0.1).fn(traj) == 1.0
     assert engine.captured_stat(everything, 0, 0.05).fn(traj) == 0.0     # 0.95 is not above 0.95
@@ -507,7 +507,7 @@ def every_kind(n: int, t_record: float) -> list[engine.Statistic]:
     """One statistic of every factory, with ``captured`` and the hit flag able to go both ways."""
     centre = games.uniform_point(n)
     ball = games.Region.ball(centre, 0.4)
-    corner = games.Region.vertex_neighborhood(0, 0.5)
+    corner = games.Region.ball(games.vertex(n, 0), 0.5)
     return [
         engine.final_share(0),
         engine.max_final_share(),
@@ -579,7 +579,7 @@ def test_hitting_only_batch_matches_full_horizon_batch(coordination_matrix, hori
     shallow_floor = horizon == 30.0
     if shallow_floor:
         cfg = engine.SdeConfig(h=1e-2, horizon=30.0, seed=3, y_cap=50.0)
-        corner = games.Region.vertex_neighborhood(0, 0.1)
+        corner = games.Region.ball(games.vertex(3, 0), 0.1)
         stats = {"tau": engine.hitting_time_stat(corner), "hit": engine.hit_flag_stat(corner)}
         run = [2.0 * np.eye(3), [0.8] * 3, [1 / 3] * 3, cfg, 20]
     else:
@@ -626,7 +626,7 @@ def test_hitting_only_clamp_count_does_not_depend_on_chunk_layout(monkeypatch):
     # keeps moving for as long as its chunk-mates need; its floor hits after its
     # own first hit must not count, or the count would depend on the chunk layout.
     cfg = engine.SdeConfig(h=1e-2, horizon=30.0, seed=3, y_cap=50.0)
-    region = games.Region.vertex_neighborhood(0, 0.1)
+    region = games.Region.ball(games.vertex(3, 0), 0.1)
     stats = {"tau": engine.hitting_time_stat(region, name="tau"),
              "hit": engine.hit_flag_stat(region, name="hit")}
     out = []
@@ -723,7 +723,8 @@ def test_region_tests_run_once_per_segment(monkeypatch, coordination_matrix):
 
     monkeypatch.setattr(games.Region, "contains", counted)
     cfg = engine.SdeConfig(h=1e-2, horizon=60.0, seed=17, record_stride=100)
-    regions = [games.Region.any_vertex_neighborhood(0.1), games.Region.vertex_neighborhood(0, 0.5)]
+    regions = [games.Region.any_vertex_neighborhood(0.1),
+               games.Region.ball(games.vertex(3, 0), 0.5)]
     res = engine._sde_chunk(coordination_matrix, [0.5] * 3, [1 / 3] * 3, cfg, list(range(25)),
                             regions, 0)
     assert all(np.isfinite(res.first_hit[region]).any() for region in regions)
@@ -745,9 +746,9 @@ def three_chunk_batch(stats=None) -> dict[str, engine.BatchResult]:
     assert engine._chunk_size(cfg, 9) == 512
     if stats is None:
         stats = [engine.final_share(7),
-                 engine.hit_flag_stat(games.Region.vertex_neighborhood(7, 0.5), name="hit"),
+                 engine.hit_flag_stat(games.Region.ball(games.vertex(9, 7), 0.5), name="hit"),
                  engine.window_max_share(8, 10.0),
-                 engine.captured_stat(games.Region.coordinate_below(0, 0.2), 7, 0.6,
+                 engine.captured_stat(games.Region.ball(games.vertex(9, 7), 0.9), 7, 0.6,
                                       name="captured")]
     return engine.batch_run_many(A, sigma, x0, cfg, 1100, {st.name: st for st in stats})
 
@@ -883,8 +884,8 @@ def final_share_bytes() -> bytes:
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
 def test_batch_inside_daemonic_worker_matches_parent(monkeypatch):
-    # pool workers are daemonic and may not start processes of their own, so a
-    # batch called inside one runs its chunks in-process
+    # pool workers are daemonic, and their pool already spreads its work over the
+    # CPUs, so a batch called inside one runs its chunks in-process
     monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         inside = pool.apply(final_share_bytes)
@@ -1157,8 +1158,8 @@ def test_drift_and_diffusion_zero_sum_bulk():
 
 def test_mean_time_to_near_extinction_region(mixed_dominance_matrix):
     # leaving the dominated strategy below 5% happens within a few tens of
-    # time units on average
-    region = games.Region.coordinate_below(0, 0.05)
+    # time units; every state in this ball around the vertex of strategy 2 has it
+    region = games.Region.ball(games.vertex(3, 2), 0.05)
     cfg = engine.SdeConfig(h=1e-3, horizon=40.0, seed=19, record_stride=200)
     res = engine.batch_run(mixed_dominance_matrix, [0.3] * 3, [1 / 3] * 3, cfg, 200,
                            engine.hitting_time_stat(region, name="tau"))
@@ -1208,7 +1209,7 @@ def test_trajectory_csv_matches_per_value_formatting():
 # changed numpy Gaussian stream (NEP 19)
 
 GOLDEN_TRAJECTORY_SHA256 = "4bd19ea0769a507c2cdcddc8eada9e09827be03d10bab4bd9d3e4bd3b6eacf25"
-GOLDEN_BATCH_SHA256 = "bcb7e3a09d823b5ba15ae28acb36cfed09c6cb1f9c1182f2f980565329d854c3"
+GOLDEN_BATCH_SHA256 = "3fd6f75d392dfab3d394e5df7591b3705a4705c4ff419ce050fa2b9c3ef6f0a4"
 
 # Values of the same fixtures from the log-ratio kernel that the log-share
 # kernel replaced.  The two agree in exact arithmetic, so floats may move by
@@ -1221,7 +1222,7 @@ LOG_RATIO_KERNEL_ROWS = {
 LOG_RATIO_KERNEL_FINALS = {0: 0.2680145831876503, 299: 0.21020680389835616,
                            300: 0.15302132000542346, 599: 0.12571511703721347}
 LOG_RATIO_KERNEL_FINAL_SUM = 116.4674637160401
-LOG_RATIO_KERNEL_HIT_SHA256 = "ebea3e2c7034ce6583442b875f2f840b5efba35840d193f24dfdf9825168fb1c"
+LOG_RATIO_KERNEL_HIT_SHA256 = "243a7d332d86b8e20edfaff36eb43ec078d154b2dc717323c22429c31429b2d0"
 
 
 def golden_trajectory(A) -> engine.Trajectory:
@@ -1232,7 +1233,7 @@ def golden_trajectory(A) -> engine.Trajectory:
 def golden_batch(A) -> dict[str, engine.BatchResult]:
     cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=2005, record_stride=10)
     assert engine._chunk_size(cfg, 3) < 600          # two chunks
-    region = games.Region.coordinate_below(0, 0.3)
+    region = games.Region.ball((0.2, 0.4, 0.4), 0.12)
     return engine.batch_run_many(
         A, [0.3, 0.2, 0.1], [1 / 3] * 3, cfg, 600,
         {"final": engine.final_share(0), "hit": engine.hit_flag_stat(region, name="hit")})

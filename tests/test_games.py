@@ -349,24 +349,24 @@ def test_region_membership():
     ball = games.Region.ball([0.5, 0.5], 0.1)
     assert ball.contains([0.5, 0.5])
     assert not ball.contains([0.9, 0.1])
-    vertexish = games.Region.vertex_neighborhood(1, 0.05)
-    assert vertexish.contains([0.02, 0.98])
     anyv = games.Region.any_vertex_neighborhood(0.05)
-    assert anyv.contains([0.97, 0.03]) and not anyv.contains([0.5, 0.5])
-    low = games.Region.coordinate_below(0, 0.05)
-    assert low.contains([0.01, 0.99]) and not low.contains([0.5, 0.5])
+    assert anyv.contains([0.97, 0.03]) and anyv.contains([0.02, 0.98])
+    assert not anyv.contains([0.5, 0.5])
     states = np.array([[0.5, 0.5], [0.01, 0.99]])
-    assert list(low.contains(states)) == [False, True]
+    assert list(anyv.contains(states)) == [False, True]
+    assert list(ball.contains(states)) == [True, False]
     assert isinstance(ball.contains([0.5, 0.5]), bool)
     stack = np.array([[[0.5, 0.5], [0.01, 0.99]], [[0.97, 0.03], [0.55, 0.45]]])
-    for region in (ball, vertexish, anyv, low):
+    for region in (ball, anyv):
         got = region.contains(stack)
         assert got.shape == (2, 2)
         assert got.tolist() == [[region.contains(s) for s in row] for row in stack]
     with pytest.raises(ValidationError):
         games.Region.ball([0.5, 0.5], 0.0)
     with pytest.raises(ValidationError):
-        games.Region.vertex_neighborhood(0, 1.5)
+        games.Region.any_vertex_neighborhood(1.5)
+    with pytest.raises(ValidationError, match="unknown region kind 'cube'"):
+        games.Region(kind="cube").contains([0.5, 0.5])
 
 
 def test_second_eigenvalue_sees_in_place_changes():
