@@ -4,8 +4,9 @@ Subcommands: ``analyze`` (statics of a game file), ``simulate`` (seeded
 trajectories or batches), ``verify`` (one named bound check as a Monte Carlo
 campaign), ``attrition`` (closed-form equilibria and sweeps) and ``rerun``
 (replay a manifest whose input digests still match, and check that the
-outputs come back with their recorded digests).  Output is
-machine-first (JSON/CSV files); a short human-readable summary goes to
+outputs come back with their recorded digests).  Output is machine-first:
+each command writes its JSON/CSV files and then their manifest in one
+``fileio.write_run`` call, and a short human-readable summary goes to
 standard output.
 
 Exit codes: 0 success/consistent, 1 malformed input (a command line that does
@@ -69,13 +70,17 @@ def load_game(path: str):
     try:
         n = raw["n"]
         A = np.array(raw["A"], dtype=float)
-        sigma = raw.get("sigma")
-        sigma = None if sigma is None else np.array(sigma, dtype=float)
-        labels = raw.get("labels")
-        sizes = (np.size(sigma) if sigma is not None else n,
-                 len(labels) if labels is not None else n)
+        sigma, labels = raw.get("sigma"), raw.get("labels")
+        n_labels = len(labels) if labels is not None else n
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"game file {path} needs integer 'n' and matrix 'A': {exc!r}") from exc
+    if sigma is not None:
+        try:
+            sigma = np.array(sigma, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"game file {path}: 'sigma' must be a list of numbers: "
+                             f"{exc!r}") from exc
+    sizes = (np.size(sigma) if sigma is not None else n, n_labels)
     n = _integer_n(n, f"game file {path}")
     if A.shape != (n, n):
         raise InputError(f"game file {path}: 'A' has shape {A.shape}, 'n' is {n}")
@@ -192,10 +197,8 @@ def cmd_analyze(args) -> int:
         report["sigma"] = sigma.tolist()
         report["coordination_game"] = games.is_coordination_game(A, sigma)
 
-    manifest = _manifest(args, inputs=[args.game])
-    out_json = args.out + ".json"
-    manifest.write_output(out_json, fileio.json_text(report))
-    manifest.write(args.out + ".manifest.json")
+    fileio.write_run(args.out, {".json": fileio.json_text(report)},
+                     _manifest(args, inputs=[args.game]))
 
     print(f"lambda2 = {lam2:.6g} ({report['cnd_status']}); "
           f"{len(equilibria)} equilibria, {len(dominance)} dominated strategies")
@@ -235,23 +238,19 @@ def cmd_simulate(args) -> int:
     x0 = games.as_simplex_point(x0, n, interior=True)
     stat = _parse_stat(args.stat, n)
     cfg = _config_from(args)
-    manifest = _manifest(args, inputs=[args.game])
+    head = _manifest(args, inputs=[args.game])
 
     if args.paths == 1:
         traj = engine.simulate_sde(A, sigma, x0, cfg)
-        out_csv = args.out + ".csv"
-        manifest.write_output(out_csv, engine.trajectory_csv_text(traj))
-        manifest.write(args.out + ".manifest.json")
-        print(f"1 path, {traj.times.size} recorded points -> {out_csv}"
+        fileio.write_run(args.out, {".csv": engine.trajectory_csv_text(traj)}, head)
+        print(f"1 path, {traj.times.size} recorded points -> {args.out}.csv"
               + (" (log-share floor reached)" if traj.clamped else ""))
         return EXIT_OK
 
     result = engine.batch_run(A, sigma, x0, cfg, args.paths, stat)
-    out_json = args.out + ".json"
-    manifest.write_output(out_json, fileio.json_text(result.to_json_dict()))
-    manifest.write(args.out + ".manifest.json")
+    fileio.write_run(args.out, {".json": fileio.json_text(result.to_json_dict())}, head)
     print(f"{args.paths} paths: {stat.name} = {result.mean:.6g} "
-          f"+- {result.std_error:.2g} (se) -> {out_json}"
+          f"+- {result.std_error:.2g} (se) -> {args.out}.json"
           + (f" ({result.clamped_paths} reached the log-share floor)"
              if result.clamped_paths else ""))
     return EXIT_OK
@@ -289,7 +288,7 @@ def cmd_verify(args) -> int:
     if "k" in flags and "k" not in given:
         raise InputError(f"--k (1-based strategy index) is required for {tag}")
     cfg = _config_from(args)
-    manifest = _manifest(args, inputs=[args.game])
+    head = _manifest(args, inputs=[args.game])
 
     if tag == "5.1":
         spec = load_attrition_spec(args.game)
@@ -310,11 +309,8 @@ def cmd_verify(args) -> int:
     if isinstance(report, dict):    # the attraction checks share one batch
         report = report[tag]
 
-    out_json = args.out + ".json"
-    manifest.write_output(out_json, fileio.json_text(report.to_json_dict()))
-    out_csv = args.out + "_paths.csv"
-    manifest.write_output(out_csv, report.per_path_csv_text())
-    manifest.write(args.out + ".manifest.json")
+    fileio.write_run(args.out, {".json": fileio.json_text(report.to_json_dict()),
+                                "_paths.csv": report.per_path_csv_text()}, head)
 
     print(f"{report.name}: {report.verdict} "
           f"(analytic {report.analytic_value:.6g}, empirical {report.empirical_value:.6g})"
@@ -351,18 +347,18 @@ def _sweep_csv(specs, results) -> str:
 
 
 def cmd_attrition(args) -> int:
-    inputs = []
+    mode = "--sweep" if args.sweep else "--spec" if args.spec else None
+    stray = [flag for flag, value in (("--spec", args.spec), ("--n", args.n), ("--v", args.v))
+             if mode and flag != mode and value is not None]
+    if stray:
+        raise InputError(f"{', '.join(stray)} not read by {mode}")
     if args.spec:
         spec = load_attrition_spec(args.spec)
-        inputs.append(args.spec)
-    elif args.sweep:
-        spec = None
-    else:
+    elif not args.sweep:
         if args.n is None or args.v is None:
             raise InputError("give --spec FILE or both --n and --v")
         spec = attrition.ConstantAttritionSpec(n=args.n, v=args.v, rho=args.rho)
-
-    manifest = _manifest(args, inputs=inputs)
+    head = _manifest(args, inputs=[args.spec] if args.spec else [])
 
     if args.sweep:
         if not args.out:
@@ -375,15 +371,14 @@ def cmd_attrition(args) -> int:
         if n_lo > n_hi:
             raise InputError(f"--n-range {args.n_range} is empty: lo must not exceed hi")
         specs = attrition.ess_sweep_rows(range(n_lo, n_hi + 1), fracs, v_step=args.v_step)
-        out_csv = args.out + ".csv"
-        manifest.write_output(out_csv, _sweep_csv(specs, map(attrition.closed_form_ess, specs)))
-        manifest.write(args.out + ".manifest.json")
-        print(f"{len(specs)} instances -> {out_csv}")
+        rows = _sweep_csv(specs, map(attrition.closed_form_ess, specs))
+        fileio.write_run(args.out, {".csv": rows}, head)
+        print(f"{len(specs)} instances -> {args.out}.csv")
         return EXIT_OK
 
     if isinstance(spec, attrition.ConstantAttritionSpec):
         result = attrition.closed_form_ess(spec)
-        text = _sweep_csv([spec], [result])
+        suffix, text = ".csv", _sweep_csv([spec], [result])
         print(text.splitlines()[1])
         det = attrition.constant_matrix_det(spec)
         direct = float(np.linalg.det(attrition.perturbed_matrix(spec)))
@@ -391,10 +386,6 @@ def cmd_attrition(args) -> int:
               f"relative gap {abs(det - direct) / max(abs(direct), 1e-300):.2e})")
         if result.s is not None:
             print(f"support cutoff s = {result.s}, normalizer c = {result.c:.12g}")
-        if args.out:
-            out_csv = args.out + ".csv"
-            manifest.write_output(out_csv, text)
-            manifest.write(args.out + ".manifest.json")
     else:
         B = attrition.perturbed_matrix(spec)
         report = ess.unique_ess(B)
@@ -403,17 +394,15 @@ def cmd_attrition(args) -> int:
         if report is not None:
             print(f"stable strategy {np.round(report.strategy, 12).tolist()} "
                   f"(payoff {report.common_payoff:.12g}, {report.status})")
-        if args.out:
-            out_json = args.out + ".json"
-            payload = {
-                "costs": list(spec.costs), "rewards": list(spec.rewards),
-                "rho": list(spec.rho), "forced_zero": forced,
-                "strategy": None if report is None else report.strategy.tolist(),
-                "common_payoff": None if report is None else report.common_payoff,
-                "status": None if report is None else report.status,
-            }
-            manifest.write_output(out_json, fileio.json_text(payload))
-            manifest.write(args.out + ".manifest.json")
+        suffix, text = ".json", fileio.json_text({
+            "costs": list(spec.costs), "rewards": list(spec.rewards),
+            "rho": list(spec.rho), "forced_zero": forced,
+            "strategy": None if report is None else report.strategy.tolist(),
+            "common_payoff": None if report is None else report.common_payoff,
+            "status": None if report is None else report.status,
+        })
+    if args.out:
+        fileio.write_run(args.out, {suffix: text}, head)
     return EXIT_OK
 
 
@@ -425,7 +414,8 @@ def cmd_rerun(args) -> int:
     """Replay a manifest's command once every listed input still has its recorded
     sha256, then check that every output has its recorded sha256 again."""
     try:
-        manifest = fileio.RunManifest.load(args.manifest)
+        with open(args.manifest, "r", encoding="utf-8") as f:
+            manifest = json.load(f)
         command = list(manifest["command"])
         inputs = [(str(e["path"]), str(e["sha256"])) for e in manifest["inputs"]]
         outputs = [(str(p), str(d)) for p, d in dict(manifest.get("output_sha256", {})).items()]
@@ -454,20 +444,17 @@ def _check_digests(entries, what: str, changed: str) -> None:
 # parser
 
 
-def _manifest(args, inputs) -> fileio.RunManifest:
-    manifest = fileio.RunManifest(
-        command=list(args._argv),
-        seed=getattr(args, "seed", None),
-        defaults={"version": __version__,
-                  "y_cap": engine.SdeConfig.y_cap,
-                  "record_points_cap": engine.MAX_RECORD_POINTS},
-    )
+def _manifest(args, inputs) -> dict:
+    """The manifest's head: argument vector, input digests, seed and defaults."""
+    digests = []
     for path in inputs:
         try:
-            manifest.add_input(path)
+            digests.append({"path": path, "sha256": fileio.sha256_file(path)})
         except OSError as exc:
             raise InputError(f"cannot read input file {path}: {exc}") from exc
-    return manifest
+    return {"command": list(args._argv), "inputs": digests, "seed": getattr(args, "seed", None),
+            "defaults": {"version": __version__, "y_cap": engine.SdeConfig.y_cap,
+                         "record_points_cap": engine.MAX_RECORD_POINTS}}
 
 
 @functools.cache

@@ -1,10 +1,11 @@
 """Atomic file output, hashing and the run manifest.
 
 Commands never leave partial files behind: content is written to a temporary
-sibling and renamed into place only on success.  Every command also writes a
-manifest (no timestamps, nothing machine-specific) listing its argument
-vector, input digests, output paths and output digests, so replaying the
-manifest can be checked to reproduce every output byte for byte.
+sibling and renamed into place only on success.  Every command writes its
+outputs and then its manifest through one function, :func:`write_run`.  The
+manifest (no timestamps, nothing machine-specific) lists the argument vector,
+input digests, output paths and output digests, so replaying it can be
+checked to reproduce every output byte for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -44,43 +44,17 @@ def json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record of one command invocation."""
+def write_run(out: str, texts: dict[str, str], head: dict) -> None:
+    """Write each ``out + suffix`` atomically, then the manifest ``out + ".manifest.json"``.
 
-    command: list[str]
-    inputs: list[dict] = field(default_factory=list)
-    seed: int | None = None
-    defaults: dict = field(default_factory=dict)
-    outputs: list[str] = field(default_factory=list)
-    output_sha256: dict[str, str] = field(default_factory=dict)
-
-    def add_input(self, path: str) -> None:
-        self.inputs.append({"path": path, "sha256": sha256_file(path)})
-
-    def add_output(self, path: str) -> None:
-        if path not in self.outputs:
-            self.outputs.append(path)
-
-    def write_output(self, path: str, text: str) -> None:
-        """Write one output atomically and record its path and the sha256 of its bytes."""
-        atomic_write_text(path, text)
-        self.add_output(path)
-        self.output_sha256[path] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def write(self, path: str) -> None:
-        """Write the manifest itself; it lists its own path but holds no digest of itself."""
-        self.add_output(path)
-        atomic_write_text(path, json_text({
-            "command": self.command,
-            "inputs": self.inputs,
-            "seed": self.seed,
-            "defaults": self.defaults,
-            "outputs": self.outputs,
-            "output_sha256": self.output_sha256,
-        }))
-
-    @staticmethod
-    def load(path: str) -> dict:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+    The manifest is ``head`` (command, inputs, seed, defaults) followed by the
+    output paths, its own path last, and the sha256 of each output's bytes; it
+    holds no digest of itself.
+    """
+    digests = {}
+    for suffix, text in texts.items():
+        atomic_write_text(out + suffix, text)
+        digests[out + suffix] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    manifest = out + ".manifest.json"
+    atomic_write_text(manifest, json_text(
+        {**head, "outputs": [*digests, manifest], "output_sha256": digests}))

@@ -281,6 +281,9 @@ def test_simulate_batch_flags(flags, message, tmp_path, capsys):
      "g.json: 1 labels for 2 strategies\n"),
     ({"n": 2, "A": [[0, 1], [1, 0]], "sigma": [0.1, "x"]},
      "could not convert string to float: 'x'"),
+    ({"n": 2, "A": [[0, 1], [1, 0]], "sigma": [0.1, "x"]},
+     "g.json: 'sigma' must be a list of numbers: "
+     "ValueError(\"could not convert string to float: 'x'\")"),
 ])
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_missing_or_miscounted_sigma_exits_1(payload, message, command, tmp_path, capsys):
@@ -497,6 +500,22 @@ def test_no_replab_module_imports_replab_inside_a_function():
     assert local == []
 
 
+def test_only_fileio_writes_files():
+    """Every command writes through ``fileio.write_run``, so its manifest lists every file."""
+    package = os.path.dirname(cli.__file__)
+    writers = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "fileio.py":
+            continue
+        tree = ast.parse(open(os.path.join(package, name), encoding="utf-8").read())
+        for node in ast.walk(tree):
+            if (getattr(node, "id", None) == "atomic_write_text"
+                    or getattr(node, "attr", None) == "atomic_write_text"
+                    or getattr(node, "name", None) == "atomic_write_text"):
+                writers.append(f"{name}:{node.lineno}")
+    assert writers == []
+
+
 @pytest.mark.parametrize("eps", ["0", "-0.5", "nan", "1", "1.5"])
 def test_verify_coordination_eps_out_of_range_exits_4(eps, tmp_path, capsys):
     out = str(tmp_path / "v")
@@ -616,14 +635,26 @@ def test_attrition_row_file_replays(tmp_path, capsys):
     assert cli.main(["rerun", out + ".manifest.json"]) == 0
 
 
+ATTRITION_SMALL = os.path.join(TESTBEDS, "attrition_small.json")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["attrition"], "give --spec FILE or both --n and --v"),
     (["attrition", "--n", "2"], "give --spec FILE or both --n and --v"),
     (["attrition", "--sweep"], "--out is required in sweep mode"),
+    (["attrition", "--spec", ATTRITION_SMALL, "--sweep", "--out", "OUT"],
+     "--spec not read by --sweep"),
+    (["attrition", "--sweep", "--n", "2", "--v", "1", "--out", "OUT"],
+     "--n, --v not read by --sweep"),
+    (["attrition", "--spec", ATTRITION_SMALL, "--n", "2"], "--n not read by --spec"),
+    (["attrition", "--spec", ATTRITION_SMALL, "--v", "1", "--out", "OUT"],
+     "--v not read by --spec"),
 ])
-def test_attrition_missing_flags_exit_1(argv, message, capsys):
+def test_attrition_missing_flags_exit_1(argv, message, tmp_path, capsys):
+    argv = [str(tmp_path / "x") if a == "OUT" else a for a in argv]
     assert cli.main(argv) == 1
     assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_attrition_invalid_rho_exits_4(capsys):
@@ -694,6 +725,42 @@ def test_rerun_reproduces_outputs_byte_identically(pd_file, tmp_path):
     hashes = {p: sha(p) for p in manifest["outputs"]}
     assert cli.main(["rerun", manifest_path]) == 0
     assert {p: sha(p) for p in manifest["outputs"]} == hashes
+
+
+GENERAL_SPEC = {"n": 2, "mode": "general", "costs": [0.0, 1.0, 2.0],
+                "rewards": [1.0, 1.0, 1.0], "rho": [0.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", os.path.join(TESTBEDS, "coordination.json")],
+    ["simulate", os.path.join(TESTBEDS, "coordination.json"), "--seed", "3", "--T", "1",
+     "--paths", "1"],
+    ["simulate", os.path.join(TESTBEDS, "coordination.json"), "--seed", "3", "--T", "1",
+     "--paths", "5"],
+    ["verify", os.path.join(TESTBEDS, "coordination.json"), "--theorem", "4.3", "--seed", "1",
+     *SMALL, "--stride", "100"],
+    ["attrition", "--sweep", "--n-range", "1:2", "--v-step", "0.5"],
+    ["attrition", "--n", "2", "--v", "1"],
+    ["attrition", "--spec", "GENERAL"],
+], ids=["analyze", "simulate-path", "simulate-batch", "verify", "attrition-sweep",
+        "attrition-row", "attrition-general"])
+def test_manifest_lists_exactly_what_the_command_wrote(argv, tmp_path, capsys):
+    general = tmp_path / "general.json"
+    general.write_text(json.dumps(GENERAL_SPEC))
+    written = tmp_path / "out"
+    out = str(written / "run")
+    argv = [str(general) if a == "GENERAL" else a for a in argv] + ["--out", out]
+    code = cli.main(argv)
+    manifest_path = out + ".manifest.json"
+    manifest = json.loads(open(manifest_path).read())
+    files = sorted(str(p) for p in written.iterdir())
+    assert sorted(manifest["outputs"]) == files
+    assert manifest["outputs"][-1] == manifest_path
+    assert manifest["output_sha256"] == {p: sha(p) for p in files if p != manifest_path}
+    assert manifest["command"] == argv
+    before = {p: sha(p) for p in files}
+    assert cli.main(["rerun", manifest_path]) == code
+    assert {p: sha(p) for p in sorted(str(p) for p in written.iterdir())} == before
 
 
 def test_rerun_refuses_changed_or_missing_inputs(pd_file, tmp_path, capsys):
