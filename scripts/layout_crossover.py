@@ -51,11 +51,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if engine._USABLE_CPUS < 2:
         parser.error("one usable CPU: every batch runs in-process, with no producer")
+    for n, sizes in ((3, args.draws3), (9, args.draws9)):
+        if min(sizes) < 2 * n:
+            parser.error(f"--draws{n} {min(sizes)} is under 2 paths: a lone path has no "
+                         "worker layout")
     print(f"{engine._USABLE_CPUS} usable CPUs, {args.steps} steps, median of {args.repeat}")
     print(f"{'n':>2}  {'draws':>5}  {'paths':>5}  {'producer s':>10}  {'workers s':>9}  ratio")
     for n, sizes in ((3, args.draws3), (9, args.draws9)):
         for draws in sizes:
-            paths = max(1, draws // n)
+            paths = draws // n
             seconds = {layout: [] for layout in LAYOUTS}
             values = set()
             for rep in range(args.repeat):

@@ -296,6 +296,7 @@ def cmd_verify(args) -> int:
     else:
         A, sigma, _labels = load_game(args.game)
         game, n = {"A": A}, A.shape[0]
+    engine.check_kernel_size(n)
     sigma = games.as_noise_vector(_sigma_arg(args, sigma, n), n)
     if "k" in given:
         if not 1 <= given["k"] <= n:
@@ -421,6 +422,8 @@ def cmd_rerun(args) -> int:
         outputs = [(str(p), str(d)) for p, d in dict(manifest.get("output_sha256", {})).items()]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot read manifest {args.manifest}: {exc!r}") from exc
+    if command[:1] == ["rerun"]:
+        raise InputError(f"manifest {args.manifest} replays rerun, which no command records")
     if not outputs:
         raise InputError(f"manifest {args.manifest} records no output digests to check")
     _check_digests(inputs, "input file", f"changed since {args.manifest} was written")
@@ -453,7 +456,7 @@ def _manifest(args, inputs) -> dict:
         except OSError as exc:
             raise InputError(f"cannot read input file {path}: {exc}") from exc
     return {"command": list(args._argv), "inputs": digests, "seed": getattr(args, "seed", None),
-            "defaults": {"version": __version__, "y_cap": engine.SdeConfig.y_cap,
+            "defaults": {"version": __version__, "y_cap": engine.Y_CAP,
                          "record_points_cap": engine.MAX_RECORD_POINTS}}
 
 

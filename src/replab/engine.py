@@ -10,26 +10,25 @@ coupled Brownian increments.  No strategy serves as a reference coordinate.
 The deterministic dynamics is the ``sigma -> 0`` limit and has no integrator
 of its own.
 
-The SDE kernel floors each log-share at ``y_cap`` (default 500, at most
-``MAX_Y_CAP``) below its path's largest: a share below ``exp(-500)`` times the
-largest is physically extinct, and the floor keeps ``Z`` bounded.  The floor
-acts on each strategy alone, so the surviving shares keep moving.  Every share
-stays above ``exp(-y_cap) / n``, far above the smallest positive double, so
-the loop needs no floor on the shares themselves.  The floor check runs only
-on steps where a floor hit is possible: one step lowers a log-share against
-its path's largest by at most twice its largest drift-plus-increment, which is
-bounded from the payoffs, the noise and the block of increments drawn, so
-after a check the next one is due once that bound could have used up the gap
-to the floor, and at the start of every block.  Each path's maximum is
-subtracted from ``Z`` every ``period`` steps (at most 64), where ``period``
-depends on the payoffs, the noise and the step alone: unless an increment
-passes 16 standard deviations, the largest log-share moves by less than 100 in
-between, so ``exp(Z)`` neither overflows nor leaves the normal doubles.  The
-kernel records each path's first floor time, and the clamp rule is: a
-statistic counts a path as clamped when that time is no later than the last
-step the statistic reads, which is the first entry into its region for a
-hitting kind and the horizon for every other kind.  A statistic's count
-therefore does not depend on which others share its batch.
+The SDE kernel floors each log-share ``Y_CAP`` = 500 below its path's largest:
+a share below ``exp(-500)`` times the largest is physically extinct, and the
+floor keeps ``Z`` bounded.  The floor acts on each strategy alone, so the
+surviving shares keep moving.  Every share stays above ``exp(-Y_CAP) / n``, far
+above the smallest normal double, so the loop needs no floor on the shares
+themselves.  The floor check runs only on steps where a floor hit is possible:
+one step lowers a log-share against its path's largest by at most twice its
+largest drift-plus-increment, which is bounded from the payoffs, the noise and
+the block of increments drawn, so after a check the next one is due once that
+bound could have used up the gap to the floor, and at the start of every
+block.  Each path's maximum is subtracted from ``Z`` every ``period`` steps (at
+most 64), where ``period`` depends on the payoffs, the noise and the step
+alone: unless an increment passes 16 standard deviations, the largest
+log-share moves by less than 100 in between, so ``exp(Z)`` neither overflows
+nor leaves the normal doubles.  The kernel records each path's first floor
+time, and the clamp rule is: a statistic counts a path as clamped when that
+time is no later than the last step the statistic reads, which is the first
+entry into its region for a hitting kind and the horizon for every other kind.
+A statistic's count therefore does not depend on which others share its batch.
 
 Determinism contract: each path's Gaussian increments come from its own
 counter-based stream (see :mod:`replab.rng`), and the batched SDE kernel
@@ -37,13 +36,13 @@ updates every path's column with the same operations, so a path's values do
 not depend on which other paths share its chunk, nor on which process draws
 or integrates it.  A batch is cut into the fewest chunks of sorted path
 indices that its memory budget allows (at most 512 paths each), of equal size
-give or take one path.  Where this process may fork (two usable CPUs, and
-neither a chunk worker nor a daemonic process such as a pool worker, whose
-pool already uses the CPUs), a batch that draws at least
-``2 * _CHUNK_MIN_DRAWS`` normals a step is cut into at least one chunk per
-usable CPU, each drawing at least ``_CHUNK_MIN_DRAWS``: a single forked noise
-producer, at 20-30 ns a normal, would leave the caller waiting on it.  A batch
-of two or more chunks runs them in plain forked workers, one per usable CPU:
+give or take one path.  Where this process may fork (two usable CPUs; a
+chunk worker counts one, since its siblings use the others), a batch that
+draws at least ``2 * _CHUNK_MIN_DRAWS`` normals a step is cut into at least
+one chunk per usable CPU, each drawing at least ``_CHUNK_MIN_DRAWS``: a
+single forked noise producer, at 20-30 ns a normal, would leave the caller
+waiting on it.  A batch of two or more chunks runs them in plain forked
+workers, one per usable CPU:
 worker ``w`` integrates and reduces chunks ``w, w + workers, ...`` and sends
 back each chunk's per-path values, which the caller takes in chunk order.
 Threads would not help: the interpreter lock serialises the kernel's many
@@ -92,7 +91,6 @@ import mmap
 import os
 import pickle
 import signal
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -104,10 +102,9 @@ from .games import Region
 
 MAX_RECORD_POINTS = 100_000
 MAX_STRATEGIES = 15                 # from K = 16 on, OpenBLAS gemm rounds by column count
-MAX_Y_CAP = 600.0                   # every share stays above exp(-600) / n, which
-                                    # is far above the smallest normal double
+Y_CAP = 500.0                       # log-share floor depth below each path's largest
 _STEP_ROUNDING = 1e-9               # per-step slack of the floor-reach bound, far above
-                                    # a step's rounding at |Z| <= MAX_Y_CAP + 100
+                                    # a step's rounding at |Z| <= Y_CAP + 100
 # Recorded floats per chunk: admits 100 paths x 20 001 records x 3 strategies,
 # so full-size 2.3a, 2.4 and 2.8 run as 100 + 100 paths.  A worker of full-size
 # 2.3a peaks at 163 MB resident (RUSAGE_CHILDREN, Linux x86-64, numpy 2.4).
@@ -130,15 +127,13 @@ _USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") 
 class SdeConfig:
     """Discretization, horizon and seeding of one integration run.
 
-    ``y_cap`` is the depth of the log-share floor, from 50 to ``MAX_Y_CAP``: a
-    path is ``clamped`` once some share falls below ``exp(-y_cap)`` times the
-    largest share.
+    A path is ``clamped`` once some share falls below ``exp(-Y_CAP)`` times
+    the largest share.
     """
 
     h: float
     horizon: float
     seed: int
-    y_cap: float = 500.0
     record_stride: int | None = None
 
     def __post_init__(self):
@@ -146,8 +141,6 @@ class SdeConfig:
             raise ValidationError("step size must be finite and > 0")
         if not (math.isfinite(self.horizon) and self.horizon >= self.h):
             raise ValidationError("horizon must satisfy 0 < h <= horizon")
-        if not 50.0 <= self.y_cap <= MAX_Y_CAP:
-            raise ValidationError(f"y_cap must lie in [50, {MAX_Y_CAP:g}]")
         rng.check_seed(self.seed)
         if self.record_stride is not None and int(self.record_stride) < 1:
             raise ValidationError("record_stride must be >= 1")
@@ -239,17 +232,6 @@ def _draw_blocks(seed: int, paths, n: int, total_steps: int, scale: np.ndarray,
         yield steps
 
 
-def _may_fork() -> bool:
-    """Whether a batch here may start worker or producer processes: not with
-    one usable CPU, where they would only take turns (a chunk worker counts
-    one, since its siblings use the others), nor in a daemonic process, such
-    as a ``multiprocessing`` pool worker: the pool already spreads its work
-    over the CPUs, so children of its workers would oversubscribe them
-    (without ``multiprocessing`` loaded this cannot be one)."""
-    mp = sys.modules.get("multiprocessing")
-    return _USABLE_CPUS >= 2 and (mp is None or not mp.current_process().daemon)
-
-
 def _child(body):
     """Fork a child that runs ``body(send)``, and return its pid and the read end
     of its pipe, for :func:`_take`.  ``send`` pickles one message onto the
@@ -303,13 +285,13 @@ def _increments(seed: int, paths, n: int, total_steps: int, scale: np.ndarray):
     """Blocks of each step's Gaussian increments times ``scale``, as (steps, n,
     columns) views valid until the next is taken; the caller may overwrite a
     block it holds.  A chunk of more than one block (:func:`_spans`) draws
-    them in a producer, a :func:`_child`, where :func:`_may_fork` allows: in
-    the caller of a batch that runs in-process, never in a chunk worker, which
+    them in a producer, a :func:`_child`, where two CPUs are usable: in the
+    caller of a batch that runs in-process, never in a chunk worker, which
     draws its own.  A batch wide enough to keep a producer busy runs in workers
     instead (see ``_CHUNK_MIN_DRAWS``)."""
     columns = scale.shape[1]
     block = min(total_steps, max(1, _NOISE_BLOCK_FLOATS // (columns * n)))
-    if block < total_steps and _may_fork():
+    if block < total_steps and _USABLE_CPUS >= 2:
         yield from _produced_blocks(seed, paths, n, total_steps, scale, block)
     else:
         buf = np.empty((block, n, columns))
@@ -355,6 +337,13 @@ def _produced_blocks(seed: int, paths, n: int, total_steps: int, scale: np.ndarr
         os.close(freed_w)
 
 
+def check_kernel_size(n: int) -> None:
+    """Refuse a game of ``n`` strategies if the SDE kernel cannot run it."""
+    if n > MAX_STRATEGIES:
+        raise InputError(f"the SDE kernel takes at most {MAX_STRATEGIES} strategies, got {n}: "
+                         "beyond that BLAS rounds a path differently in chunks of other widths")
+
+
 @dataclass
 class _ChunkResult:
     times: np.ndarray
@@ -391,9 +380,7 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
     still to enter, to the end of the segment where the last one enters."""
     A = games.as_payoff_matrix(A)
     n = A.shape[0]
-    if n > MAX_STRATEGIES:
-        raise InputError(f"the SDE kernel takes at most {MAX_STRATEGIES} strategies, got {n}: "
-                         "beyond that BLAS rounds a path differently in chunks of other widths")
+    check_kernel_size(n)
     m = len(paths)
     columns = max(m, 2)
     grid = cfg.record_steps()
@@ -438,7 +425,7 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
     # standard deviations; from the game and the step alone, never from the layout
     move = drift_reach + float(ito.max()) + 16.0 * math.sqrt(cfg.h) * float(sig.max())
     period = max(1, min(64, int(100.0 // max(move, 1.0))))
-    cap = cfg.y_cap
+    cap = Y_CAP
     dot, exp, maximum = np.dot, np.exp, np.maximum     # dot: the gemm of matmul, less overhead
     add, subtract, divide = np.add, np.subtract, np.divide
     max_reduce, min_reduce = np.maximum.reduce, np.minimum.reduce
@@ -466,7 +453,7 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
                     if not k % period:
                         subtract(Z, max_reduce(Z, axis=0, out=top, keepdims=True), out=Z)
                     if k >= check:
-                        # the floor lies y_cap below each path's largest log-share, and
+                        # the floor lies Y_CAP below each path's largest log-share, and
                         # Z - level < 0 exactly when Z < level, so the floor moves only
                         # the entries found below it
                         level = subtract(max_reduce(Z, axis=0, out=top, keepdims=True), cap,
@@ -751,7 +738,7 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
                  int(res.clamped(st.hit_region).sum())) for st in statistics.values()]
 
     count = -(-n_paths // chunk)                # chunks of equal size, give or take one
-    workers = _USABLE_CPUS if _may_fork() else 1
+    workers = _USABLE_CPUS
     # a batch that would keep one producer busy runs as one chunk per CPU instead
     if workers > 1 and n_paths * n >= 2 * _CHUNK_MIN_DRAWS:
         count = max(count, min(workers, n_paths * n // _CHUNK_MIN_DRAWS))

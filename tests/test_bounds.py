@@ -7,7 +7,7 @@ import pytest
 from replab import attrition, bounds, engine, fileio, games
 from replab.errors import PreconditionError, ValidationError
 
-from util import normal_cdf_quadrature, scaled_noise
+from util import floor_depth, normal_cdf_quadrature, scaled_noise
 
 R33 = np.array([[2.0, 2.0, 2.0], [4.0, 1.0, 1.0], [1.0, 4.0, 4.0]])
 PD = np.array([[3.0, 0.0], [5.0, 1.0]])
@@ -303,16 +303,18 @@ def test_stability_basin_probe():
 
 def test_reports_count_clamped_paths_over_their_batches(coordination_matrix):
     # a fixating horizon with a shallow floor: every path reaches it
-    cfg = engine.SdeConfig(h=1e-2, horizon=60.0, seed=40, record_stride=100, y_cap=50.0)
-    probe = bounds.stability_basin_probe(PD, [0.1, 0.1], 1, 0.1, cfg, 8)
+    cfg = engine.SdeConfig(h=1e-2, horizon=60.0, seed=40, record_stride=100)
+    short = engine.SdeConfig(h=1e-2, horizon=1.0, seed=40)
+    with floor_depth(50.0):
+        probe = bounds.stability_basin_probe(PD, [0.1, 0.1], 1, 0.1, cfg, 8)
+        absorbed = bounds.coordination_absorption(coordination_matrix, [0.1] * 3,
+                                                  [0.5, 0.3, 0.2], cfg, 8)
+        early = bounds.stability_basin_probe(PD, [0.1, 0.1], 1, 0.1, short, 8)
     assert [r.clamped_paths for r in probe.per_path.values()] == [8, 8, 8]
     assert probe.clamped_paths == 24
     assert probe.to_json_dict()["clamped_paths"] == 24
-    absorbed = bounds.coordination_absorption(coordination_matrix, [0.1] * 3,
-                                              [0.5, 0.3, 0.2], cfg, 8)
     assert absorbed.clamped_paths == 8
-    short = engine.SdeConfig(h=1e-2, horizon=1.0, seed=40, y_cap=50.0)
-    assert bounds.stability_basin_probe(PD, [0.1, 0.1], 1, 0.1, short, 8).clamped_paths == 0
+    assert early.clamped_paths == 0
 
 
 def test_coordination_absorption(coordination_matrix):

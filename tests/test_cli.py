@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from replab import __version__, bounds, cli, engine, games
+from replab import __version__, bounds, cli, engine, ess, games
 
 
 def write_game(path, A, sigma=None, labels=None):
@@ -297,8 +297,15 @@ def test_missing_or_miscounted_sigma_exits_1(payload, message, command, tmp_path
 
 @pytest.mark.parametrize("command, flags", [("simulate", ["--paths", "1"]),
                                             ("simulate", ["--paths", "3"]),
-                                            ("verify", ["--theorem", "4.3", "--paths", "3"])])
-def test_sixteen_strategies_exit_1(command, flags, tmp_path, capsys):
+                                            ("verify", ["--theorem", "4.3", "--paths", "3"]),
+                                            ("verify", ["--theorem", "2.4", "--paths", "3"])])
+def test_sixteen_strategies_exit_1(command, flags, tmp_path, capsys, monkeypatch):
+    # refused before the statics enumerate the game's supports, which takes
+    # seconds from about 18 strategies on
+    def enumerate_supports(A):
+        raise AssertionError("unique_ess ran on a game the kernel cannot run")
+
+    monkeypatch.setattr(ess, "unique_ess", enumerate_supports)
     game = write_game(tmp_path / "g16.json", np.eye(16).tolist(), [0.3] * 16)
     out = str(tmp_path / "x")
     assert cli.main([command, game, *flags, "--seed", "1", "--T", "1", "--out", out]) == 1
@@ -815,6 +822,19 @@ def test_rerun_unreadable_manifest_exits_1(tmp_path, capsys):
     assert "cannot read manifest" in capsys.readouterr().err
 
 
+def test_rerun_of_a_rerun_manifest_exits_1(tmp_path, capsys):
+    # no command writes such a manifest; replaying it would recurse without end
+    out = str(tmp_path / "loop")
+    assert cli.main(["attrition", "--n", "2", "--v", "1", "--out", out]) == 0
+    path = out + ".manifest.json"
+    manifest = json.loads(open(path).read())
+    with open(path, "w") as f:
+        json.dump(dict(manifest, command=["rerun", path]), f)
+    capsys.readouterr()
+    assert cli.main(["rerun", path]) == 1
+    assert f"manifest {path} replays rerun" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # driver scripts
 
@@ -844,6 +864,21 @@ def test_run_verifications_stops_at_an_input_error(tmp_path, monkeypatch):
     monkeypatch.setattr(script, "replab", stub)
     assert script.run_all(tmp_path, seed=1, fast=True) == 1
     assert len(calls) == 1
+
+
+def test_layout_crossover_script_times_both_layouts(monkeypatch, capsys):
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "layout_crossover.py")
+    spec = importlib.util.spec_from_file_location("layout_crossover", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    monkeypatch.setattr(engine, "_CHUNK_MIN_DRAWS", engine._CHUNK_MIN_DRAWS)    # the script sets it
+    with pytest.raises(SystemExit) as refused:      # one path has no worker layout
+        script.main(["--draws3", "3"])
+    assert refused.value.code == 2 and "--draws3 3 is under 2 paths" in capsys.readouterr().err
+    assert script.main(["--repeat", "1", "--steps", "200", "--draws3", "6", "--draws9", "18"]) == 0
+    rows = [row.split() for row in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[:3] for row in rows] == [["3", "6", "2"], ["9", "18", "2"]]
 
 
 def test_linecov_plugin_lists_statements_never_run():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from replab import attrition, engine, games, rng
 from replab.errors import SimulationError, ValidationError
-from util import faulty_payoffs, stationary_beta
+from util import faulty_payoffs, floor_depth, stationary_beta
 
 PD = np.array([[3.0, 0.0], [5.0, 1.0]])
 
@@ -40,12 +40,6 @@ def test_config_validation():
         engine.SdeConfig(h=0.0, horizon=1.0, seed=0)
     with pytest.raises(ValidationError):
         engine.SdeConfig(h=2.0, horizon=1.0, seed=0)
-    with pytest.raises(ValidationError):
-        engine.SdeConfig(h=1e-3, horizon=1.0, seed=0, y_cap=10.0)
-    for y_cap in (engine.MAX_Y_CAP * (1 + 1e-12), math.inf, math.nan):
-        with pytest.raises(ValidationError, match=r"y_cap must lie in \[50, 600\]"):
-            engine.SdeConfig(h=1e-3, horizon=1.0, seed=0, y_cap=y_cap)
-    assert engine.SdeConfig(h=1e-3, horizon=1.0, seed=0, y_cap=engine.MAX_Y_CAP).y_cap == 600.0
     for seed in (-3, 1.5):
         with pytest.raises(ValidationError):
             engine.SdeConfig(h=1e-3, horizon=1.0, seed=seed)
@@ -55,14 +49,14 @@ def test_config_validation():
 
 
 def test_deepest_floor_keeps_shares_above_state_floor():
-    # strategy 0 gains 20 per unit time on strategy 1, so it reaches the deepest
-    # floor by t = 30 and stays there; the kernel floors no share, yet none
-    # falls below exp(-MAX_Y_CAP) / n
-    cfg = engine.SdeConfig(h=1e-2, horizon=40.0, seed=4, y_cap=engine.MAX_Y_CAP)
+    # strategy 0 gains 20 per unit time on strategy 1, so it reaches the floor
+    # by t = 25 and stays there; the kernel floors no share, yet none falls
+    # below exp(-Y_CAP) / n
+    cfg = engine.SdeConfig(h=1e-2, horizon=40.0, seed=4)
     traj = engine.simulate_sde([[10.0, 10.0], [-10.0, -10.0]], [0.1, 0.1], [0.5, 0.5], cfg)
     assert traj.clamped
-    assert traj.states[-1, 1] < math.exp(-0.99 * engine.MAX_Y_CAP)
-    assert traj.states.min() >= math.exp(-engine.MAX_Y_CAP) / 2
+    assert traj.states[-1, 1] < math.exp(-0.99 * engine.Y_CAP)
+    assert traj.states.min() >= math.exp(-engine.Y_CAP) / 2
 
 
 def test_drift_hand_values():
@@ -164,8 +158,9 @@ def test_ode_selects_defection_in_pd():
 
 
 def test_clamp_flag_and_positivity():
-    cfg = engine.SdeConfig(h=1e-3, horizon=60.0, seed=1, record_stride=100, y_cap=50.0)
-    traj = engine.simulate_sde(PD, [0.1, 0.1], [0.5, 0.5], cfg)
+    cfg = engine.SdeConfig(h=1e-3, horizon=60.0, seed=1, record_stride=100)
+    with floor_depth(50.0):
+        traj = engine.simulate_sde(PD, [0.1, 0.1], [0.5, 0.5], cfg)
     assert traj.clamped
     assert np.all(traj.states > 0.0)
     assert np.max(np.abs(traj.states.sum(axis=1) - 1.0)) <= 1e-12
@@ -222,24 +217,25 @@ def kernel_cases(draw):
 @settings(max_examples=25)
 def test_log_share_kernel_invariants(case):
     A, sigma, x0, seed = case
-    cfg = engine.SdeConfig(h=1e-2, horizon=10.0, seed=seed, record_stride=10, y_cap=50.0)
-    a = engine.simulate_sde(A, sigma, x0, cfg, path_index=0)
-    assert np.all(np.isfinite(a.states))
-    # the module's stated floor on every share, with room for rounding only
-    assert np.all(a.states >= math.exp(-cfg.y_cap) / A.shape[0] * (1 - 1e-12))
-    assert np.max(np.abs(a.states.sum(axis=1) - 1.0)) <= 1e-12
+    cfg = engine.SdeConfig(h=1e-2, horizon=10.0, seed=seed, record_stride=10)
+    with floor_depth(50.0):
+        a = engine.simulate_sde(A, sigma, x0, cfg, path_index=0)
+        assert np.all(np.isfinite(a.states))
+        # the module's stated floor on every share, with room for rounding only
+        assert np.all(a.states >= math.exp(-engine.Y_CAP) / A.shape[0] * (1 - 1e-12))
+        assert np.max(np.abs(a.states.sum(axis=1) - 1.0)) <= 1e-12
 
-    again = engine.simulate_sde(A, sigma, x0, cfg, path_index=0)
-    assert again.states.tobytes() == a.states.tobytes() and again.clamped == a.clamped
+        again = engine.simulate_sde(A, sigma, x0, cfg, path_index=0)
+        assert again.states.tobytes() == a.states.tobytes() and again.clamped == a.clamped
 
-    b = engine.simulate_sde(A, sigma, x0, cfg, path_index=1)
-    n = A.shape[0]
-    batch = engine.batch_run_many(A, sigma, x0, cfg, 2,
-                                  {f"x{j}": engine.final_share(j) for j in range(n)},
-                                  path_indices=[1, 0])
-    finals = np.array([batch[f"x{j}"].values for j in range(n)]).T
-    assert np.array_equal(finals, np.array([b.states[-1], a.states[-1]]))
-    assert batch["x0"].clamped_paths == int(a.clamped) + int(b.clamped)
+        b = engine.simulate_sde(A, sigma, x0, cfg, path_index=1)
+        n = A.shape[0]
+        batch = engine.batch_run_many(A, sigma, x0, cfg, 2,
+                                      {f"x{j}": engine.final_share(j) for j in range(n)},
+                                      path_indices=[1, 0])
+        finals = np.array([batch[f"x{j}"].values for j in range(n)]).T
+        assert np.array_equal(finals, np.array([b.states[-1], a.states[-1]]))
+        assert batch["x0"].clamped_paths == int(a.clamped) + int(b.clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -561,39 +557,44 @@ def test_batch_hitting_statistics(coordination_matrix):
 
 def test_batch_counts_clamped_paths():
     stat = engine.final_share(1)
-    long_run = engine.SdeConfig(h=1e-2, horizon=60.0, seed=20, record_stride=100, y_cap=50.0)
-    res = engine.batch_run(PD, [0.1, 0.1], [0.5, 0.5], long_run, 16, stat)
+    long_run = engine.SdeConfig(h=1e-2, horizon=60.0, seed=20, record_stride=100)
+    short_run = engine.SdeConfig(h=1e-2, horizon=1.0, seed=20)
+    with floor_depth(50.0):
+        res = engine.batch_run(PD, [0.1, 0.1], [0.5, 0.5], long_run, 16, stat)
+        short = engine.batch_run(PD, [0.1, 0.1], [0.5, 0.5], short_run, 16, stat)
     assert res.clamped_paths == 16
     assert res.to_json_dict()["clamped_paths"] == 16
-    short_run = engine.SdeConfig(h=1e-2, horizon=1.0, seed=20, y_cap=50.0)
-    assert engine.batch_run(PD, [0.1, 0.1], [0.5, 0.5], short_run, 16, stat).clamped_paths == 0
+    assert short.clamped_paths == 0
 
 
 @pytest.mark.parametrize("horizon", [60.0, 4.0, 30.0])
 def test_hitting_only_batch_matches_full_horizon_batch(coordination_matrix, horizon):
     # On the coordination game, by 60 every path has entered every region, so the
     # hitting-only batch stops early; by 4 some have not; every path starts inside
-    # the small ball.  At 30, on 2 I with y_cap = 50, some paths reach the floor
-    # after they first enter the corner: the hitting statistics must not count
-    # them, while the full-horizon statistic does.
+    # the small ball.  At 30, on 2 I with a floor 50 deep, some paths reach the
+    # floor after they first enter the corner: the hitting statistics must not
+    # count them, while the full-horizon statistic does.
     shallow_floor = horizon == 30.0
     if shallow_floor:
-        cfg = engine.SdeConfig(h=1e-2, horizon=30.0, seed=3, y_cap=50.0)
+        depth, cfg = 50.0, engine.SdeConfig(h=1e-2, horizon=30.0, seed=3)
         corner = games.Region.ball(games.vertex(3, 0), 0.1)
         stats = {"tau": engine.hitting_time_stat(corner), "hit": engine.hit_flag_stat(corner)}
         run = [2.0 * np.eye(3), [0.8] * 3, [1 / 3] * 3, cfg, 20]
     else:
-        cfg = engine.SdeConfig(h=1e-2, horizon=horizon, seed=21, record_stride=50)
+        depth, cfg = engine.Y_CAP, engine.SdeConfig(h=1e-2, horizon=horizon, seed=21,
+                                                    record_stride=50)
         stats = {"tau": engine.hitting_time_stat(games.Region.any_vertex_neighborhood(0.1)),
                  "hit": engine.hit_flag_stat(games.Region.any_vertex_neighborhood(0.3)),
                  "start": engine.hitting_time_stat(games.Region.ball([1 / 3] * 3, 0.05))}
         run = [coordination_matrix, [0.5] * 3, [1 / 3] * 3, cfg, 30]
     final = engine.final_share(0)
-    hitting_only = engine.batch_run_many(*run, stats)
-    full = engine.batch_run_many(*run, dict(stats, final=final))
+    with floor_depth(depth):
+        hitting_only = engine.batch_run_many(*run, stats)
+        full = engine.batch_run_many(*run, dict(stats, final=final))
+        alone = engine.batch_run(*run, final)
     for name in stats:
         assert hitting_only[name].to_json_dict() == full[name].to_json_dict(), name
-    assert engine.batch_run(*run, final).to_json_dict() == full["final"].to_json_dict()
+    assert alone.to_json_dict() == full["final"].to_json_dict()
     if shallow_floor:
         assert (hitting_only["tau"].clamped_paths, full["final"].clamped_paths) == (10, 19)
     else:
@@ -625,14 +626,16 @@ def test_hitting_only_clamp_count_does_not_depend_on_chunk_layout(monkeypatch):
     # A chunk integrates until its last path has hit, so a path that hit earlier
     # keeps moving for as long as its chunk-mates need; its floor hits after its
     # own first hit must not count, or the count would depend on the chunk layout.
-    cfg = engine.SdeConfig(h=1e-2, horizon=30.0, seed=3, y_cap=50.0)
+    cfg = engine.SdeConfig(h=1e-2, horizon=30.0, seed=3)
     region = games.Region.ball(games.vertex(3, 0), 0.1)
     stats = {"tau": engine.hitting_time_stat(region, name="tau"),
              "hit": engine.hit_flag_stat(region, name="hit")}
     out = []
     for chunk in (512, 3):
         monkeypatch.setattr(engine, "_MAX_CHUNK_PATHS", chunk)
-        out.append(engine.batch_run_many(2.0 * np.eye(3), [0.8] * 3, [1 / 3] * 3, cfg, 20, stats))
+        with floor_depth(50.0):
+            out.append(engine.batch_run_many(2.0 * np.eye(3), [0.8] * 3, [1 / 3] * 3, cfg, 20,
+                                             stats))
     assert out[0]["tau"].values.tobytes() == out[1]["tau"].values.tobytes()
     assert 0 < out[0]["hit"].values.sum() < 20
     assert 0 < out[0]["tau"].clamped_paths == out[1]["tau"].clamped_paths < 20
@@ -742,7 +745,7 @@ def three_chunk_batch(stats=None) -> dict[str, engine.BatchResult]:
     """1100 paths of the nine-strategy game in three chunks of 366 or 367 paths,
     with some paths clamped and every flag going both ways."""
     A, sigma, x0 = nine_strategy_game()
-    cfg = engine.SdeConfig(h=4e-2, horizon=20.0, seed=8, record_stride=25, y_cap=50.0)
+    cfg = engine.SdeConfig(h=4e-2, horizon=20.0, seed=8, record_stride=25)
     assert engine._chunk_size(cfg, 9) == 512
     if stats is None:
         stats = [engine.final_share(7),
@@ -750,7 +753,8 @@ def three_chunk_batch(stats=None) -> dict[str, engine.BatchResult]:
                  engine.window_max_share(8, 10.0),
                  engine.captured_stat(games.Region.ball(games.vertex(9, 7), 0.9), 7, 0.6,
                                       name="captured")]
-    return engine.batch_run_many(A, sigma, x0, cfg, 1100, {st.name: st for st in stats})
+    with floor_depth(50.0):
+        return engine.batch_run_many(A, sigma, x0, cfg, 1100, {st.name: st for st in stats})
 
 
 def children_cpu_seconds() -> float:
@@ -884,8 +888,8 @@ def final_share_bytes() -> bytes:
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
 def test_batch_inside_daemonic_worker_matches_parent(monkeypatch):
-    # pool workers are daemonic, and their pool already spreads its work over the
-    # CPUs, so a batch called inside one runs its chunks in-process
+    # a pool worker is daemonic, which a batch does not look at: called inside
+    # one, the batch forks its own chunk workers
     monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         inside = pool.apply(final_share_bytes)
@@ -1286,7 +1290,7 @@ def test_column_major_kernel_matches_row_major_kernel_at_nine_strategies():
 
 
 # First floor times and final states of 10 lone paths on 2 I, sigma = 0.8,
-# y_cap = 50, T = 30, h = 1e-2, seed 3, from the kernel that checked the floor on
+# a floor 50 deep, T = 30, h = 1e-2, seed 3, from the kernel that checked the floor on
 # every step.  9 paths reach the floor, each one 125 to 320 times.
 GOLDEN_FLOOR_SHA256 = "6e7ad2740ea317db79f33fb53ae3783916a0954df42e0ef3236f84335e976685"
 GOLDEN_FLOOR_CLAMPED = 9
@@ -1302,15 +1306,16 @@ def test_floor_detection_matches_every_step_check(monkeypatch, block_steps):
     # too small.  The bytes do not depend on the block length.
     if block_steps is not None:
         monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", block_steps * 2 * 3)
-    cfg = engine.SdeConfig(h=1e-2, horizon=30.0, seed=3, y_cap=50.0, record_stride=3000)
+    cfg = engine.SdeConfig(h=1e-2, horizon=30.0, seed=3, record_stride=3000)
     A, sigma, x0 = 2.0 * np.eye(3), [0.8] * 3, [1 / 3] * 3
     h = hashlib.sha256()
-    for p in range(10):
-        res = engine._sde_chunk(A, sigma, x0, cfg, [p])
-        h.update(res.first_floor.tobytes())
-        h.update(res.states.tobytes())
+    with floor_depth(50.0):
+        for p in range(10):
+            res = engine._sde_chunk(A, sigma, x0, cfg, [p])
+            h.update(res.first_floor.tobytes())
+            h.update(res.states.tobytes())
+        batch = engine.batch_run(A, sigma, x0, cfg, 10, engine.final_share(0))
     assert h.hexdigest() == GOLDEN_FLOOR_SHA256
-    batch = engine.batch_run(A, sigma, x0, cfg, 10, engine.final_share(0))
     assert batch.clamped_paths == GOLDEN_FLOOR_CLAMPED
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 
@@ -103,6 +104,13 @@ def scaled_noise(monkeypatch, factor: float) -> None:
             yield block
 
     monkeypatch.setattr(engine, "_increments", increments)
+
+
+def floor_depth(depth: float):
+    """A context manager inside which the SDE kernel floors each log-share
+    ``depth`` below its path's largest, in place of ``engine.Y_CAP``.  Chunk
+    workers and producers fork inside it, so they use that depth too."""
+    return mock.patch.object(engine, "Y_CAP", depth)
 
 
 def faulty_payoffs(monkeypatch, payoffs) -> None:
