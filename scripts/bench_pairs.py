@@ -4,10 +4,11 @@ Each pair runs ``perfbench/run.py`` once in PARENT and once in CHANGE, on the
 same seed, each checkout with its own sources and harness; the side that runs
 first alternates from pair to pair, so a drift in the host's load falls on
 both sides.  For every metric the script prints both medians, the ratio of
-medians, the pairs in which the change was better (by the direction that
-``BENCHMARK.json`` declares), and whether the difference of medians exceeds
-the parent's interquartile range.  ``--json`` writes the same numbers, with
-every run's value, for a ``BENCH_<pr>.json`` file.
+medians, the range of the per-pair ratios (change over parent), the pairs in
+which the change was better (by the direction that ``BENCHMARK.json``
+declares), and whether the difference of medians exceeds the parent's
+interquartile range.  ``--json`` writes the same numbers, with every run's
+value, for a ``BENCH_<pr>.json`` file.
 
 Usage: python scripts/bench_pairs.py PARENT CHANGE --workload campaign --pairs 6
            --seconds 30 --seeds 2201 [--trace 1] [--json out.json]
@@ -52,7 +53,9 @@ def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float,
 
 
 def compare(runs: dict[str, list[dict]], better: dict[str, str]) -> dict[str, dict]:
-    """Per metric: every run's value, both sides' quartiles and the pair wins."""
+    """Per metric: every run's value, both sides' quartiles, the pair wins and the
+    range of the per-pair ratios, change over parent (``None`` where every parent
+    value is 0)."""
     out = {}
     for name, entry in runs["parent"][0]["metrics"].items():
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
@@ -60,6 +63,7 @@ def compare(runs: dict[str, list[dict]], better: dict[str, str]) -> dict[str, di
         sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         p, c = quartiles(parent), quartiles(change)
+        ratios = [b / a for a, b in zip(parent, change) if a]
         out[name] = {
             "unit": entry["unit"],
             "better": better.get(name, "lower"),
@@ -68,6 +72,7 @@ def compare(runs: dict[str, list[dict]], better: dict[str, str]) -> dict[str, di
             "parent_summary": p,
             "change_summary": c,
             "ratio_of_medians": c["median"] / p["median"] if p["median"] else None,
+            "pair_ratio_range": [min(ratios), max(ratios)] if ratios else None,
             "change_better_pairs": f"{wins} of {len(parent)}",
             "difference_exceeds_parent_iqr": abs(c["median"] - p["median"]) > p["q3"] - p["q1"],
         }
@@ -108,12 +113,15 @@ def main(argv=None) -> int:
     metrics = compare(runs, better)
     width = max(len(name) for name in metrics)
     print(f"{args.workload}, {args.pairs} pairs, seeds {args.seeds[0]}..{args.seeds[-1]}")
-    print(f"{'metric':<{width}}  {'parent':>12}  {'change':>12}  ratio   better  > IQR")
+    print(f"{'metric':<{width}}  {'parent':>12}  {'change':>12}  ratio  pair ratios    "
+          f"better  > IQR")
     for name, m in metrics.items():
-        ratio = m["ratio_of_medians"]
+        ratio, spread = m["ratio_of_medians"], m["pair_ratio_range"]
         print(f"{name:<{width}}  {m['parent_summary']['median']:>12.6g}  "
               f"{m['change_summary']['median']:>12.6g}  "
-              f"{'-' if ratio is None else f'{ratio:.3f}':>5}  {m['change_better_pairs']:>8}  "
+              f"{'-' if ratio is None else f'{ratio:.3f}':>5}  "
+              f"{'-' if spread is None else '{:.3f}-{:.3f}'.format(*spread):<11}  "
+              f"{m['change_better_pairs']:>8}  "
               f"{'yes' if m['difference_exceeds_parent_iqr'] else 'no'}")
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
     report = {

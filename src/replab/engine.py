@@ -107,17 +107,19 @@ _STEP_ROUNDING = 1e-9               # per-step slack of the floor-reach bound, f
                                     # a step's rounding at |Z| <= Y_CAP + 100
 # Recorded floats per chunk: admits 100 paths x 20 001 records x 3 strategies,
 # so full-size 2.3a, 2.4 and 2.8 run as 100 + 100 paths.  A worker of full-size
-# 2.3a peaks at 163 MB resident (RUSAGE_CHILDREN, Linux x86-64, numpy 2.4).
+# 2.3a peaks at 161 MB resident (RUSAGE_CHILDREN, Linux x86-64, numpy 2.4).
 _CHUNK_FLOAT_BUDGET = 6_000_300
 _MAX_CHUNK_PATHS = 512
-_NOISE_BLOCK_FLOATS = 786_432      # increments drawn per refill
+# Increments drawn per refill, 2 MB: the producer's two-slot ring takes 4.2 MB and its
+# staging buffer fits a 2 MB L2 (a 50-path n = 3 producer: 3.4-3.5 us a step, 3.9 at 6 MB).
+_NOISE_BLOCK_FLOATS = 262_144
 _SEGMENT = 64                       # steps per hit test and record copy
 # Normals drawn per step by each chunk of a batch that is cut for the CPUs.  The
 # forked producer draws about 20-30 ns a normal, so from some hundreds of draws a
 # step the caller waits on it.  scripts/layout_crossover.py (2-CPU x86-64 host,
-# 20 000 steps) timed one chunk per CPU, each worker drawing its own noise, at
-# 1.14x one chunk plus producer for 300 draws a step at n = 3, 0.94x for 600 and
-# 0.72x for 1500; at n = 9, 0.98x for 450 and 0.84x for 900.  So a batch is cut
+# 25 000 steps, 2 MB blocks) timed one chunk per CPU, each worker drawing its own
+# noise, at 1.16x one chunk plus producer for 300 draws a step at n = 3, 1.07-1.16x
+# for 450 and 0.91x for 600; at n = 9, 0.99-1.05x for 450.  So a batch is cut
 # from 2 x 256 = 512 draws a step, and each chunk draws at least 256.
 _CHUNK_MIN_DRAWS = 256
 _USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -366,7 +368,9 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
     constant drift ``-h sigma^2 / 2`` once, so a step makes six numpy calls:
     ``(hA) x``, two adds, ``exp``, the column sums as the gemm ``1 x`` (``1`` the
     all-ones matrix) and a full-shape divide, plus a re-centering every
-    ``period`` steps and a floor check where one is due.  For n <=
+    ``period`` steps and a floor check where one is due.  At a few columns these
+    calls cost more to dispatch than to run, so the gemms are bound
+    ``ndarray.dot`` methods and every output is passed by position.  For n <=
     ``MAX_STRATEGIES`` both gemms sum in one chain from zero, in row order, in
     any column count, which is also the order of ``add.reduce`` over the
     strategies; more strategies raise ``InputError``.  The fused gemm
@@ -426,7 +430,8 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
     move = drift_reach + float(ito.max()) + 16.0 * math.sqrt(cfg.h) * float(sig.max())
     period = max(1, min(64, int(100.0 // max(move, 1.0))))
     cap = Y_CAP
-    dot, exp, maximum = np.dot, np.exp, np.maximum     # dot: the gemm of matmul, less overhead
+    # bound ndarray.dot: the BLAS call of np.dot without its __array_function__ dispatch
+    payoff, sums, exp, maximum = hA.dot, ones.dot, np.exp, np.maximum
     add, subtract, divide = np.add, np.subtract, np.divide
     max_reduce, min_reduce = np.maximum.reduce, np.minimum.reduce
 
@@ -448,17 +453,16 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
                 segment = block[lo:lo + _SEGMENT]
                 for dw in segment:
                     k += 1
-                    add(Z, dot(hA, x, out=step), out=Z)
-                    add(Z, dw, out=Z)
+                    add(Z, payoff(x, step), Z)
+                    add(Z, dw, Z)
                     if not k % period:
-                        subtract(Z, max_reduce(Z, axis=0, out=top, keepdims=True), out=Z)
+                        subtract(Z, max_reduce(Z, axis=0, out=top, keepdims=True), Z)
                     if k >= check:
                         # the floor lies Y_CAP below each path's largest log-share, and
                         # Z - level < 0 exactly when Z < level, so the floor moves only
                         # the entries found below it
-                        level = subtract(max_reduce(Z, axis=0, out=top, keepdims=True), cap,
-                                         out=top)
-                        gap = min_reduce(subtract(Z, level, out=step), axis=None)
+                        level = subtract(max_reduce(Z, axis=0, out=top, keepdims=True), cap, top)
+                        gap = min_reduce(subtract(Z, level, step), axis=None)
                         if not gap >= 0.0:      # a floored share, or a non-finite one
                             bad = ~np.isfinite(Z[:, :m]).all(axis=0)
                             if bad.any():
@@ -472,8 +476,8 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
                             gap = 0.0
                         span = gap / reach
                         check = k + 1 + (int(span) if span >= 0.0 else 0)
-                    x = exp(Z, out=dw)
-                    divide(x, dot(ones, x, out=step), out=x)
+                    x = exp(Z, dw)
+                    divide(x, sums(x, step), x)
                 observe(segment, k + 1 - len(segment))
                 if k >= read_steps and not pending:
                     break

@@ -881,6 +881,31 @@ def test_layout_crossover_script_times_both_layouts(monkeypatch, capsys):
     assert [row[:3] for row in rows] == [["3", "6", "2"], ["9", "18", "2"]]
 
 
+def test_bench_pairs_compares_wins_medians_iqr_and_pair_ratios():
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_pairs.py")
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    values = {"parent": {"ops_per_s": [10, 11, 12, 13, 14], "wall_s": [2, 2, 2, 2, 2],
+                         "errors": [0, 0, 0, 0, 0]},
+              "change": {"ops_per_s": [12, 10, 13, 15, 16], "wall_s": [1, 1, 1, 1, 1],
+                         "errors": [0, 1, 0, 0, 0]}}
+    runs = {side: [{"metrics": {name: {"unit": "u", "value": v[i]} for name, v in by.items()}}
+                   for i in range(5)] for side, by in values.items()}
+    out = script.compare(runs, {"ops_per_s": "higher", "wall_s": "lower"})
+    ops, wall, errors = out["ops_per_s"], out["wall_s"], out["errors"]
+    assert ops["change_better_pairs"] == "4 of 5"          # the second pair lost
+    assert ops["ratio_of_medians"] == pytest.approx(13 / 12)
+    assert ops["parent_summary"] == {"median": 12, "q1": 11, "q3": 13}
+    assert not ops["difference_exceeds_parent_iqr"]        # 1 against an IQR of 2
+    assert ops["pair_ratio_range"] == pytest.approx([10 / 11, 12 / 10])
+    assert wall["change_better_pairs"] == "5 of 5" and wall["better"] == "lower"
+    assert wall["difference_exceeds_parent_iqr"]           # 1 against an IQR of 0
+    assert wall["ratio_of_medians"] == wall["pair_ratio_range"][0] == 0.5
+    assert errors["ratio_of_medians"] is None and errors["pair_ratio_range"] is None
+    assert errors["change_better_pairs"] == "0 of 5"       # undeclared: lower is better
+
+
 def test_linecov_plugin_lists_statements_never_run():
     root = os.path.dirname(TESTBEDS)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -17,9 +17,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from replab import attrition, engine, games, rng
+from replab import attrition, cli, engine, games, rng
 from replab.errors import SimulationError, ValidationError
-from util import faulty_payoffs, floor_depth, stationary_beta
+from util import contrast_martingale, faulty_payoffs, floor_depth, scaled_noise, stationary_beta
 
 PD = np.array([[3.0, 0.0], [5.0, 1.0]])
 
@@ -929,9 +929,9 @@ def test_spans_ramp_up_from_one_segment(total, block):
 
 
 def test_narrow_chunk_of_several_blocks_uses_a_producer(monkeypatch):
-    # 3 paths of 3 strategies draw 87 381 steps a block at most, so a chunk of
-    # 100 000 steps takes several blocks (64, 128, ..., 32 768, then the last
-    # 34 528) and, at the default settings, draws them in a producer
+    # 3 paths of 3 strategies draw 29 127 steps a block at most, so a chunk of
+    # 100 000 steps takes several blocks (64, 128, ..., 16 384, 29 127, 29 127,
+    # then 9 042) and, at the default settings, draws them in a producer
     cfg = engine.SdeConfig(h=1e-3, horizon=100.0, seed=23, record_stride=1000)
     run = [CYCLIC, [0.5] * 3, [0.5, 0.3, 0.2], cfg, [2, 4, 9]]
     monkeypatch.setattr(engine, "_USABLE_CPUS", 1)
@@ -946,6 +946,42 @@ def test_narrow_chunk_of_several_blocks_uses_a_producer(monkeypatch):
     assert_no_child_process()
     assert piped.states.tobytes() == alone.states.tobytes()
     assert piped.first_floor.tobytes() == alone.first_floor.tobytes()
+
+
+def test_noise_block_size_moves_no_byte(monkeypatch, mixed_dominance_matrix):
+    # At the old default of 786 432 floats and at the new one, 20 paths of 3
+    # strategies draw 13 107 and 4 369 steps a block, so the 30 000-step chunk takes
+    # several blocks from a producer under both.  200 paths draw 600 normals a step,
+    # so that batch runs as two 100-path chunks in workers, which draw their own
+    # blocks of 2 621 and 873 steps.  Strategy 0 loses 0.5 a unit time against the
+    # others, so a floor 50 deep catches every path near t = 100, and the floor
+    # checks, scheduled from each block's largest increment, run in both.
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    produced, forked, blocks, layouts = engine._produced_blocks, engine._forked_chunks, [], []
+    monkeypatch.setattr(engine, "_produced_blocks",
+                        lambda *args: blocks.append(args[-1]) or produced(*args))
+    monkeypatch.setattr(engine, "_forked_chunks",
+                        lambda job, spans, workers: layouts.append((spans, workers))
+                        or forked(job, spans, workers))
+    run = [mixed_dominance_matrix, [0.3] * 3, [1 / 3] * 3]
+    chunk_cfg = engine.SdeConfig(h=1e-2, horizon=300.0, seed=31, record_stride=500)
+    batch_cfg = engine.SdeConfig(h=1e-2, horizon=150.0, seed=31, record_stride=100)
+    stats = {"final": engine.final_share(1), "late": engine.window_max_share(2, 75.0)}
+    outputs = []
+    for floats in (786_432, engine._NOISE_BLOCK_FLOATS):
+        monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", floats)
+        with floor_depth(50.0), time_limit(120):
+            chunk = engine._sde_chunk(*run, chunk_cfg, list(range(20)))
+            batch = engine.batch_run_many(*run, batch_cfg, 200, stats)
+        assert np.isfinite(chunk.first_floor).all()
+        assert all(res.clamped_paths == 200 for res in batch.values())
+        outputs.append((chunk.states.tobytes(), chunk.first_floor.tobytes(),
+                        {name: res.to_json_dict() for name, res in batch.items()}))
+    assert engine._NOISE_BLOCK_FLOATS == 262_144
+    assert blocks == [13_107, 4_369]
+    assert layouts == [([(0, 100), (100, 200)], 2)] * 2
+    assert_no_child_process()
+    assert outputs[0] == outputs[1]
 
 
 @contextlib.contextmanager
@@ -1144,6 +1180,64 @@ def test_stationary_beta_refuses_games_without_an_interior_law(A):
     # strategy 2 dominant, bistable coordination, strategy 1 dominant
     with pytest.raises(ValueError, match="no stationary law"):
         stationary_beta(A, (0.3, 0.3))
+
+
+# ---------------------------------------------------------------------------
+# log-share contrasts, two-sided against their exact Gaussian law
+
+
+def contrast_z(game: str, x0, cfg: engine.SdeConfig, paths: int, weights, every: int):
+    """z of the sample mean and of the sample variance of each contrast martingale
+    (:func:`util.contrast_martingale`) against its exact law N(0, t |w * sigma|^2),
+    at every ``every``-th recorded time after 0, from one in-process chunk."""
+    A, sigma, _ = cli.load_game(os.path.join(os.path.dirname(__file__), "..", "testbeds", game))
+    with time_limit(120):
+        res = engine._sde_chunk(A, sigma, x0, cfg, list(range(paths)))
+    assert not np.isfinite(res.first_floor).any()      # a floored step breaks the law
+    z_mean, z_var = [], []
+    for w in weights:
+        M = contrast_martingale(res.times, res.states, A, sigma, w)[:, every - 1::every]
+        variance = res.times[every::every] * float(np.sum((np.asarray(w) * sigma) ** 2))
+        z_mean.append(M.mean(axis=0) / np.sqrt(variance / paths))
+        z_var.append((M.var(axis=0, ddof=1) / variance - 1.0) / math.sqrt(2.0 / (paths - 1)))
+    return np.array(z_mean), np.array(z_var)
+
+
+def mixed_dominance_z():
+    # 3.1's testbed: strategy 0 earns 2 and the even mix of 1 and 2 earns 2.5 against
+    # any state, and the noise is equal, so Y = log x_1 - (log x_2 + log x_3) / 2 is
+    # the exact walk N(Y_0 - 0.5 t, 0.135 t), readable at the record stride
+    cfg = engine.SdeConfig(h=0.05, horizon=20.0, seed=3101, record_stride=100)
+    return contrast_z("mixed_dominance.json", [1 / 3] * 3, cfg, 4000, [[1.0, -0.5, -0.5]], 1)
+
+
+def coordination_z():
+    # the compensator reads A x at every step, so the records are every step
+    cfg = engine.SdeConfig(h=1e-2, horizon=5.0, seed=3102, record_stride=1)
+    weights = [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0]]
+    return contrast_z("coordination.json", [0.5, 0.3, 0.2], cfg, 500, weights, 100)
+
+
+@pytest.mark.parametrize("law", [mixed_dominance_z, coordination_z])
+def test_log_share_contrasts_follow_their_exact_gaussian_law(law):
+    z_mean, z_var = law()
+    assert np.abs(z_mean).max() <= 4.0 and np.abs(z_var).max() <= 4.0, (z_mean, z_var)
+
+
+def drift_times(c: float):
+    """The payoffs of a drift fault that scales the whole drift by ``c``."""
+    return lambda A, sigma: c * A - (c - 1.0) * 0.5 * (sigma * sigma)[:, None]
+
+
+@pytest.mark.parametrize("law, fault", [
+    (mixed_dominance_z, lambda mp: scaled_noise(mp, 1.1)),
+    (mixed_dominance_z, lambda mp: faulty_payoffs(mp, drift_times(0.9))),
+    (coordination_z, lambda mp: faulty_payoffs(mp, drift_times(0.9))),
+], ids=["mixed-noise-x1.1", "mixed-drift-x0.9", "coordination-drift-x0.9"])
+def test_log_share_contrasts_detect_engine_faults(monkeypatch, law, fault):
+    fault(monkeypatch)
+    z_mean, z_var = law()
+    assert max(np.abs(z_mean).max(), np.abs(z_var).max()) > 4.0
 
 
 def test_drift_and_diffusion_zero_sum_bulk():

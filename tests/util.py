@@ -5,7 +5,8 @@ memoized Laplace (cofactor) expansion rather than any factorization, the
 lattice values from literal complex Chebyshev evaluation, and the normal
 distribution function from quadrature of the density.  Two engine faults, the
 noise scaled or the payoffs changed in the kernel alone, show what a check can
-detect, and the exact long-run law of two strategies is a two-sided reference.
+detect; the exact long-run law of two strategies and the exact Gaussian law of
+a log-share contrast are two-sided references.
 """
 
 from __future__ import annotations
@@ -147,3 +148,26 @@ def stationary_beta(A, sigma) -> tuple[float, float]:
         raise ValueError(f"no stationary law inside the simplex: c = {c:g}, c + d = {c + d:g}")
     s_sq = s1 * s1 + s2 * s2
     return 2.0 * c / s_sq, -2.0 * (c + d) / s_sq
+
+
+def contrast_martingale(times, states, A, sigma, w) -> np.ndarray:
+    """The contrast martingale ``M^w`` at each recorded time after the first, of
+    ``states`` of shape (..., records, n); ``w`` must sum to zero.
+
+    ``M^w_K = w^T (log x_K - log x_0) - h sum_{k<K} w^T (A x_k - sigma^2 / 2)``.
+    One Euler step in log-shares adds ``h (A x_k - sigma^2 / 2)`` plus the scaled
+    normals to every ``Z_j``, and the re-centering and the normalization add the
+    same amount to every strategy, which ``w`` cancels.  So an unfloored path of
+    the discrete chain gives ``M^w_K ~ N(0, K h |w * sigma|^2)`` exactly, at any
+    ``h``.  The sum is a left Riemann sum over the recorded grid: exact at record
+    stride 1, and at any stride where ``w^T (A x - sigma^2 / 2)`` is constant.
+    """
+    A, sigma, w = (np.asarray(v, dtype=float) for v in (A, sigma, w))
+    if abs(w.sum()) > 1e-12 * np.abs(w).sum():
+        raise ValueError("the weights of a contrast must sum to zero")
+    states = np.asarray(states, dtype=float)
+    logs = np.log(states) @ w
+    rates = (states @ A.T - 0.5 * sigma * sigma) @ w
+    compensator = np.cumsum(rates[..., :-1] * np.diff(times), axis=-1)
+    return logs[..., 1:] - logs[..., :1] - compensator
+
