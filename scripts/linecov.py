@@ -13,10 +13,12 @@ A statement is a simple statement or the header of a compound one (``if``,
 its lines did.  Docstrings and statements that compile to no code are not
 counted.  A module that was never imported lists every statement.
 
-Code that runs only in forked children, such as chunk workers and the noise
-producer, is traced in the child, whose record dies with it: it shows as not
-run.  Tracing made the tier-1 run 10-25% slower (68 and 85 s against 62 and
-67 s untraced, on a 2-vCPU x86-64 host with Python 3.11).
+A forked child, such as a chunk worker, the noise producer or a lone path's
+streamer, keeps tracing, and appends each line it is the first to run to a
+file of its own in a per-session temporary directory, as it runs, since its
+parent may kill it as soon as it has sent its last message; the summary
+merges these files.  Tracing made the tier-1 run 10-25% slower (68 and 85 s
+against 62 and 67 s untraced, on a 2-vCPU x86-64 host with Python 3.11).
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from __future__ import annotations
 import ast
 import os
 import pathlib
+import shutil
 import sys
+import tempfile
 import threading
 import types
 
@@ -32,6 +36,8 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "replab"
 
 _hits: dict[str, set[int] | None] = {}     # co_filename -> lines run, None outside PACKAGE
 _UNSEEN = object()
+_child_dir: str | None = None               # the session's directory of child records
+_child_log: int | None = None               # in a forked child: its record's descriptor
 
 
 def _trace(frame, event, arg):
@@ -45,10 +51,28 @@ def _trace(frame, event, arg):
         return None
 
     def local(frame, event, arg):
-        if event == "line":
+        if event == "line" and frame.f_lineno not in lines:
             lines.add(frame.f_lineno)
+            if _child_log is not None:
+                os.write(_child_log, f"{frame.f_lineno} {filename}\n".encode())
         return local
     return local
+
+
+def _open_child_log() -> None:
+    """In a forked child of the session: start this child's record of new lines."""
+    global _child_log
+    if _child_dir is not None:
+        _child_log, _ = tempfile.mkstemp(dir=_child_dir, suffix=".lines")
+
+
+def merge_child_lines(directory, ran: dict[str, set[int]]) -> None:
+    """Add the lines recorded by forked children in ``directory`` to ``ran``
+    (real path -> lines run)."""
+    for record in pathlib.Path(directory).glob("*.lines"):
+        for entry in record.read_text(encoding="utf-8").splitlines():
+            line, filename = entry.split(" ", 1)
+            ran.setdefault(os.path.realpath(filename), set()).add(int(line))
 
 
 def statements(source: str, filename: str = "<source>") -> dict[int, set[int]]:
@@ -77,6 +101,9 @@ def statements(source: str, filename: str = "<source>") -> dict[int, set[int]]:
 
 
 def pytest_configure(config):
+    global _child_dir
+    _child_dir = tempfile.mkdtemp(prefix="linecov-")
+    os.register_at_fork(after_in_child=_open_child_log)
     threading.settrace(_trace)
     sys.settrace(_trace)
 
@@ -91,6 +118,8 @@ def pytest_terminal_summary(terminalreporter):
     for filename, lines in _hits.items():
         if lines is not None:
             ran.setdefault(os.path.realpath(filename), set()).update(lines)
+    merge_child_lines(_child_dir, ran)
+    shutil.rmtree(_child_dir, ignore_errors=True)
     terminalreporter.write_sep("-", "linecov: statements of src/replab that never ran")
     for path in sorted(PACKAGE.glob("*.py")):
         spans = statements(path.read_text(encoding="utf-8"), str(path))

@@ -241,10 +241,10 @@ def cmd_simulate(args) -> int:
     head = _manifest(args, inputs=[args.game])
 
     if args.paths == 1:
-        traj = engine.simulate_sde(A, sigma, x0, cfg)
-        fileio.write_run(args.out, {".csv": engine.trajectory_csv_text(traj)}, head)
-        print(f"1 path, {traj.times.size} recorded points -> {args.out}.csv"
-              + (" (log-share floor reached)" if traj.clamped else ""))
+        text, clamped = engine.trajectory_csv(A, sigma, x0, cfg)
+        fileio.write_run(args.out, {".csv": text}, head)
+        print(f"1 path, {cfg.record_steps().size} recorded points -> {args.out}.csv"
+              + (" (log-share floor reached)" if clamped else ""))
         return EXIT_OK
 
     result = engine.batch_run(A, sigma, x0, cfg, args.paths, stat)
@@ -460,7 +460,6 @@ def _manifest(args, inputs) -> dict:
                          "record_points_cap": engine.MAX_RECORD_POINTS}}
 
 
-@functools.cache
 def _check_help(name: str, what: str) -> str:
     """``what`` plus, per tag reading the flag, its default or "required"."""
     uses = []
@@ -473,7 +472,11 @@ def _check_help(name: str, what: str) -> str:
     return f"{what} ({'; '.join(uses)})"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process, at its first use.  :func:`main`
+    looks up the ``cmd_<command>`` function on this module at call time, so a
+    wrapper set on the module is seen."""
     parser = argparse.ArgumentParser(
         prog="replab",
         description="Analyze, simulate and verify noisy replicator dynamics of symmetric games.",
@@ -484,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="statics: eigenvalue gap, dominance, equilibria")
     pa.add_argument("game", help="game JSON file")
     pa.add_argument("--out", required=True, help="output prefix (writes <out>.json)")
-    pa.set_defaults(func=cmd_analyze)
 
     def sim_flags(p, default_paths=1):
         p.add_argument("--x0", help="comma-separated initial state (default uniform)")
@@ -501,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--stat", default="final_share:1",
                     help="batch statistic: final_share:<j> or max_final_share")
     ps.add_argument("--out", required=True, help="output prefix")
-    ps.set_defaults(func=cmd_simulate)
 
     pv = sub.add_parser("verify", help="run one bound check as a Monte Carlo campaign")
     pv.add_argument("game", help="game JSON file (attrition spec for 5.1)")
@@ -516,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--burn-in", dest="burn_in", type=float,
                     help="occupation burn-in (2.3a; default horizon/5)")
     pv.add_argument("--out", required=True, help="output prefix")
-    pv.set_defaults(func=cmd_verify)
 
     pt = sub.add_parser("attrition", help="war-of-attrition equilibria and sweeps")
     pt.add_argument("--spec", help="attrition spec JSON file")
@@ -529,11 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--rho-fracs", dest="rho_fracs", default="0,0.1,0.2,0.4",
                     help="rho as fractions of v")
     pt.add_argument("--out", help="output prefix")
-    pt.set_defaults(func=cmd_attrition)
 
     pr = sub.add_parser("rerun", help="replay a manifest byte-identically")
     pr.add_argument("manifest", help="manifest JSON written by a previous run")
-    pr.set_defaults(func=cmd_rerun)
 
     return parser
 
@@ -549,7 +547,7 @@ def main(argv=None) -> int:
         raise           # --help and --version
     args._argv = list(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.command in ("attrition", "verify") and not isinstance(exc, InputError):

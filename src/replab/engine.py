@@ -51,10 +51,14 @@ in-process chunk of more than one noise block draws its increments in a forked
 producer process instead, one block ahead of the integration, which uses the
 second CPU; the first block is one segment of steps, so the integration starts
 soon, and each later block doubles up to the full block.  The draws are the
-same in any block sizes.  Workers and producer share one protocol
-(:func:`_child`): each sends pickled messages on its own pipe, which the
-caller takes in order, so a batch raises the first failure in chunk order, as
-an in-process loop would.  Batch output is therefore byte-identical for any
+same in any block sizes.  A lone path of many records, written as CSV by
+:func:`trajectory_csv`, integrates in a forked child that draws its own noise
+and sends its records in blocks, which the caller formats while the path
+runs on.  These three users, workers, producer and lone-path streamer, share
+one protocol (:func:`_child`): each child sends pickled messages on its own
+pipe, which the caller takes in order, so a batch raises the first failure in
+chunk order, as an in-process loop would, and a child's exception is raised
+again in the caller.  Batch output is therefore byte-identical for any
 permutation of the requested path indices, any split of them into chunks or
 separate batches, any number of workers, and with or without a producer.
 The kernel takes at most ``MAX_STRATEGIES`` = 15 strategies: from 16 on,
@@ -92,7 +96,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -122,6 +126,15 @@ _SEGMENT = 64                       # steps per hit test and record copy
 # for 450 and 0.91x for 600; at n = 9, 0.99-1.05x for 450.  So a batch is cut
 # from 2 x 256 = 512 draws a step, and each chunk draws at least 256.
 _CHUNK_MIN_DRAWS = 256
+# Trajectory CSV rows formatted per call, and sent per message by a streamed lone path
+# (20 001 records: 40 messages).
+_CSV_ROWS = 512
+# Records from which a lone path is formatted while a forked child integrates it.  A
+# fork, its first message and its reap cost about 4 ms, and a row about 2 us to format:
+# streamed over in-process (n = 3, stride 1, 2-CPU x86-64 host, medians of 15
+# alternating runs, two runs) read 1.04-1.06 at 2049 records, 0.92-1.00 at 2561,
+# 0.89-0.92 at 4097 and 0.79-0.82 at 6145.
+_STREAM_MIN_RECORDS = 5 * _CSV_ROWS
 _USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -360,7 +373,8 @@ class _ChunkResult:
 
 
 def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region] = (),
-               read_steps: float = math.inf) -> _ChunkResult:
+               read_steps: float = math.inf,
+               on_records: Callable[[int, np.ndarray], None] | None = None) -> _ChunkResult:
     """Euler-Maruyama in log-share coordinates for a chunk of seeded paths, held as
     (n, columns) in buffers reused every step.  A lone path runs as two columns on
     one stream: BLAS gemv rounds ``A @ x`` differently from gemm for n >= 4, and a
@@ -381,7 +395,9 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
     its own steps; hit tests and records read them once per segment of
     ``_SEGMENT`` steps.  The loop runs through step ``read_steps`` (default: the
     horizon; 0: no record is read or kept), then on while some path has a region
-    still to enter, to the end of the segment where the last one enters."""
+    still to enter, to the end of the segment where the last one enters.
+    ``on_records``, if given, is called once a segment's records are copied, with
+    the first new record row and the (paths, rows, n) view of the new rows."""
     A = games.as_payoff_matrix(A)
     n = A.shape[0]
     check_kernel_size(n)
@@ -403,6 +419,8 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
         if row < len(record) and record[row] < k1:
             end = bisect.bisect_left(record, k1, row)
             states[:, row:end] = seg[np.subtract(record[row:end], k0)].transpose(2, 0, 1)[:m]
+            if on_records is not None:
+                on_records(row, states[:, row:end])
             row = end
         for region, mask in list(pending.items()):
             # every column, so that a lone path's sums round as in a wider chunk
@@ -790,10 +808,65 @@ def batch_run(A, sigma, x0, cfg: SdeConfig, n_paths: int, statistic: Statistic,
 # exports
 
 
+def _csv_header(n: int) -> str:
+    return "t," + ",".join(f"x_{j + 1}" for j in range(n)) + "\n"
+
+
+def _csv_rows(times: np.ndarray, states: np.ndarray) -> str:
+    """CSV rows ``t,x_1,...,x_n`` of (m,) ``times`` and (m, n) ``states`` at
+    ``%.17g``, formatted ``_CSV_ROWS`` rows at a time."""
+    row = ",".join(["%.17g"] * (states.shape[1] + 1)) + "\n"
+    values = np.column_stack([times, states])
+    return "".join(row * len(block) % tuple(block.ravel().tolist())
+                   for block in np.split(values, range(_CSV_ROWS, len(values), _CSV_ROWS)))
+
+
 def trajectory_csv_text(traj: Trajectory) -> str:
     """CSV with header ``t,x_1,...,x_n`` at full double precision."""
-    n = traj.n_strategies
-    header = "t," + ",".join(f"x_{j + 1}" for j in range(n)) + "\n"
-    row = ",".join(["%.17g"] * (n + 1)) + "\n"
-    values = np.column_stack([traj.times, traj.states]).ravel().tolist()
-    return header + row * traj.times.size % tuple(values)
+    return _csv_header(traj.n_strategies) + _csv_rows(traj.times, traj.states)
+
+
+def trajectory_csv(A, sigma, x0, cfg: SdeConfig, path_index: int = 0) -> tuple[str, bool]:
+    """:func:`trajectory_csv_text` of :func:`simulate_sde`, and whether the path
+    is clamped, with the same bytes, formatted while the path integrates.
+
+    Where two CPUs are usable and the path records at least
+    ``_STREAM_MIN_RECORDS`` rows, it integrates in a :func:`_child` that sends
+    its records in messages of at least ``_CSV_ROWS`` rows, then its clamp flag,
+    and this process formats each message as it arrives.  Otherwise the path
+    integrates here and is formatted after."""
+    A = games.as_payoff_matrix(A)
+    times = cfg.record_steps() * cfg.h
+    if _USABLE_CPUS < 2 or times.size < _STREAM_MIN_RECORDS:
+        traj = simulate_sde(A, sigma, x0, cfg, path_index)
+        return trajectory_csv_text(traj), traj.clamped
+
+    def stream(send) -> None:
+        global _USABLE_CPUS
+        _USABLE_CPUS = 1                        # so it forks no producer of its own
+        held = []                               # views of records not yet sent
+
+        def records(first: int, rows: np.ndarray) -> None:
+            held.append(rows[0])
+            if sum(map(len, held)) >= _CSV_ROWS:
+                send(np.concatenate(held))
+                held.clear()
+
+        res = _sde_chunk(A, sigma, x0, cfg, [path_index], on_records=records)
+        if held:
+            send(np.concatenate(held))
+        send(bool(res.clamped(None)[0]))
+
+    parts, row = [_csv_header(A.shape[0])], 0
+    pid, pipe = _child(stream)
+    try:
+        while row < times.size:
+            rows = _take(pipe, f"path {path_index} exited after sending {row} of its "
+                               f"{times.size} records")
+            parts.append(_csv_rows(times[row:row + len(rows)], rows))
+            row += len(rows)
+        clamped = _take(pipe, f"path {path_index} exited before sending its clamp flag")
+    finally:
+        _reap(pid)
+        pipe.close()
+    return "".join(parts), clamped

@@ -9,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from replab import __version__, bounds, cli, engine, ess, games
+from replab import __version__, bounds, cli, engine, ess, games, rng
+from replab.errors import ValidationError
+from util import assert_no_child_process, counted_forks
 
 
 def write_game(path, A, sigma=None, labels=None):
@@ -143,6 +145,26 @@ def test_simulate_single_path_csv(pd_file, tmp_path):
     assert sha(out + ".csv") == first
 
 
+def test_streamed_simulate_writes_and_replays_the_same_bytes(monkeypatch, tmp_path, capsys):
+    # 3001 records: with two usable CPUs the path streams from a forked child
+    out = str(tmp_path / "run")
+    argv = ["simulate", os.path.join(TESTBEDS, "coordination.json"), "--seed", "3", "--T", "3",
+            "--stride", "1", "--out", out]
+    files = (out + ".csv", out + ".manifest.json")
+    forks = counted_forks(monkeypatch)
+    written = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(engine, "_USABLE_CPUS", cpus)
+        assert cli.main(argv) == 0
+        written.append([open(p, "rb").read() for p in files])
+        assert cli.main(["rerun", files[1]]) == 0
+        assert [open(p, "rb").read() for p in files] == written[-1]
+        assert_no_child_process()
+    assert len(forks) == 2                  # the run and its replay, with two CPUs
+    assert written[0] == written[1]
+    assert "1 path, 3001 recorded points" in capsys.readouterr().out
+
+
 def test_simulate_batch_json(pd_file, tmp_path):
     out = str(tmp_path / "batch")
     rc = cli.main(["simulate", pd_file, "--seed", "6", "--T", "1", "--paths", "12",
@@ -251,6 +273,49 @@ def test_help_and_version_exit_0(argv, capsys):
     assert capsys.readouterr().out
 
 
+def test_cached_parser_parses_each_line_as_a_fresh_one():
+    # refused lines and different subcommands in a row leave no state behind
+    lines = [["simulate", "g.json", "--seed", "1", "--T", "abc", "--out", "x"],
+             ["simulate", "g.json", "--seed", "1", "--paths", "4", "--out", "x"],
+             ["simulate", "g.json", "--seed", "2", "--out", "x"],
+             ["verify", "g.json", "--theorem", "9.9", "--seed", "1", "--out", "x"],
+             ["verify", "g.json", "--theorem", "3.1", "--seed", "2", "--k", "1", "--out", "y"],
+             ["attrition", "--n", "2", "--v", "1"],
+             ["analyze", "g.json"],
+             ["analyze", "g.json", "--out", "z"],
+             ["rerun", "m.json"]]
+    assert cli.build_parser() is cli.build_parser()
+    for argv in lines:
+        parsed = []
+        for parser in (cli.build_parser(), cli.build_parser.__wrapped__()):
+            try:
+                parsed.append(vars(parser.parse_args(argv)))
+            except SystemExit as exc:
+                parsed.append(exc.code)
+        assert parsed[0] == parsed[1], argv
+
+
+def test_a_command_function_set_after_the_first_call_is_the_one_that_runs(pd_file, tmp_path,
+                                                                         monkeypatch):
+    out = str(tmp_path / "run")
+    assert cli.main(["analyze", pd_file, "--out", out]) == 0    # the parser is built
+    calls = []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: calls.append(args.seed) or 7)
+    assert cli.main(["simulate", pd_file, "--seed", "5", "--out", out]) == 7
+    assert calls == [5]
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import replab.cli as c; print(c.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--stat", "max_final_share"], None),
     (["--stat", "bogus"], "unknown statistic 'bogus'"),
@@ -345,6 +410,35 @@ def test_verify_out_of_domain_vector_flags_exit_4(flag, value, message, mixed_fi
     assert rc == 4
     assert message in capsys.readouterr().err
     assert not os.path.exists(out + ".json")
+
+
+@pytest.mark.parametrize("child", ["succeeds", "raises"])
+@pytest.mark.parametrize("command, flags", [*COMMANDS.items(), ("simulate", ["--paths", "1"])],
+                         ids=[*COMMANDS, "simulate-path"])
+def test_no_command_leaves_a_process_running(command, flags, child, mixed_file, tmp_path,
+                                             monkeypatch, capsys):
+    # short noise blocks make each batch draw in a producer, and 3001 records stream
+    # the lone path from a forked child; a failing child fails its stream
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", 3_000)
+    forks = counted_forks(monkeypatch)
+    if child == "raises":
+        path_generator, parent = rng.path_generator, os.getpid()
+
+        def failing(seed, path):
+            if os.getpid() != parent:
+                raise ValidationError("no stream for this path")
+            return path_generator(seed, path)
+
+        monkeypatch.setattr(rng, "path_generator", failing)
+    rc = cli.main([command, mixed_file, *flags, "--seed", "1", "--T", "3",
+                   "--out", str(tmp_path / "run")])
+    assert forks
+    if child == "raises":
+        assert rc != 0 and "no stream for this path" in capsys.readouterr().err
+    else:
+        assert rc == 0
+    assert_no_child_process()
 
 
 @pytest.mark.parametrize("burn_in", ["-0.001", "-5", "0"])
@@ -919,6 +1013,34 @@ def test_linecov_plugin_lists_statements_never_run():
     assert "replab/engine.py" in listing     # test_rng.py never imports the engine
     missing, total = map(int, listing["replab/rng.py"].split(" not run")[0].split(" of "))
     assert missing < total      # test_rng.py runs most of rng.py
+
+
+def test_linecov_counts_lines_that_only_forked_children_run(tmp_path):
+    # only a child pickles a message in engine._child's send, and the caller kills
+    # the child as soon as it has taken that message
+    probe = tmp_path / "test_fork_probe.py"
+    probe.write_text("from replab import engine\n"
+                     "\n"
+                     "def test_child():\n"
+                     "    pid, pipe = engine._child(lambda send: send(7))\n"
+                     "    try:\n"
+                     "        assert engine._take(pipe, 'gone') == 7\n"
+                     "    finally:\n"
+                     "        engine._reap(pid)\n"
+                     "        pipe.close()\n")
+    root = os.path.dirname(TESTBEDS)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        os.path.join(root, d) for d in ("src", "scripts")))
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "linecov",
+                           "-p", "no:cacheprovider", str(probe)],
+                          capture_output=True, text=True, cwd=root, env=env, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    listing = dict(line.split(": ", 1) for line in done.stdout.splitlines()
+                   if line.startswith("replab/"))
+    missing = listing["replab/engine.py"].split("not run: ")[1].split(", ")
+    source = [line.strip() for line in open(engine.__file__, encoding="utf-8")]
+    assert str(source.index("pickle.dump(value, pipe)") + 1) not in missing
+    assert str(source.index("send(exc)") + 1) in missing        # no child raised
 
 
 def test_linecov_statements_skip_docstrings_and_span_their_lines():

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from replab import attrition, cli, engine, games, rng
 from replab.errors import SimulationError, ValidationError
-from util import contrast_martingale, faulty_payoffs, floor_depth, scaled_noise, stationary_beta
+from util import (assert_no_child_process, contrast_martingale, counted_forks, faulty_payoffs,
+                  floor_depth, scaled_noise, stationary_beta)
 
 PD = np.array([[3.0, 0.0], [5.0, 1.0]])
 
@@ -999,11 +1000,6 @@ def time_limit(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-def assert_no_child_process() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def producer_batches(coordination_matrix) -> list[dict[str, engine.BatchResult]]:
     """A recorded batch and a hitting-only batch that stops early, one chunk each."""
     cfg = engine.SdeConfig(h=1e-2, horizon=60.0, seed=17, record_stride=100)
@@ -1067,6 +1063,78 @@ def test_dead_producer_makes_the_batch_raise(monkeypatch, death):
 
 
 # ---------------------------------------------------------------------------
+# a lone path's CSV, formatted while a forked child integrates it
+
+
+def floor_game():
+    # strategy 0 gains 20 a unit time on strategy 1, so a floor 50 deep is hit by t = 2.5
+    return [[10.0, 10.0], [-10.0, -10.0]], [0.1, 0.1], [0.5, 0.5]
+
+
+@pytest.mark.parametrize("game, h, horizon, stride, streamed", [
+    ("cyclic", 1e-3, 3.0, 1, True),
+    ("cyclic", 1e-3, 18.0, 7, True),
+    ("nine", 1e-3, 3.0, 1, True),
+    ("nine", 1e-3, 18.0, 7, True),
+    ("cyclic", 1e-3, 50.0, 1, True),        # a lone path draws 43 690 steps a block
+    ("floor", 1e-3, 3.0, 1, True),
+    ("cyclic", 1e-3, 2.0, 1, False),        # 2001 records format in-process
+], ids=["n3-stride1", "n3-stride7", "n9-stride1", "n9-stride7", "two-blocks", "clamped",
+        "short"])
+def test_streamed_trajectory_csv_matches_in_process(monkeypatch, game, h, horizon, stride,
+                                                    streamed):
+    A, sigma, x0 = {"cyclic": (CYCLIC, [0.5, 0.3, 0.2], [0.5, 0.3, 0.2]),
+                    "nine": nine_strategy_game(), "floor": floor_game()}[game]
+    cfg = engine.SdeConfig(h=h, horizon=horizon, seed=37, record_stride=stride)
+    assert (cfg.record_steps().size >= engine._STREAM_MIN_RECORDS) == streamed
+    with floor_depth(50.0 if game == "floor" else engine.Y_CAP):
+        traj = engine.simulate_sde(A, sigma, x0, cfg, path_index=3)
+        expected = (engine.trajectory_csv_text(traj), traj.clamped)
+        assert traj.clamped == (game == "floor")
+        forks = counted_forks(monkeypatch)
+        for cpus in (1, 2):
+            monkeypatch.setattr(engine, "_USABLE_CPUS", cpus)
+            with time_limit(120):
+                assert engine.trajectory_csv(A, sigma, x0, cfg, path_index=3) == expected
+            assert_no_child_process()
+    assert len(forks) == int(streamed)      # the streamer forks no producer of its own
+
+
+def test_streamed_trajectory_raises_the_childs_error_unchanged(monkeypatch):
+    cfg = engine.SdeConfig(h=1e-3, horizon=3.0, seed=1)
+    errors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(engine, "_USABLE_CPUS", cpus)
+        with np.errstate(over="ignore", invalid="ignore"), time_limit(120):
+            with pytest.raises(SimulationError, match="non-finite log-shares at step 1 ") as exc:
+                engine.trajectory_csv(PD, [1e200, 1e200], [0.5, 0.5], cfg)
+        errors.append(str(exc.value))
+        assert_no_child_process()
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("after_rows", [0, 1000])
+def test_streamed_trajectory_child_that_exits_raises(monkeypatch, after_rows):
+    # the child dies before its first record, or once it has sent some of them
+    sde_chunk, parent = engine._sde_chunk, os.getpid()
+
+    def chunk(*args, on_records, **kwargs):
+        def records(first, rows):
+            if os.getpid() != parent and first >= after_rows:
+                os._exit(3)
+            on_records(first, rows)
+        return sde_chunk(*args, on_records=records, **kwargs)
+
+    monkeypatch.setattr(engine, "_sde_chunk", chunk)
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    cfg = engine.SdeConfig(h=1e-3, horizon=3.0, seed=1)
+    with time_limit(120), pytest.raises(SimulationError, match=r"path 0 exited after sending "
+                                        r"\d+ of its 3001 records"):
+        engine.trajectory_csv(PD, [0.5, 0.5], [0.5, 0.5], cfg)
+    assert_no_child_process()
+
+
+# ---------------------------------------------------------------------------
 # the layout chosen from the normals drawn per step
 
 
@@ -1083,8 +1151,7 @@ def test_batch_layout_follows_the_draws_per_step(monkeypatch, paths, chunks):
     # chunks in two workers; 50 paths draw 150 and run in-process with a producer.
     # Short noise blocks give every chunk several, so a producer could start in each.
     monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", 30_000)
-    fork, forks = os.fork, []
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forks = counted_forks(monkeypatch)
     monkeypatch.setattr(engine, "_USABLE_CPUS", 1)
     alone = layout_batch(paths)
     assert forks == []                  # one usable CPU: nothing forks
@@ -1186,11 +1253,11 @@ def test_stationary_beta_refuses_games_without_an_interior_law(A):
 # log-share contrasts, two-sided against their exact Gaussian law
 
 
-def contrast_z(game: str, x0, cfg: engine.SdeConfig, paths: int, weights, every: int):
+def contrast_z(A, sigma, x0, cfg: engine.SdeConfig, paths: int, weights, every: int):
     """z of the sample mean and of the sample variance of each contrast martingale
     (:func:`util.contrast_martingale`) against its exact law N(0, t |w * sigma|^2),
     at every ``every``-th recorded time after 0, from one in-process chunk."""
-    A, sigma, _ = cli.load_game(os.path.join(os.path.dirname(__file__), "..", "testbeds", game))
+    sigma = np.asarray(sigma, dtype=float)
     with time_limit(120):
         res = engine._sde_chunk(A, sigma, x0, cfg, list(range(paths)))
     assert not np.isfinite(res.first_floor).any()      # a floored step breaks the law
@@ -1203,22 +1270,47 @@ def contrast_z(game: str, x0, cfg: engine.SdeConfig, paths: int, weights, every:
     return np.array(z_mean), np.array(z_var)
 
 
+def load_testbed(name: str):
+    A, sigma, _ = cli.load_game(os.path.join(os.path.dirname(__file__), "..", "testbeds", name))
+    return A, sigma
+
+
 def mixed_dominance_z():
     # 3.1's testbed: strategy 0 earns 2 and the even mix of 1 and 2 earns 2.5 against
     # any state, and the noise is equal, so Y = log x_1 - (log x_2 + log x_3) / 2 is
     # the exact walk N(Y_0 - 0.5 t, 0.135 t), readable at the record stride
     cfg = engine.SdeConfig(h=0.05, horizon=20.0, seed=3101, record_stride=100)
-    return contrast_z("mixed_dominance.json", [1 / 3] * 3, cfg, 4000, [[1.0, -0.5, -0.5]], 1)
+    return contrast_z(*load_testbed("mixed_dominance.json"), [1 / 3] * 3, cfg, 4000,
+                      [[1.0, -0.5, -0.5]], 1)
+
+
+COORDINATION_CONTRASTS = [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0]]
 
 
 def coordination_z():
     # the compensator reads A x at every step, so the records are every step
     cfg = engine.SdeConfig(h=1e-2, horizon=5.0, seed=3102, record_stride=1)
-    weights = [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0]]
-    return contrast_z("coordination.json", [0.5, 0.3, 0.2], cfg, 500, weights, 100)
+    return contrast_z(*load_testbed("coordination.json"), [0.5, 0.3, 0.2], cfg, 500,
+                      COORDINATION_CONTRASTS, 100)
 
 
-@pytest.mark.parametrize("law", [mixed_dominance_z, coordination_z])
+def coordination_wide_z():
+    # noise x1.1 moves the variance by 0.21 of itself: z of about 3.3 at 500 paths,
+    # inside the band, and 6.6 at 2000
+    cfg = engine.SdeConfig(h=1e-2, horizon=5.0, seed=3103, record_stride=1)
+    return contrast_z(*load_testbed("coordination.json"), [0.5, 0.3, 0.2], cfg, 2000,
+                      COORDINATION_CONTRASTS, 100)
+
+
+def hawk_dove_z():
+    # unequal noise, so dropping the Ito term moves the mean of x_1 - x_2's contrast by
+    # (sigma_2^2 - sigma_1^2) / 2 = 0.06 a unit time: z of 9.5 at t = 5
+    cfg = engine.SdeConfig(h=1e-2, horizon=5.0, seed=3104, record_stride=1)
+    return contrast_z(HAWK_DOVE, [0.2, 0.4], [0.5, 0.5], cfg, 1000, [[1.0, -1.0]], 100)
+
+
+@pytest.mark.parametrize("law", [mixed_dominance_z, coordination_z, coordination_wide_z,
+                                 hawk_dove_z])
 def test_log_share_contrasts_follow_their_exact_gaussian_law(law):
     z_mean, z_var = law()
     assert np.abs(z_mean).max() <= 4.0 and np.abs(z_var).max() <= 4.0, (z_mean, z_var)
@@ -1229,11 +1321,19 @@ def drift_times(c: float):
     return lambda A, sigma: c * A - (c - 1.0) * 0.5 * (sigma * sigma)[:, None]
 
 
+def no_ito_term(A, sigma):
+    """The payoffs of a drift fault that drops the Ito term ``-sigma^2 / 2``."""
+    return A + 0.5 * (sigma * sigma)[:, None]
+
+
 @pytest.mark.parametrize("law, fault", [
     (mixed_dominance_z, lambda mp: scaled_noise(mp, 1.1)),
     (mixed_dominance_z, lambda mp: faulty_payoffs(mp, drift_times(0.9))),
     (coordination_z, lambda mp: faulty_payoffs(mp, drift_times(0.9))),
-], ids=["mixed-noise-x1.1", "mixed-drift-x0.9", "coordination-drift-x0.9"])
+    (coordination_wide_z, lambda mp: scaled_noise(mp, 1.1)),
+    (hawk_dove_z, lambda mp: faulty_payoffs(mp, no_ito_term)),
+], ids=["mixed-noise-x1.1", "mixed-drift-x0.9", "coordination-drift-x0.9",
+        "coordination-noise-x1.1", "hawk-dove-no-ito"])
 def test_log_share_contrasts_detect_engine_faults(monkeypatch, law, fault):
     fault(monkeypatch)
     z_mean, z_var = law()

@@ -6,12 +6,14 @@ lattice values from literal complex Chebyshev evaluation, and the normal
 distribution function from quadrature of the density.  Two engine faults, the
 noise scaled or the payoffs changed in the kernel alone, show what a check can
 detect; the exact long-run law of two strategies and the exact Gaussian law of
-a log-share contrast are two-sided references.
+a log-share contrast are two-sided references.  Two process helpers count the
+forks a run makes and check that it leaves no child behind.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from functools import lru_cache
 from unittest import mock
 
@@ -122,9 +124,9 @@ def faulty_payoffs(monkeypatch, payoffs) -> None:
     by ``c``.  Chunk workers fork after the patch, so they run it too."""
     true_chunk = engine._sde_chunk
 
-    def chunk(A, sigma, *args):
+    def chunk(A, sigma, *args, **kwargs):
         changed = payoffs(np.asarray(A, dtype=float), np.asarray(sigma, dtype=float))
-        return true_chunk(changed, sigma, *args)
+        return true_chunk(changed, sigma, *args, **kwargs)
 
     monkeypatch.setattr(engine, "_sde_chunk", chunk)
 
@@ -171,3 +173,19 @@ def contrast_martingale(times, states, A, sigma, w) -> np.ndarray:
     compensator = np.cumsum(rates[..., :-1] * np.diff(times), axis=-1)
     return logs[..., 1:] - logs[..., :1] - compensator
 
+
+
+def counted_forks(monkeypatch) -> list:
+    """Count every ``os.fork`` from here on; returns the list each one appends to."""
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_process() -> None:
+    """Fail if this process has a child, running or exited but not waited for."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process was left behind")
