@@ -55,10 +55,11 @@ same in any block sizes.  A lone path of many records, written as CSV by
 :func:`trajectory_csv`, integrates in a forked child that draws its own noise
 and sends its records in blocks, which the caller formats while the path
 runs on.  These three users, workers, producer and lone-path streamer, share
-one protocol (:func:`_child`): each child sends pickled messages on its own
-pipe, which the caller takes in order, so a batch raises the first failure in
-chunk order, as an in-process loop would, and a child's exception is raised
-again in the caller.  Batch output is therefore byte-identical for any
+one protocol and one owner of each child's lifetime, :func:`_child`: each
+child runs on one usable CPU and sends pickled messages on its own pipe,
+which the caller takes in order, so a batch raises the first failure in chunk
+order, as an in-process loop would, and a child's exception is raised again
+in the caller.  Batch output is therefore byte-identical for any
 permutation of the requested path indices, any split of them into chunks or
 separate batches, any number of workers, and with or without a producer.
 The kernel takes at most ``MAX_STRATEGIES`` = 15 strategies: from 16 on,
@@ -247,18 +248,28 @@ def _draw_blocks(seed: int, paths, n: int, total_steps: int, scale: np.ndarray,
         yield steps
 
 
+@contextlib.contextmanager
 def _child(body):
-    """Fork a child that runs ``body(send)``, and return its pid and the read end
-    of its pipe, for :func:`_take`.  ``send`` pickles one message onto the
-    child's buffered write pipe and flushes it; an exception that escapes
-    ``body`` is pickled as the child's last message, and the child then exits.
-    The path-key type is made before the fork, so that no child imports
-    ``numpy.random`` (about 18 ms) for itself."""
+    """Fork a child that runs ``body(send)`` on one usable CPU, so that it forks
+    none of its own, and yield the read end of its pipe, for :func:`_take`; on
+    exit, kill the child if it still runs, wait for it and close the pipe.
+    ``send`` pickles one message onto the child's buffered write pipe and
+    flushes it; an exception that escapes ``body`` is pickled as the child's
+    last message, and the child then exits.  A failed fork raises
+    ``SimulationError``.  The path-key type is made before the fork, so that no
+    child imports ``numpy.random`` (about 18 ms) for itself."""
+    global _USABLE_CPUS
     rng._path_key()
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read_end)
+        os.close(write_end)
+        raise SimulationError(f"cannot fork an engine child: {exc}") from exc
     if pid == 0:                                # the child; never returns
         try:
+            _USABLE_CPUS = 1
             os.close(read_end)
             with open(write_end, "wb") as pipe:
 
@@ -273,7 +284,14 @@ def _child(body):
         finally:
             os._exit(0)
     os.close(write_end)
-    return pid, open(read_end, "rb")
+    with open(read_end, "rb") as pipe:
+        try:
+            yield pipe
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
 
 
 def _take(pipe, gone: str):
@@ -288,22 +306,14 @@ def _take(pipe, gone: str):
     return value
 
 
-def _reap(pid: int) -> None:
-    """Kill the child ``pid`` if it still runs, and wait for it."""
-    with contextlib.suppress(ProcessLookupError):
-        os.kill(pid, signal.SIGKILL)
-    with contextlib.suppress(ChildProcessError):
-        os.waitpid(pid, 0)
-
-
 def _increments(seed: int, paths, n: int, total_steps: int, scale: np.ndarray):
     """Blocks of each step's Gaussian increments times ``scale``, as (steps, n,
     columns) views valid until the next is taken; the caller may overwrite a
     block it holds.  A chunk of more than one block (:func:`_spans`) draws
     them in a producer, a :func:`_child`, where two CPUs are usable: in the
-    caller of a batch that runs in-process, never in a chunk worker, which
-    draws its own.  A batch wide enough to keep a producer busy runs in workers
-    instead (see ``_CHUNK_MIN_DRAWS``)."""
+    caller of a batch that runs in-process, never in a chunk worker or other
+    child, which runs on one CPU and draws its own.  A batch wide enough to keep
+    a producer busy runs in workers instead (see ``_CHUNK_MIN_DRAWS``)."""
     columns = scale.shape[1]
     block = min(total_steps, max(1, _NOISE_BLOCK_FLOATS // (columns * n)))
     if block < total_steps and _USABLE_CPUS >= 2:
@@ -321,35 +331,32 @@ def _produced_blocks(seed: int, paths, n: int, total_steps: int, scale: np.ndarr
     block's index once it is filled; the caller sends one byte on ``freed``
     when it takes the next block, which frees the slot of the last.  A child
     that fails sends its exception instead, which the caller raises; a child
-    whose caller has gone exits at its next message.  The child is reaped when
-    this generator finishes or is closed."""
+    whose caller has gone exits at its next message.  The child is reaped, and
+    both pipes closed, when this generator finishes or is closed, or when the
+    fork fails."""
     ring = np.frombuffer(mmap.mmap(-1, 2 * block * scale.size * 8))
     ring = ring.reshape(2, block, *scale.shape)
-    freed_r, freed_w = os.pipe()
+    read_end, write_end = os.pipe()
 
     def produce(send) -> None:
-        os.close(freed_w)
+        freed_w.close()
 
         def slot(b: int) -> np.ndarray:
             if b >= 2:
-                os.read(freed_r, 1)
+                freed_r.read(1)
             return ring[b % 2]
 
         for b, _ in enumerate(_draw_blocks(seed, paths, n, total_steps, scale, block, slot)):
             send(b)
 
-    pid, filled = _child(produce)
-    os.close(freed_r)
-    try:
+    with (open(read_end, "rb", 0) as freed_r, open(write_end, "wb", 0) as freed_w,
+          _child(produce) as filled):
+        freed_r.close()
         for b, (start, stop) in enumerate(_spans(total_steps, block)):
             if b:
                 with contextlib.suppress(BrokenPipeError):    # the child may have finished
-                    os.write(freed_w, b"\1")
+                    freed_w.write(b"\1")
             yield ring[_take(filled, f"noise producer exited before block {b}") % 2, :stop - start]
-    finally:
-        _reap(pid)
-        filled.close()
-        os.close(freed_w)
 
 
 def check_kernel_size(n: int) -> None:
@@ -691,25 +698,19 @@ def _forked_chunks(run, spans: list[tuple[int, int]], workers: int) -> list:
     caller takes chunk ``i`` from worker ``i % workers``, in index order, so it
     raises the lowest failing chunk's exception, as an in-process loop would,
     or a ``SimulationError`` for the lowest chunk whose worker exited before
-    sending it.  Fork hands ``run`` to each worker without pickling it.  Every
-    child is reaped when this returns or raises."""
+    sending it.  Fork hands ``run`` to each worker without pickling it.  The
+    workers' :func:`_child` contexts share one exit stack, so every child forked
+    is reaped when this returns or raises, a failed fork included."""
 
     def work(send, w: int) -> None:
-        global _USABLE_CPUS
-        _USABLE_CPUS = 1                        # so it forks no producer of its own
         for i in range(w, len(spans), workers):
             send(run(spans[i]))
 
-    children = []
-    try:
-        for w in range(workers):
-            children.append(_child(lambda send, w=w: work(send, w)))
-        return [_take(children[i % workers][1], f"chunk worker {i % workers} exited "
+    with contextlib.ExitStack() as children:
+        pipes = [children.enter_context(_child(lambda send, w=w: work(send, w)))
+                 for w in range(workers)]
+        return [_take(pipes[i % workers], f"chunk worker {i % workers} exited "
                       f"before sending its values for chunk {i}") for i in range(len(spans))]
-    finally:
-        for pid, pipe in children:
-            _reap(pid)
-            pipe.close()
 
 
 def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
@@ -842,8 +843,6 @@ def trajectory_csv(A, sigma, x0, cfg: SdeConfig, path_index: int = 0) -> tuple[s
         return trajectory_csv_text(traj), traj.clamped
 
     def stream(send) -> None:
-        global _USABLE_CPUS
-        _USABLE_CPUS = 1                        # so it forks no producer of its own
         held = []                               # views of records not yet sent
 
         def records(first: int, rows: np.ndarray) -> None:
@@ -858,15 +857,11 @@ def trajectory_csv(A, sigma, x0, cfg: SdeConfig, path_index: int = 0) -> tuple[s
         send(bool(res.clamped(None)[0]))
 
     parts, row = [_csv_header(A.shape[0])], 0
-    pid, pipe = _child(stream)
-    try:
+    with _child(stream) as pipe:
         while row < times.size:
             rows = _take(pipe, f"path {path_index} exited after sending {row} of its "
                                f"{times.size} records")
             parts.append(_csv_rows(times[row:row + len(rows)], rows))
             row += len(rows)
         clamped = _take(pipe, f"path {path_index} exited before sending its clamp flag")
-    finally:
-        _reap(pid)
-        pipe.close()
     return "".join(parts), clamped

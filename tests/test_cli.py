@@ -11,7 +11,7 @@ import pytest
 
 from replab import __version__, bounds, cli, engine, ess, games, rng
 from replab.errors import ValidationError
-from util import assert_no_child_process, counted_forks
+from util import assert_no_child_process, counted_forks, failing_forks, open_descriptors
 
 
 def write_game(path, A, sigma=None, labels=None):
@@ -155,11 +155,12 @@ def test_streamed_simulate_writes_and_replays_the_same_bytes(monkeypatch, tmp_pa
     written = []
     for cpus in (1, 2):
         monkeypatch.setattr(engine, "_USABLE_CPUS", cpus)
+        fds = open_descriptors()
         assert cli.main(argv) == 0
         written.append([open(p, "rb").read() for p in files])
         assert cli.main(["rerun", files[1]]) == 0
         assert [open(p, "rb").read() for p in files] == written[-1]
-        assert_no_child_process()
+        assert_no_child_process(fds)
     assert len(forks) == 2                  # the run and its replay, with two CPUs
     assert written[0] == written[1]
     assert "1 path, 3001 recorded points" in capsys.readouterr().out
@@ -431,6 +432,7 @@ def test_no_command_leaves_a_process_running(command, flags, child, mixed_file, 
             return path_generator(seed, path)
 
         monkeypatch.setattr(rng, "path_generator", failing)
+    fds = open_descriptors()
     rc = cli.main([command, mixed_file, *flags, "--seed", "1", "--T", "3",
                    "--out", str(tmp_path / "run")])
     assert forks
@@ -438,7 +440,21 @@ def test_no_command_leaves_a_process_running(command, flags, child, mixed_file, 
         assert rc != 0 and "no stream for this path" in capsys.readouterr().err
     else:
         assert rc == 0
-    assert_no_child_process()
+    assert_no_child_process(fds)
+
+
+def test_failed_fork_of_a_streamed_path_exits_1(mixed_file, tmp_path, monkeypatch, capsys):
+    # 3001 records stream the lone path from a forked child, whose fork fails
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    fds = open_descriptors()
+    failing_forks(monkeypatch)
+    out = str(tmp_path / "run")
+    rc = cli.main(["simulate", mixed_file, "--paths", "1", "--seed", "1", "--T", "3",
+                   "--out", out])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("simulation aborted: cannot fork an engine child: ")
+    assert not os.path.exists(out + ".csv")
+    assert_no_child_process(fds)
 
 
 @pytest.mark.parametrize("burn_in", ["-0.001", "-5", "0"])
@@ -1022,12 +1038,8 @@ def test_linecov_counts_lines_that_only_forked_children_run(tmp_path):
     probe.write_text("from replab import engine\n"
                      "\n"
                      "def test_child():\n"
-                     "    pid, pipe = engine._child(lambda send: send(7))\n"
-                     "    try:\n"
-                     "        assert engine._take(pipe, 'gone') == 7\n"
-                     "    finally:\n"
-                     "        engine._reap(pid)\n"
-                     "        pipe.close()\n")
+                     "    with engine._child(lambda send: send(7)) as pipe:\n"
+                     "        assert engine._take(pipe, 'gone') == 7\n")
     root = os.path.dirname(TESTBEDS)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         os.path.join(root, d) for d in ("src", "scripts")))
@@ -1041,6 +1053,7 @@ def test_linecov_counts_lines_that_only_forked_children_run(tmp_path):
     source = [line.strip() for line in open(engine.__file__, encoding="utf-8")]
     assert str(source.index("pickle.dump(value, pipe)") + 1) not in missing
     assert str(source.index("send(exc)") + 1) in missing        # no child raised
+    assert str(source.index("_USABLE_CPUS = 1") + 1) not in missing
 
 
 def test_linecov_statements_skip_docstrings_and_span_their_lines():

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from replab import attrition, cli, engine, games, rng
 from replab.errors import SimulationError, ValidationError
-from util import (assert_no_child_process, contrast_martingale, counted_forks, faulty_payoffs,
-                  floor_depth, scaled_noise, stationary_beta)
+from util import (assert_no_child_process, contrast_martingale, counted_forks, failing_forks,
+                  faulty_payoffs, floor_depth, open_descriptors, scaled_noise, stationary_beta)
 
 PD = np.array([[3.0, 0.0], [5.0, 1.0]])
 
@@ -780,13 +780,26 @@ def test_batch_bytes_do_not_depend_on_worker_count(monkeypatch):
 
 def test_pooled_batch_reports_the_lowest_failing_chunk(monkeypatch):
     monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    fds = open_descriptors()
     cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=1)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(5):
             with pytest.raises(SimulationError, match=r"for paths \[0, 1, 2, 3, 4\]$"):
                 engine.batch_run(PD, [1e200, 1e200], [0.5, 0.5], cfg, 1100,
                                  engine.final_share(0))
-    assert_no_child_process()
+    assert_no_child_process(fds)
+
+
+def test_unknown_statistic_kind_raises_before_any_path_runs(monkeypatch):
+    # 1100 paths of 2 strategies would run in two workers
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    forks, streams = counted_forks(monkeypatch), []
+    monkeypatch.setattr(rng, "path_generator", lambda *args: streams.append(args))
+    cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=1)
+    with pytest.raises(ValidationError, match=r"^unknown statistic kind 'nope'$"):
+        engine.batch_run(PD, [0.5, 0.5], [0.5, 0.5], cfg, 1100,
+                         engine.Statistic(name="x", kind="nope"))
+    assert forks == [] and streams == []
 
 
 def failing_chunks(monkeypatch, fail) -> None:
@@ -820,10 +833,11 @@ def test_raising_worker_reports_the_lowest_failing_chunk(monkeypatch, failing, l
     monkeypatch.setattr(engine, "_MAX_CHUNK_PATHS", 10)
     cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=1)
     for cpus in (1, 2):
+        fds = open_descriptors()
         monkeypatch.setattr(engine, "_USABLE_CPUS", cpus)
         with time_limit(120), pytest.raises(ValidationError, match=f"from path {lowest}$"):
             engine.batch_run(PD, [0.5, 0.5], [0.5, 0.5], cfg, 40, engine.final_share(0))
-        assert_no_child_process()
+        assert_no_child_process(fds)
 
 
 @pytest.mark.parametrize("exiting", [0, 1])
@@ -838,11 +852,12 @@ def test_exiting_worker_makes_the_batch_raise(monkeypatch, exiting):
     failing_chunks(monkeypatch, fail)
     monkeypatch.setattr(engine, "_MAX_CHUNK_PATHS", 10)
     monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    fds = open_descriptors()
     cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=1)
     with time_limit(120), pytest.raises(
             SimulationError, match=f"chunk worker {exiting} exited before sending its values"):
         engine.batch_run(PD, [0.5, 0.5], [0.5, 0.5], cfg, 40, engine.final_share(0))
-    assert_no_child_process()
+    assert_no_child_process(fds)
 
 
 def test_chunk_messages_larger_than_a_pipe_buffer(monkeypatch):
@@ -856,6 +871,7 @@ def test_chunk_messages_larger_than_a_pipe_buffer(monkeypatch):
     def run():
         return engine.batch_run_many(PD, [0.5, 0.5], [0.5, 0.5], cfg, 2048, stats)
 
+    fds = open_descriptors()
     monkeypatch.setattr(engine, "_USABLE_CPUS", 1)
     alone = run()
     monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
@@ -863,7 +879,7 @@ def test_chunk_messages_larger_than_a_pipe_buffer(monkeypatch):
     with time_limit(120):
         pooled = run()
     assert children_cpu_seconds() > before          # the chunks ran in workers
-    assert_no_child_process()
+    assert_no_child_process(fds)
     for name, res in alone.items():
         assert pooled[name].values.tobytes() == res.values.tobytes(), name
 
@@ -934,6 +950,7 @@ def test_narrow_chunk_of_several_blocks_uses_a_producer(monkeypatch):
     # 100 000 steps takes several blocks (64, 128, ..., 16 384, 29 127, 29 127,
     # then 9 042) and, at the default settings, draws them in a producer
     cfg = engine.SdeConfig(h=1e-3, horizon=100.0, seed=23, record_stride=1000)
+    fds = open_descriptors()
     run = [CYCLIC, [0.5] * 3, [0.5, 0.3, 0.2], cfg, [2, 4, 9]]
     monkeypatch.setattr(engine, "_USABLE_CPUS", 1)
     alone = engine._sde_chunk(*run)
@@ -944,7 +961,7 @@ def test_narrow_chunk_of_several_blocks_uses_a_producer(monkeypatch):
     with time_limit(120):
         piped = engine._sde_chunk(*run)
     assert blocks == [engine._NOISE_BLOCK_FLOATS // 9]
-    assert_no_child_process()
+    assert_no_child_process(fds)
     assert piped.states.tobytes() == alone.states.tobytes()
     assert piped.first_floor.tobytes() == alone.first_floor.tobytes()
 
@@ -957,6 +974,7 @@ def test_noise_block_size_moves_no_byte(monkeypatch, mixed_dominance_matrix):
     # blocks of 2 621 and 873 steps.  Strategy 0 loses 0.5 a unit time against the
     # others, so a floor 50 deep catches every path near t = 100, and the floor
     # checks, scheduled from each block's largest increment, run in both.
+    fds = open_descriptors()
     monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
     produced, forked, blocks, layouts = engine._produced_blocks, engine._forked_chunks, [], []
     monkeypatch.setattr(engine, "_produced_blocks",
@@ -981,7 +999,7 @@ def test_noise_block_size_moves_no_byte(monkeypatch, mixed_dominance_matrix):
     assert engine._NOISE_BLOCK_FLOATS == 262_144
     assert blocks == [13_107, 4_369]
     assert layouts == [([(0, 100), (100, 200)], 2)] * 2
-    assert_no_child_process()
+    assert_no_child_process(fds)
     assert outputs[0] == outputs[1]
 
 
@@ -1012,6 +1030,7 @@ def producer_batches(coordination_matrix) -> list[dict[str, engine.BatchResult]]
 
 
 def test_producer_gives_the_same_bytes(monkeypatch, coordination_matrix):
+    fds = open_descriptors()
     monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", 3_000)
     monkeypatch.setattr(engine, "_USABLE_CPUS", 1)
     alone = producer_batches(coordination_matrix)
@@ -1019,7 +1038,7 @@ def test_producer_gives_the_same_bytes(monkeypatch, coordination_matrix):
     with time_limit(120):
         produced = producer_batches(coordination_matrix)
     assert len(started) == 2
-    assert_no_child_process()
+    assert_no_child_process(fds)
     for a, b in zip(alone, produced):
         assert a.keys() == b.keys()
         for name in a:
@@ -1030,13 +1049,14 @@ def test_producer_is_reaped_after_a_raised_step(monkeypatch):
     # 100 paths of 2 strategies draw fewer normals a step than would cut the
     # batch for the CPUs, so it keeps one chunk, which draws in a producer
     assert 100 * 2 < 2 * engine._CHUNK_MIN_DRAWS
+    fds = open_descriptors()
     started = force_producer(monkeypatch)
     cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=1)
     with np.errstate(over="ignore", invalid="ignore"), time_limit(120):
         with pytest.raises(SimulationError, match="non-finite log-shares at step 1 "):
             engine.batch_run(PD, [1e200, 1e200], [0.5, 0.5], cfg, 100, engine.final_share(0))
     assert len(started) == 1
-    assert_no_child_process()
+    assert_no_child_process(fds)
 
 
 @pytest.mark.parametrize("death", ["raises", "exits"])
@@ -1054,12 +1074,13 @@ def test_dead_producer_makes_the_batch_raise(monkeypatch, death):
         return path_generator(seed, path)
 
     monkeypatch.setattr(rng, "path_generator", failing)
+    fds = open_descriptors()
     cfg = engine.SdeConfig(h=1e-2, horizon=2.0, seed=1)
     expected = (ValidationError, "no stream") if death == "raises" else (
         SimulationError, "noise producer exited before block 0")
     with time_limit(120), pytest.raises(expected[0], match=expected[1]):
         engine.batch_run(PD, [0.5, 0.5], [0.5, 0.5], cfg, 100, engine.final_share(0))
-    assert_no_child_process()
+    assert_no_child_process(fds)
 
 
 # ---------------------------------------------------------------------------
@@ -1088,6 +1109,7 @@ def test_streamed_trajectory_csv_matches_in_process(monkeypatch, game, h, horizo
     cfg = engine.SdeConfig(h=h, horizon=horizon, seed=37, record_stride=stride)
     assert (cfg.record_steps().size >= engine._STREAM_MIN_RECORDS) == streamed
     with floor_depth(50.0 if game == "floor" else engine.Y_CAP):
+        fds = open_descriptors()
         traj = engine.simulate_sde(A, sigma, x0, cfg, path_index=3)
         expected = (engine.trajectory_csv_text(traj), traj.clamped)
         assert traj.clamped == (game == "floor")
@@ -1096,12 +1118,13 @@ def test_streamed_trajectory_csv_matches_in_process(monkeypatch, game, h, horizo
             monkeypatch.setattr(engine, "_USABLE_CPUS", cpus)
             with time_limit(120):
                 assert engine.trajectory_csv(A, sigma, x0, cfg, path_index=3) == expected
-            assert_no_child_process()
+            assert_no_child_process(fds)
     assert len(forks) == int(streamed)      # the streamer forks no producer of its own
 
 
 def test_streamed_trajectory_raises_the_childs_error_unchanged(monkeypatch):
     cfg = engine.SdeConfig(h=1e-3, horizon=3.0, seed=1)
+    fds = open_descriptors()
     errors = []
     for cpus in (1, 2):
         monkeypatch.setattr(engine, "_USABLE_CPUS", cpus)
@@ -1109,7 +1132,7 @@ def test_streamed_trajectory_raises_the_childs_error_unchanged(monkeypatch):
             with pytest.raises(SimulationError, match="non-finite log-shares at step 1 ") as exc:
                 engine.trajectory_csv(PD, [1e200, 1e200], [0.5, 0.5], cfg)
         errors.append(str(exc.value))
-        assert_no_child_process()
+        assert_no_child_process(fds)
     assert errors[0] == errors[1]
 
 
@@ -1127,11 +1150,39 @@ def test_streamed_trajectory_child_that_exits_raises(monkeypatch, after_rows):
 
     monkeypatch.setattr(engine, "_sde_chunk", chunk)
     monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    fds = open_descriptors()
     cfg = engine.SdeConfig(h=1e-3, horizon=3.0, seed=1)
     with time_limit(120), pytest.raises(SimulationError, match=r"path 0 exited after sending "
                                         r"\d+ of its 3001 records"):
         engine.trajectory_csv(PD, [0.5, 0.5], [0.5, 0.5], cfg)
-    assert_no_child_process()
+    assert_no_child_process(fds)
+
+
+# ---------------------------------------------------------------------------
+# a fork that fails
+
+
+@pytest.mark.parametrize("child, after", [("producer", 0), ("workers", 0), ("workers", 1),
+                                          ("streamer", 0)])
+def test_failed_fork_leaks_nothing_and_raises(monkeypatch, child, after):
+    # 100 paths of 2 strategies draw 3000 steps in blocks of at most 1310, so one
+    # chunk draws in a producer; four 10-path chunks run in two workers, the second
+    # of which may fail to fork once the first runs; 3001 records stream
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
+    monkeypatch.setattr(engine, "_MAX_CHUNK_PATHS", 10 if child == "workers" else 512)
+    cfg = engine.SdeConfig(h=1e-3, horizon=3.0, seed=1)
+    run = {"producer": lambda: engine.batch_run(PD, [0.5, 0.5], [0.5, 0.5], cfg, 100,
+                                                engine.final_share(0)),
+           "workers": lambda: engine.batch_run(PD, [0.5, 0.5], [0.5, 0.5], cfg, 40,
+                                               engine.final_share(0)),
+           "streamer": lambda: engine.trajectory_csv(PD, [0.5, 0.5], [0.5, 0.5], cfg)}[child]
+    fds = open_descriptors()
+    forks = failing_forks(monkeypatch, after)
+    with time_limit(120), pytest.raises(SimulationError, match=r"^cannot fork an engine child: "
+                                        r"\[Errno \d+\] Resource temporarily unavailable$"):
+        run()
+    assert len(forks) == after
+    assert_no_child_process(fds)
 
 
 # ---------------------------------------------------------------------------
@@ -1151,6 +1202,7 @@ def test_batch_layout_follows_the_draws_per_step(monkeypatch, paths, chunks):
     # chunks in two workers; 50 paths draw 150 and run in-process with a producer.
     # Short noise blocks give every chunk several, so a producer could start in each.
     monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", 30_000)
+    fds = open_descriptors()
     forks = counted_forks(monkeypatch)
     monkeypatch.setattr(engine, "_USABLE_CPUS", 1)
     alone = layout_batch(paths)
@@ -1170,7 +1222,7 @@ def test_batch_layout_follows_the_draws_per_step(monkeypatch, paths, chunks):
     monkeypatch.setattr(engine, "_USABLE_CPUS", 2)
     with time_limit(120):
         assert layout_batch(paths) == alone
-    assert_no_child_process()
+    assert_no_child_process(fds)
     if chunks:
         assert pooled == [(chunks, 2)] and started == [] and len(forks) == 2
     else:

@@ -5,6 +5,7 @@ import logging
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from replab import attrition, ess, games
 from replab.errors import PreconditionError, ValidationError
+from util import exact_solve
 
 
 def test_equalize_on_support_hand_cases(attrition_testbed_matrix):
@@ -188,6 +190,36 @@ def test_golden_unique_ess_grid_digest():
         h.update(r.strategy.tobytes())
         h.update(json.dumps([list(r.support), r.common_payoff, r.status]).encode())
     assert h.hexdigest() == GOLDEN_GRID_DIGEST
+
+
+def test_every_sweep_row_is_certified_in_exact_arithmetic():
+    # On the closed form's support, the equalizer system of the exact values of
+    # the floats in perturbed_matrix has positive weights, and no strategy off the
+    # support earns more than the common payoff.  The only ties are strategy 0
+    # against the maximum-effort vertex, exactly where v = 2n + 2 rho.
+    specs = attrition.ess_sweep_rows(range(1, 9), (0.0, 0.1, 0.2, 0.4))
+    assert len(specs) == 2851
+    ties, threshold_vertices, gap = [], [], 0.0
+    for spec in specs:
+        p = attrition.closed_form_ess(spec).strategy
+        support = np.flatnonzero(p > 0.0).tolist()
+        M = attrition.perturbed_matrix(spec)
+        k = len(support)
+        *weights, payoff = exact_solve([[M[i, j] for j in support] + [-1.0] for i in support]
+                                       + [[1.0] * k + [0.0]], [0.0] * k + [1.0])
+        assert min(weights) > 0, spec
+        for j in sorted(set(range(spec.n + 1)) - set(support)):
+            off = sum(Fraction(float(M[j, i])) * w for i, w in zip(support, weights))
+            assert off <= payoff, (spec, j)
+            if off == payoff:
+                ties.append((spec, j))
+        gap = max(gap, max(abs(float(w) - p[i]) for i, w in zip(support, weights)))
+        if Fraction(spec.v) == 2 * spec.n + 2 * Fraction(spec.rho):
+            assert support == [spec.n], spec
+            threshold_vertices.append(spec)
+    assert gap < 1e-13
+    assert len(ties) == 26
+    assert ties == [(spec, 0) for spec in threshold_vertices]
 
 
 def test_sweep_script_prints_the_golden_grid_digest(tmp_path):

@@ -6,14 +6,18 @@ lattice values from literal complex Chebyshev evaluation, and the normal
 distribution function from quadrature of the density.  Two engine faults, the
 noise scaled or the payoffs changed in the kernel alone, show what a check can
 detect; the exact long-run law of two strategies and the exact Gaussian law of
-a log-share contrast are two-sided references.  Two process helpers count the
-forks a run makes and check that it leaves no child behind.
+a log-share contrast are two-sided references, and equilibria are certified
+in exact rational arithmetic.  Process helpers count the forks a run makes or
+make them fail, count this process's open descriptors, and check that a run
+leaves no child behind.
 """
 
 from __future__ import annotations
 
+import errno
 import math
 import os
+from fractions import Fraction
 from functools import lru_cache
 from unittest import mock
 
@@ -63,6 +67,25 @@ def u_complex(k: int, rho: float, gamma_sq: float) -> float:
     value = (-1j * gamma) ** k * u_cur
     assert abs(value.imag) <= 1e-9 * max(1.0, abs(value.real))
     return value.real
+
+
+def exact_solve(matrix, rhs) -> list[Fraction]:
+    """The solution of ``matrix x = rhs`` in exact rational arithmetic, by
+    Gauss-Jordan elimination; each float entry is taken at its exact value.
+    A singular matrix raises ``ZeroDivisionError``."""
+    rows = [[Fraction(float(v)) for v in row] + [Fraction(float(b))]
+            for row, b in zip(matrix, rhs)]
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        head = rows[col] = [v / lead for v in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                rows[r] = [a - row[col] * b for a, b in zip(row, head)]
+    return [row[-1] for row in rows]
 
 
 def normal_cdf_quadrature(v: float, steps: int = 20_000) -> float:
@@ -182,10 +205,37 @@ def counted_forks(monkeypatch) -> list:
     return forks
 
 
-def assert_no_child_process() -> None:
-    """Fail if this process has a child, running or exited but not waited for."""
+def failing_forks(monkeypatch, after: int = 0) -> list:
+    """Make every ``os.fork`` after the first ``after`` fail as it does at a process
+    limit, with ``EAGAIN``, without forking; returns the list each fork that ran
+    appends to."""
+    fork, forks = os.fork, []
+
+    def failing():
+        if len(forks) >= after:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing)
+    return forks
+
+
+def open_descriptors() -> int:
+    """The number of descriptors this process holds open."""
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_no_child_process(descriptors: int | None = None) -> None:
+    """Fail if this process has a child, running or exited but not waited for,
+    or, where ``descriptors`` is given, if it holds another number of open
+    descriptors (take it with :func:`open_descriptors` before the run)."""
     try:
         os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
-        return
-    raise AssertionError("a child process was left behind")
+        pass
+    else:
+        raise AssertionError("a child process was left behind")
+    if descriptors is not None:
+        left = open_descriptors() - descriptors
+        assert not left, f"{left:+d} open descriptors after the run"
