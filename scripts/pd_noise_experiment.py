@@ -43,7 +43,7 @@ def main() -> int:
         if rc != 0:
             return rc
         payload = json.loads((args.outdir / f"pd_{name}.json").read_text())
-        wins = sum(1 for v in payload["per_path"] if v is not None and v > 0.99)
+        wins = sum(1 for v in payload["per_path"] if v > 0.99)
         print(f"{name}: sigma=({sigma}) -> {wins}/{args.paths} paths fixate")
     return 0
 

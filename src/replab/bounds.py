@@ -71,10 +71,9 @@ def discretization_slack(h: float, sigma_max: float) -> float:
 
 
 def _fraction_above(result: engine.BatchResult, threshold: float) -> tuple[float, float]:
-    """Fraction of the finite per-path values above ``threshold``, with its SE."""
-    finite = result.values[np.isfinite(result.values)]
-    estimate = float(np.mean(finite > threshold)) if finite.size else math.nan
-    return estimate, proportion_se(estimate, finite.size)
+    """Fraction of the per-path values above ``threshold``, with its SE."""
+    estimate = float(np.mean(result.values > threshold))
+    return estimate, proportion_se(estimate, result.n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -109,26 +108,18 @@ class BoundReport:
         }
 
     def per_path_csv_text(self) -> str:
-        """Campaign CSV: one row per path, one column per recorded statistic."""
-        names = list(self.per_path)
-        if not names:
-            return "path\n"
-        n = self.per_path[names[0]].n_paths
-        lines = ["path," + ",".join(names)]
-        for i in range(n):
-            row = [str(i)]
-            for name in names:
-                v = self.per_path[name].values[i]
-                row.append(f"{v:.17g}" if math.isfinite(v) else "")
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        """Campaign CSV: one row per path, one column per recorded statistic, whose
+        values are finite, at ``%.17g``."""
+        values = np.column_stack([r.values for r in self.per_path.values()])
+        return ("path," + ",".join(self.per_path) + "\n"
+                + engine._csv_rows(np.arange(len(values)), values))
 
 
 class Rule(NamedTuple):
     """How one check turns a batch into a verdict."""
 
     name: str           # report name
-    estimator: str      # mean | above (fraction of finite values above the threshold)
+    estimator: str      # mean | above (fraction of values above the threshold)
     direction: str      # upper: estimate <= analytic value; lower: estimate >= it
     slack: str | None   # discretization | h | None
 
@@ -682,11 +673,10 @@ def vertex_hitting_report(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
     }
     results = engine.batch_run_many(A, s, x0, cfg, n_paths, stats)
     tau, hit = results["tau"], results["hit"]
-    all_hit = bool(np.all(hit.values[np.isfinite(hit.values)] > 0.5))
+    all_hit = bool(np.all(hit.values > 0.5))
     mean_tau = tau.mean
     below_bound = math.log(max(mean_tau, 1e-300)) <= construction.log_bound
-    times = tau.values[np.isfinite(tau.values)]
-    frac_fast = float(np.mean(times <= 10.0 * mean_tau)) if times.size else math.nan
+    frac_fast = float(np.mean(tau.values <= 10.0 * mean_tau))
     verdict = "consistent" if (all_hit and below_bound and frac_fast >= 0.99) else "violated"
     return BoundReport(
         name="4.3 finite expected time to near-fixation",

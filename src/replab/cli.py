@@ -348,11 +348,15 @@ def _sweep_csv(specs, results) -> str:
 
 
 def cmd_attrition(args) -> int:
-    mode = "--sweep" if args.sweep else "--spec" if args.spec else None
-    stray = [flag for flag, value in (("--spec", args.spec), ("--n", args.n), ("--v", args.v))
-             if mode and flag != mode and value is not None]
+    mode = "--sweep" if args.sweep else "--spec" if args.spec else "--n/--v"
+    reads = {"--sweep": ("n_range", "v_step", "rho_fracs"), "--spec": ("spec",),
+             "--n/--v": ("n", "v", "rho")}[mode]
+    defaults = {"rho": 0.0, "n_range": "1:8", "v_step": 0.25, "rho_fracs": "0,0.1,0.2,0.4"}
+    stray = [f"--{name.replace('_', '-')}" for name in ("spec", "n", "v", *defaults)
+             if name not in reads and getattr(args, name) is not None]
     if stray:
         raise InputError(f"{', '.join(stray)} not read by {mode}")
+    vars(args).update((name, v) for name, v in defaults.items() if getattr(args, name) is None)
     if args.spec:
         spec = load_attrition_spec(args.spec)
     elif not args.sweep:
@@ -522,12 +526,12 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--spec", help="attrition spec JSON file")
     pt.add_argument("--n", type=int, help="maximum effort index")
     pt.add_argument("--v", type=float, help="constant reward")
-    pt.add_argument("--rho", type=float, default=0.0, help="diagonal perturbation")
+    pt.add_argument("--rho", type=float, help="diagonal perturbation (default 0)")
     pt.add_argument("--sweep", action="store_true", help="sweep the (n, v, rho) grid")
-    pt.add_argument("--n-range", dest="n_range", default="1:8", help="sweep n range lo:hi")
-    pt.add_argument("--v-step", dest="v_step", type=float, default=0.25)
-    pt.add_argument("--rho-fracs", dest="rho_fracs", default="0,0.1,0.2,0.4",
-                    help="rho as fractions of v")
+    pt.add_argument("--n-range", dest="n_range", help="sweep n range lo:hi (default 1:8)")
+    pt.add_argument("--v-step", dest="v_step", type=float, help="sweep v step (default 0.25)")
+    pt.add_argument("--rho-fracs", dest="rho_fracs",
+                    help="rho as fractions of v (default 0,0.1,0.2,0.4)")
     pt.add_argument("--out", help="output prefix")
 
     pr = sub.add_parser("rerun", help="replay a manifest byte-identically")

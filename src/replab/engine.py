@@ -29,12 +29,15 @@ time, and the clamp rule is: a statistic counts a path as clamped when that
 time is no later than the last step the statistic reads, which is the first
 entry into its region for a hitting kind and the horizon for every other kind.
 A statistic's count therefore does not depend on which others share its batch.
+A chunk returns finite states or raises: a NaN or infinity in ``Z`` stays
+there, and the last step is always checked, so it raises ``SimulationError``.
 
 Determinism contract: each path's Gaussian increments come from its own
 counter-based stream (see :mod:`replab.rng`), and the batched SDE kernel
-updates every path's column with the same operations, so a path's values do
-not depend on which other paths share its chunk, nor on which process draws
-or integrates it.  A batch is cut into the fewest chunks of sorted path
+updates every path's column with the same operations, in whole groups of 4
+columns (copies of the last path fill the rest), so a path's values do not
+depend on which other paths share its chunk, nor on which process draws or
+integrates it.  A batch is cut into the fewest chunks of sorted path
 indices that its memory budget allows (at most 512 paths each), of equal size
 give or take one path.  Where this process may fork (two usable CPUs; a
 chunk worker counts one, since its siblings use the others), a batch that
@@ -62,8 +65,10 @@ order, as an in-process loop would, and a child's exception is raised again
 in the caller.  Batch output is therefore byte-identical for any
 permutation of the requested path indices, any split of them into chunks or
 separate batches, any number of workers, and with or without a producer.
-The kernel takes at most ``MAX_STRATEGIES`` = 15 strategies: from 16 on,
-BLAS rounds a path's payoff term differently in chunks of different widths.
+The kernel takes at most ``MAX_STRATEGIES`` = 15 strategies.  Layout invariance
+was checked under 8 OpenBLAS x86-64 kernels (``OPENBLAS_CORETYPE`` SkylakeX,
+Sandybridge, Haswell, Zen, Prescott, Core2, Nehalem and Atom; numpy 2.4's
+OpenBLAS runs Zen, Core2 and Atom with Haswell's, Prescott's and Nehalem's).
 
 Statistics are data, not code: a :class:`Statistic` names a kind and its
 parameters.  A batch records its states one chunk at a time, as an array of
@@ -106,7 +111,10 @@ from .errors import InputError, SimulationError, ValidationError
 from .games import Region
 
 MAX_RECORD_POINTS = 100_000
-MAX_STRATEGIES = 15                 # from K = 16 on, OpenBLAS gemm rounds by column count
+# Up to 15 strategies, every OpenBLAS x86-64 kernel tried rounds a gemm column alike in
+# any 4-column group.  From 16 on SkylakeX needs groups of 8; from 33 on 504-512-column
+# gemms differed under Haswell, Nehalem and Prescott when OpenBLAS threaded them.
+MAX_STRATEGIES = 15
 Y_CAP = 500.0                       # log-share floor depth below each path's largest
 _STEP_ROUNDING = 1e-9               # per-step slack of the floor-reach bound, far above
                                     # a step's rounding at |Z| <= Y_CAP + 100
@@ -235,15 +243,17 @@ def _draw_blocks(seed: int, paths, n: int, total_steps: int, scale: np.ndarray,
                  block: int, slot):
     """Draw each path's stream once, in the blocks of :func:`_spans`, and yield
     each block's increments times ``scale`` as a (steps, n, columns) view of
-    ``slot(b)``, block ``b``'s buffer.  A lone path's fills every column."""
+    ``slot(b)``, block ``b``'s buffer.  The last path's fill the pad columns."""
     gens = [rng.path_generator(seed, p) for p in paths]
-    draws = np.empty((len(gens), block, n))
+    m = len(gens)
+    draws = np.empty((m, block, n))
     for b, (start, stop) in enumerate(_spans(total_steps, block)):
         take = stop - start
         for g, rows in zip(gens, draws[:, :take]):
             g.standard_normal(out=rows)
         steps = slot(b)[:take]
-        np.copyto(steps, draws[:, :take].transpose(1, 2, 0))
+        np.copyto(steps[..., :m], draws[:, :take].transpose(1, 2, 0))
+        np.copyto(steps[..., m:], steps[..., m - 1:m])
         steps *= scale      # in place: scaling while transposing is slower
         yield steps
 
@@ -383,18 +393,18 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
                read_steps: float = math.inf,
                on_records: Callable[[int, np.ndarray], None] | None = None) -> _ChunkResult:
     """Euler-Maruyama in log-share coordinates for a chunk of seeded paths, held as
-    (n, columns) in buffers reused every step.  A lone path runs as two columns on
-    one stream: BLAS gemv rounds ``A @ x`` differently from gemm for n >= 4, and a
-    path must give the same bytes in any chunk.  Each noise block takes the
+    (n, columns) in buffers reused every step.  The columns come in whole groups of
+    4, and copies of the last path fill the pad columns: several OpenBLAS kernels
+    round a gemm's column differently in a narrower group, and a path must give the
+    same bytes in any chunk.  The pads copy a real path, so they move no floor
+    check, and every result drops them.  Each noise block takes the
     constant drift ``-h sigma^2 / 2`` once, so a step makes six numpy calls:
     ``(hA) x``, two adds, ``exp``, the column sums as the gemm ``1 x`` (``1`` the
     all-ones matrix) and a full-shape divide, plus a re-centering every
     ``period`` steps and a floor check where one is due.  At a few columns these
     calls cost more to dispatch than to run, so the gemms are bound
-    ``ndarray.dot`` methods and every output is passed by position.  For n <=
-    ``MAX_STRATEGIES`` both gemms sum in one chain from zero, in row order, in
-    any column count, which is also the order of ``add.reduce`` over the
-    strategies; more strategies raise ``InputError``.  The fused gemm
+    ``ndarray.dot`` methods and every output is passed by position.  More than
+    ``MAX_STRATEGIES`` strategies raise ``InputError``.  The fused gemm
     ``[hA | I | I] [x; Z; dw]`` would cut a step to four calls, but it sums 3n
     terms, which rounds by column count from n = 6 on, and a second loop body
     for small n would be a second kernel.  Each step writes its shares over the
@@ -404,12 +414,13 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
     horizon; 0: no record is read or kept), then on while some path has a region
     still to enter, to the end of the segment where the last one enters.
     ``on_records``, if given, is called once a segment's records are copied, with
-    the first new record row and the (paths, rows, n) view of the new rows."""
+    the first new record row and the (paths, rows, n) view of the new rows.  The
+    states returned are finite: the last step's floor check raises on any other."""
     A = games.as_payoff_matrix(A)
     n = A.shape[0]
     check_kernel_size(n)
     m = len(paths)
-    columns = max(m, 2)
+    columns = -(-m // 4) * 4
     grid = cfg.record_steps()
     times, record = grid * cfg.h, (grid.tolist() if read_steps else [])
     states = np.empty((m, len(record), n))
@@ -471,7 +482,7 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
             subtract(block, ito, out=block)
             # A step lowers a log-share against the largest by at most twice its largest
             # |payoff term + block entry|, so no step before ``check`` can reach the floor.
-            # NaN or inf: check every step.
+            # NaN or inf: check every step.  The last step is always checked.
             reach = 2.0 * (drift_reach + max(block.max(), -block.min())) + _STEP_ROUNDING
             check = k + 1
             for lo in range(0, len(block), _SEGMENT):
@@ -500,7 +511,7 @@ def _sde_chunk(A, sigma, x0, cfg: SdeConfig, paths, hit_regions: Iterable[Region
                             maximum(Z, level, out=Z)
                             gap = 0.0
                         span = gap / reach
-                        check = k + 1 + (int(span) if span >= 0.0 else 0)
+                        check = min(k + 1 + (int(span) if span >= 0.0 else 0), cfg.n_steps)
                     x = exp(Z, dw)
                     divide(x, sums(x, step), x)
                 observe(segment, k + 1 - len(segment))
@@ -655,7 +666,7 @@ def captured_stat(region: Region, j: int, level: float, name: str | None = None)
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Per-path values of one statistic plus their mean and standard error."""
+    """Finite per-path values of one statistic plus their mean and standard error."""
 
     statistic: str
     mean: float
@@ -673,7 +684,6 @@ class BatchResult:
         return 0
 
     def to_json_dict(self) -> dict:
-        per_path = [None if not math.isfinite(v) else float(v) for v in self.values]
         return {
             "statistic": self.statistic,
             "mean": self.mean,
@@ -681,7 +691,7 @@ class BatchResult:
             "n_paths": self.n_paths,
             "seed": self.seed,
             "clamped_paths": self.clamped_paths,
-            "per_path": per_path,
+            "per_path": self.values.tolist(),
         }
 
 
@@ -779,16 +789,10 @@ def batch_run_many(A, sigma, x0, cfg: SdeConfig, n_paths: int,
     out: dict[str, BatchResult] = {}
     for name, chunks in zip(statistics, zip(*done)):
         values = np.concatenate([v for v, _ in chunks])[inverse]
-        valid = values[np.isfinite(values)]
-        mean = float(valid.mean()) if valid.size else math.nan
-        if valid.size > 1:
-            se = float(valid.std(ddof=1) / math.sqrt(valid.size))
-        else:
-            se = math.nan
         out[name] = BatchResult(
             statistic=statistics[name].name,
-            mean=mean,
-            std_error=se,
+            mean=float(values.mean()),
+            std_error=float(values.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else math.nan,
             values=values,
             n_paths=n_paths,
             seed=cfg.seed,

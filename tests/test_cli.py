@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from replab import __version__, bounds, cli, engine, ess, games, rng
+from replab import __version__, bounds, cli, engine, ess, fileio, games, rng
 from replab.errors import ValidationError
 from util import assert_no_child_process, counted_forks, failing_forks, open_descriptors
 
@@ -399,6 +399,14 @@ def test_vector_flags_of_the_wrong_length_exit_1(command, flag, value, mixed_fil
     assert not os.path.exists(out + ".json")
 
 
+def test_unparsable_x0_exits_1(pd_file, tmp_path, capsys):
+    out = str(tmp_path / "s")
+    assert cli.main(["simulate", pd_file, "--seed", "1", "--T", "1", "--x0", "0.5,a",
+                     "--out", out]) == 1
+    assert "cannot parse --x0 '0.5,a'" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["pd.json"]
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--x0", "0.5,0.4,0.2", "weights sum to"),
     ("--sigma", "0.1,0.1,0", "must be finite and > 0"),
@@ -617,6 +625,13 @@ def test_no_replab_module_imports_replab_inside_a_function():
     assert local == []
 
 
+def test_unencodable_text_leaves_neither_target_nor_temporary(tmp_path):
+    target = tmp_path / "out.txt"
+    with pytest.raises(UnicodeEncodeError):
+        fileio.atomic_write_text(str(target), "a\ud800b")       # a lone surrogate
+    assert os.listdir(tmp_path) == []
+
+
 def test_only_fileio_writes_files():
     """Every command writes through ``fileio.write_run``, so its manifest lists every file."""
     package = os.path.dirname(cli.__file__)
@@ -766,6 +781,11 @@ ATTRITION_SMALL = os.path.join(TESTBEDS, "attrition_small.json")
     (["attrition", "--spec", ATTRITION_SMALL, "--n", "2"], "--n not read by --spec"),
     (["attrition", "--spec", ATTRITION_SMALL, "--v", "1", "--out", "OUT"],
      "--v not read by --spec"),
+    (["attrition", "--spec", ATTRITION_SMALL, "--v-step", "0.5"], "--v-step not read by --spec"),
+    (["attrition", "--sweep", "--n-range", "1:1", "--rho", "0.3", "--out", "OUT"],
+     "--rho not read by --sweep"),
+    (["attrition", "--n", "3", "--v", "2", "--rho-fracs", "0.1", "--n-range", "5:6"],
+     "--n-range, --rho-fracs not read by --n/--v"),
 ])
 def test_attrition_missing_flags_exit_1(argv, message, tmp_path, capsys):
     argv = [str(tmp_path / "x") if a == "OUT" else a for a in argv]

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import json
 import math
 import multiprocessing
 import os
@@ -199,6 +200,30 @@ def test_overflowing_noise_raises_simulation_error():
             engine.simulate_sde(PD, [1e200, 1e200], [0.5, 0.5], cfg)
 
 
+def test_state_turned_non_finite_after_the_last_scheduled_check_raises(monkeypatch):
+    # After step 1 the next floor check falls far past the horizon here, so only
+    # the check of the last step catches a state turned NaN at step 95 of 100;
+    # without it the batch returns a NaN value beside a mean over the other paths.
+    exp, calls = np.exp, []
+
+    def poisoned(z, *out):
+        x = exp(z, *out)
+        if out:                             # the kernel's step, exp(Z, dw)
+            calls.append(len(calls) + 1)
+            if len(calls) == 95:
+                x[:, 0] = math.nan          # the first column: path 3 of the sorted paths
+        return x
+
+    monkeypatch.setattr(engine, "_USABLE_CPUS", 1)
+    monkeypatch.setattr(np, "exp", poisoned)
+    cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=34)
+    with pytest.raises(SimulationError,
+                       match=r"non-finite log-shares at step 100 \(t=1\) for paths \[3\]$"):
+        engine.batch_run(PD, [0.3, 0.3], [0.5, 0.5], cfg, 4, engine.final_share(1),
+                         path_indices=[7, 3, 5, 9])
+    assert len(calls) == 99                 # the check of step 100 precedes its exp
+
+
 @st.composite
 def kernel_cases(draw):
     n = draw(st.integers(min_value=2, max_value=9))
@@ -346,7 +371,7 @@ def test_occupation_fraction_and_time_average():
 
 
 def test_batch_single_path_equals_single_run(monkeypatch):
-    # a lone path runs as two columns, but its stream is drawn once
+    # a lone path runs as four columns, but its stream is drawn once
     path_generator, streams = rng.path_generator, []
     monkeypatch.setattr(rng, "path_generator",
                         lambda seed, p: streams.append(p) or path_generator(seed, p))
@@ -440,6 +465,65 @@ def test_layout_invariance_at_fifteen_strategies(monkeypatch):
         produced = engine._sde_chunk(A, sigma, x0, cfg, list(range(20))).states
     assert len(started) == 1
     assert produced.tobytes() == chunk.tobytes()
+
+
+# OpenBLAS kernels of other x86-64 CPUs, forced with OPENBLAS_CORETYPE: the
+# /proc/cpuinfo flags each needs (SSE3 shows as "pni"), and the core names it may
+# report: builds without DYNAMIC_OLDER give Katmai the Prescott kernel, and report
+# the forced Prescott by that first name.
+FORCED_KERNELS = {"Haswell": ({"avx2", "fma"}, {"Haswell"}),
+                  "Prescott": ({"pni"}, {"Prescott", "Katmai"}),
+                  "Nehalem": ({"sse4_2"}, {"Nehalem"})}
+# Prints the running core's name and each (n, paths) whose states differ from the
+# same paths in a 70-path chunk of a seeded random game of n strategies.
+LAYOUT_PROBE = textwrap.dedent("""
+    import ctypes, glob, json, os
+    import numpy as np
+    from replab import engine
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    name = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None) if libs else None
+    if name is not None:
+        name.restype = ctypes.c_char_p
+    engine._USABLE_CPUS = 1
+    differ = []
+    for n in (5, 9, 15):
+        gen = np.random.default_rng(n)
+        A, sigma, x0 = gen.uniform(-2.0, 2.0, (n, n)), gen.uniform(0.2, 1.2, n), np.full(n, 1 / n)
+        cfg = engine.SdeConfig(h=1e-2, horizon=2.0, seed=n, record_stride=20)
+        whole = engine._sde_chunk(A, sigma, x0, cfg, list(range(70))).states
+        for paths in ([0], [3], [69], [0, 3, 11, 23, 42, 58, 69]):
+            part = engine._sde_chunk(A, sigma, x0, cfg, paths).states
+            if part.tobytes() != whole[paths].tobytes():
+                differ.append([n, paths])
+    print(json.dumps({"core": name and name().decode(), "differ": differ}))
+""")
+
+
+@pytest.mark.parametrize("kernel", list(FORCED_KERNELS))
+def test_layouts_give_the_same_bytes_under_other_blas_kernels(kernel):
+    # Lone paths and a 7-path chunk against a 70-path chunk, at n = 5, 9 and 15.
+    # In chunks of 1 or 2 columns with no pad columns, Haswell and Prescott give
+    # other bytes at n = 9 and 15, and Nehalem in the 7-path chunk at all three.
+    needs, names = FORCED_KERNELS[kernel]
+    try:
+        with open("/proc/cpuinfo") as f:
+            flags = next((line.split(":", 1)[1].split() for line in f
+                          if line.startswith("flags")), [])
+    except OSError:
+        flags = []
+    if not needs <= set(flags):
+        pytest.skip(f"the CPU lacks {sorted(needs - set(flags))}, which {kernel} needs")
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", LAYOUT_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    if probe["core"] not in names:
+        pytest.skip(f"OpenBLAS runs {probe['core']} under OPENBLAS_CORETYPE={kernel}")
+    assert probe["differ"] == []
 
 
 def test_batch_standard_error_scales():
@@ -674,7 +758,7 @@ def test_hits_and_records_on_segment_and_block_edges(monkeypatch, block_steps):
     # 64, 100, 100 and 36 steps, which puts block ends (164, 264) and segment ends
     # (128, 228) apart; the default blocks run 64, 128 and 108 steps.
     if block_steps is not None:
-        monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", block_steps * 2 * 3)
+        monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", block_steps * 4 * 3)
     cfg = engine.SdeConfig(h=1e-2, horizon=3.0, seed=5, record_stride=1)
     run = [CYCLIC, [0.5] * 3, [0.5, 0.3, 0.2], cfg, [2]]
     states = engine._sde_chunk(*run).states[0]
@@ -946,9 +1030,9 @@ def test_spans_ramp_up_from_one_segment(total, block):
 
 
 def test_narrow_chunk_of_several_blocks_uses_a_producer(monkeypatch):
-    # 3 paths of 3 strategies draw 29 127 steps a block at most, so a chunk of
-    # 100 000 steps takes several blocks (64, 128, ..., 16 384, 29 127, 29 127,
-    # then 9 042) and, at the default settings, draws them in a producer
+    # 3 paths of 3 strategies take 4 columns and draw 21 845 steps a block at most,
+    # so a chunk of 100 000 steps takes several blocks (64, 128, ..., 16 384, three
+    # of 21 845, then 1 761) and, at the default settings, draws them in a producer
     cfg = engine.SdeConfig(h=1e-3, horizon=100.0, seed=23, record_stride=1000)
     fds = open_descriptors()
     run = [CYCLIC, [0.5] * 3, [0.5, 0.3, 0.2], cfg, [2, 4, 9]]
@@ -960,7 +1044,7 @@ def test_narrow_chunk_of_several_blocks_uses_a_producer(monkeypatch):
                         lambda *args: blocks.append(args[-1]) or produced(*args))
     with time_limit(120):
         piped = engine._sde_chunk(*run)
-    assert blocks == [engine._NOISE_BLOCK_FLOATS // 9]
+    assert blocks == [engine._NOISE_BLOCK_FLOATS // 12]
     assert_no_child_process(fds)
     assert piped.states.tobytes() == alone.states.tobytes()
     assert piped.first_floor.tobytes() == alone.first_floor.tobytes()
@@ -1551,7 +1635,7 @@ def test_floor_detection_matches_every_step_check(monkeypatch, block_steps):
     # at a block start (every floor hit falls on one), two-step blocks a bound
     # too small.  The bytes do not depend on the block length.
     if block_steps is not None:
-        monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", block_steps * 2 * 3)
+        monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", block_steps * 4 * 3)
     cfg = engine.SdeConfig(h=1e-2, horizon=30.0, seed=3, record_stride=3000)
     A, sigma, x0 = 2.0 * np.eye(3), [0.8] * 3, [1 / 3] * 3
     h = hashlib.sha256()
