@@ -13,8 +13,9 @@ capture estimates within two combined standard errors, and 4.3 asks every
 path to hit, the mean to respect the bound and 99% of paths to hit within ten
 times the mean.  A ``violated`` verdict therefore signals a real
 inconsistency, not Monte Carlo noise.  5.1, persistence of maximum effort in
-the war of attrition, counts the paths whose peak share of the top effort
-level over the last quarter of the horizon exceeds half its stable weight.
+the war of attrition, counts the paths whose peak share of the last strategy
+of ``A`` (the top effort level of the unperturbed game) over the last quarter
+of the horizon exceeds half its stable weight.
 When that fraction falls short but the noise lies outside the regime
 sufficient for the statement, 5.1 reports ``inconclusive`` instead of
 ``violated``: no other check returns ``inconclusive``, so this is the only
@@ -23,6 +24,9 @@ source of ``verify``'s exit code 3.
 The invariant distribution of the dynamics has no closed form and is never
 constructed: its mass near the stable mix is probed through long-run
 occupation fractions after a burn-in (default: a fifth of the horizon).
+
+This module imports only :mod:`replab.engine`, :mod:`replab.ess` and
+:mod:`replab.games`.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import attrition, engine, ess, games
-from .errors import PreconditionError, SimulationError, ValidationError
+from . import engine, ess, games
+from .errors import PreconditionError, ValidationError
 
 DEFAULT_BURN_IN_FRACTION = 0.2
 BASIN_FIXATION_LEVEL = 1e-3
@@ -304,7 +308,7 @@ def extinction_constants(A, k: int, p, sigma, x) -> ExtinctionConstants:
     x = games.as_simplex_point(x, n, interior=True)
     dom = games.verify_dominance(A, k, p)
     if dom.kind == "none":
-        raise PreconditionError("dominance", f"strategy {k} is not dominated by the given mix")
+        raise PreconditionError("dominance", f"strategy {k + 1} is not dominated by the given mix")
     s2 = s * s
     c2 = -0.5 * s2[k] + 0.5 * float(p @ s2)
     c3 = float(np.sum(p * np.log(x / x[k])))
@@ -355,7 +359,7 @@ def extinction_report(A, k: int, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
     A = games.as_payoff_matrix(A)
     found = games.best_dominating_mix(A, k)
     if found is None:
-        raise PreconditionError("dominance", f"no mix dominating strategy {k} was found")
+        raise PreconditionError("dominance", f"no mix dominating strategy {k + 1} was found")
     p = found[0]
     x0 = games.as_simplex_point(x0, A.shape[0], interior=True)
     consts = extinction_constants(A, k, p, sigma, x0)
@@ -455,31 +459,27 @@ def ess_attraction_reports(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int,
             for tag, (bound, column, _, inputs, details) in checks.items()}
 
 
-def persistence_experiment(spec, sigma, x0, cfg: engine.SdeConfig, n_paths: int) -> BoundReport:
+def persistence_experiment(A, sigma, x0, cfg: engine.SdeConfig, n_paths: int) -> BoundReport:
     """Check that the maximum effort strategy keeps resurfacing under noise.
 
-    Simulates the unperturbed game and records, per path, the peak frequency
-    of strategy ``n`` over the final quarter of the horizon; the event counted
-    is that peak exceeding half the stable weight ``p_n`` (which is positive
-    for every admissible spec).  The verdict is ``consistent`` when at least
+    ``A``'s last strategy, the maximum effort, is the one whose persistence is
+    checked.  Simulates ``A`` and records, per path, its peak frequency over
+    the final quarter of the horizon; the event counted is that peak exceeding
+    half its weight ``p_n`` in the stable strategy of ``A`` (refused unless
+    positive).  The verdict is ``consistent`` when at least
     ``1 - eps_target`` of paths (minus Monte Carlo slack) show the event,
     ``inconclusive`` instead of ``violated`` when the noise level sits outside
     the sufficient regime derived from the time-average bound (reported, not
     enforced), since no theorem speaks about that case.
     """
-    A = attrition.base_matrix(spec)
-    n_strat = spec.n + 1
+    A = games.as_payoff_matrix(A)
+    n_strat = A.shape[0]
     sig = games.as_noise_vector(sigma, n_strat)
     x0 = games.as_simplex_point(x0, n_strat, interior=True)
-
-    if isinstance(spec, attrition.ConstantAttritionSpec):
-        p = attrition.closed_form_ess(spec).strategy
-    else:
-        report = ess.unique_ess(A)
-        if report is None:
-            raise SimulationError("no stable strategy found for the base matrix")
-        p = report.strategy
-    p_n = float(p[-1])
+    stable = ess.unique_ess(A)
+    if stable is None or not stable.strategy[-1] > 0.0:
+        raise PreconditionError("stable-mix", "no stable strategy holding the last strategy")
+    p_n = float(stable.strategy[-1])
 
     eps_target = 0.05
     t_start = 0.75 * cfg.n_steps * cfg.h
@@ -488,7 +488,7 @@ def persistence_experiment(spec, sigma, x0, cfg: engine.SdeConfig, n_paths: int)
 
     lam2 = games.second_eigenvalue(A)
     sigma_max = float(np.max(sig))
-    d0 = games.kl_distance(x0, p)
+    d0 = games.kl_distance(x0, stable.strategy)
     regime_ok = (
         lam2 < 0.0
         and sigma_max**2 / abs(lam2) < p_n**2 * eps_target / 8.0
@@ -498,7 +498,7 @@ def persistence_experiment(spec, sigma, x0, cfg: engine.SdeConfig, n_paths: int)
     report = rule_report(
         "5.1", 1.0 - eps_target, {stat.name: result}, p_n / 2.0,
         {
-            "n": spec.n,
+            "n": n_strat - 1,
             "sigma": sig.tolist(),
             "x0": x0.tolist(),
             "h": cfg.h,
@@ -540,7 +540,7 @@ def stability_basin_probe(A, sigma, k: int, radius: float, cfg: engine.SdeConfig
     if not games.noise_robust_strict_nash(A, s, k):
         raise PreconditionError(
             "noise-robust-strict-nash",
-            f"strategy {k} must beat every rival by more than sigma_k^2",
+            f"strategy {k + 1} must beat every rival by more than sigma_k^2",
         )
     if not 0.0 < radius < 0.5:
         raise ValidationError("radius must lie in (0, 0.5)")

@@ -71,16 +71,18 @@ def load_game(path: str):
         n = raw["n"]
         A = np.array(raw["A"], dtype=float)
         sigma, labels = raw.get("sigma"), raw.get("labels")
-        n_labels = len(labels) if labels is not None else n
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"game file {path} needs integer 'n' and matrix 'A': {exc!r}") from exc
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(label, str) for label in labels)):
+        raise InputError(f"game file {path}: 'labels' must be a list of strings, got {labels!r}")
     if sigma is not None:
         try:
             sigma = np.array(sigma, dtype=float)
         except (TypeError, ValueError) as exc:
             raise InputError(f"game file {path}: 'sigma' must be a list of numbers: "
                              f"{exc!r}") from exc
-    sizes = (np.size(sigma) if sigma is not None else n, n_labels)
+    sizes = (np.size(sigma) if sigma is not None else n, n if labels is None else len(labels))
     n = _integer_n(n, f"game file {path}")
     if A.shape != (n, n):
         raise InputError(f"game file {path}: 'A' has shape {A.shape}, 'n' is {n}")
@@ -236,7 +238,9 @@ def cmd_simulate(args) -> int:
     sigma = games.as_noise_vector(_sigma_arg(args, sigma, n), n)
     x0 = _parse_vector(args.x0, n, "--x0") if args.x0 else games.uniform_point(n)
     x0 = games.as_simplex_point(x0, n, interior=True)
-    stat = _parse_stat(args.stat, n)
+    stat = _parse_stat("final_share:1" if args.stat is None else args.stat, n)
+    if args.paths == 1 and args.stat is not None:
+        raise InputError("--stat not read by --paths 1")
     cfg = _config_from(args)
     head = _manifest(args, inputs=[args.game])
 
@@ -292,10 +296,12 @@ def cmd_verify(args) -> int:
 
     if tag == "5.1":
         spec = load_attrition_spec(args.game)
-        game, n, sigma = {"spec": spec}, spec.n + 1, np.full(spec.n + 1, 0.05)
+        if np.any(spec.rho):
+            raise InputError(f"{args.game}: 5.1 simulates the unperturbed game, so rho must be 0")
+        A, sigma = attrition.base_matrix(spec), np.full(spec.n + 1, 0.05)
     else:
         A, sigma, _labels = load_game(args.game)
-        game, n = {"A": A}, A.shape[0]
+    n = A.shape[0]
     engine.check_kernel_size(n)
     sigma = games.as_noise_vector(_sigma_arg(args, sigma, n), n)
     if "k" in given:
@@ -305,7 +311,7 @@ def cmd_verify(args) -> int:
     if "x0" in flags:
         given["x0"] = (_parse_vector(given["x0"], n, "--x0") if "x0" in given
                        else games.uniform_point(n))
-    report = getattr(bounds, check)(**game, sigma=sigma, cfg=cfg, n_paths=args.paths,
+    report = getattr(bounds, check)(A, sigma=sigma, cfg=cfg, n_paths=args.paths,
                                     **{**defaults, **given})
     if isinstance(report, dict):    # the attraction checks share one batch
         report = report[tag]
@@ -504,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="seeded trajectories or batches")
     ps.add_argument("game", help="game JSON file")
     sim_flags(ps)
-    ps.add_argument("--stat", default="final_share:1",
-                    help="batch statistic: final_share:<j> or max_final_share")
+    ps.add_argument("--stat", help="batch statistic: final_share:<j> (default final_share:1) "
+                                   "or max_final_share; not read by --paths 1")
     ps.add_argument("--out", required=True, help="output prefix")
 
     pv = sub.add_parser("verify", help="run one bound check as a Monte Carlo campaign")

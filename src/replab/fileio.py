@@ -15,6 +15,8 @@ import json
 import os
 import tempfile
 
+from .errors import InputError
+
 
 def atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -49,12 +51,17 @@ def write_run(out: str, texts: dict[str, str], head: dict) -> None:
 
     The manifest is ``head`` (command, inputs, seed, defaults) followed by the
     output paths, its own path last, and the sha256 of each output's bytes; it
-    holds no digest of itself.
+    holds no digest of itself.  An output or manifest path that resolves to one of
+    ``head``'s inputs raises ``InputError`` before anything is written.
     """
+    manifest = out + ".manifest.json"
+    inputs = {os.path.realpath(entry["path"]) for entry in head["inputs"]}
+    for path in [*(out + suffix for suffix in texts), manifest]:
+        if os.path.realpath(path) in inputs:
+            raise InputError(f"output {path} would overwrite an input of the command")
     digests = {}
     for suffix, text in texts.items():
         atomic_write_text(out + suffix, text)
         digests[out + suffix] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    manifest = out + ".manifest.json"
     atomic_write_text(manifest, json_text(
         {**head, "outputs": [*digests, manifest], "output_sha256": digests}))

@@ -320,7 +320,8 @@ def test_criterion_9_persistence():
     t0 = time.monotonic()
     spec = attrition.ConstantAttritionSpec(n=2, v=1.0)
     cfg = engine.SdeConfig(h=1e-3, horizon=200.0, seed=20254, record_stride=100)
-    report = bounds.persistence_experiment(spec, [0.05] * 3, [1 / 3] * 3, cfg, 300)
+    report = bounds.persistence_experiment(attrition.base_matrix(spec), [0.05] * 3, [1 / 3] * 3,
+                                           cfg, 300)
     se = report.standard_error
     ok = (report.verdict == "consistent"
           and report.empirical_value >= 0.95 - 3.0 * se

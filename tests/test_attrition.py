@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from replab import attrition, bounds, engine, ess, games
-from replab.errors import ValidationError
+from replab.errors import PreconditionError, ValidationError
 
 from util import cofactor_det, u_complex
 
@@ -379,7 +379,8 @@ def test_sweep_covers_both_regimes():
 def test_persistence_experiment_consistent():
     spec = spec_n2()
     cfg = engine.SdeConfig(h=1e-3, horizon=60.0, seed=21, record_stride=100)
-    report = bounds.persistence_experiment(spec, [0.05] * 3, [1 / 3] * 3, cfg, 60)
+    report = bounds.persistence_experiment(attrition.base_matrix(spec), [0.05] * 3, [1 / 3] * 3,
+                                           cfg, 60)
     assert report.verdict == "consistent"
     assert report.details["stable_weight"] == pytest.approx(0.2)
     assert report.empirical_value >= 0.95
@@ -388,10 +389,18 @@ def test_persistence_experiment_consistent():
 def test_persistence_out_of_regime_is_not_violated():
     spec = spec_n2()
     cfg = engine.SdeConfig(h=1e-3, horizon=20.0, seed=22, record_stride=100)
-    report = bounds.persistence_experiment(spec, [1.5] * 3, [1 / 3] * 3, cfg, 40)
+    report = bounds.persistence_experiment(attrition.base_matrix(spec), [1.5] * 3, [1 / 3] * 3,
+                                           cfg, 40)
     # 0.625 of paths (SE 0.077) fall short of 0.95; outside the regime that is no violation
     assert report.verdict == "inconclusive"
     assert not report.details["noise_regime_sufficient"]
+
+
+def test_persistence_refuses_a_game_whose_last_strategy_is_not_stable():
+    # a conditionally negative definite game whose stable strategy is the first vertex
+    cfg = engine.SdeConfig(h=1e-2, horizon=1.0, seed=1)
+    with pytest.raises(PreconditionError, match="no stable strategy holding the last strategy"):
+        bounds.persistence_experiment([[0.0, 1.0], [-1.0, -2.0]], [0.1] * 2, [0.5] * 2, cfg, 2)
 
 
 def test_closed_form_self_check_cannot_be_thrown_off_domain():

@@ -150,7 +150,8 @@ def test_extinction_constants_equal_noise_vanishing_c2():
 
 
 def test_extinction_constants_reject_non_dominated():
-    with pytest.raises(PreconditionError):
+    # the message names the strategy 1-based, as --k does
+    with pytest.raises(PreconditionError, match="strategy 2 is not dominated"):
         bounds.extinction_constants(R33, 1, [0.0, 0.0, 1.0], [0.3] * 3, [1 / 3] * 3)
 
 

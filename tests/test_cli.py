@@ -193,6 +193,15 @@ def test_simulate_non_integer_stat_index_exits_1(stat, paths, pd_file, tmp_path,
     assert os.listdir(tmp_path) == ["pd.json"]
 
 
+@pytest.mark.parametrize("stat", ["final_share:1", "max_final_share"])
+def test_simulate_single_path_refuses_stat(stat, pd_file, tmp_path, capsys):
+    rc = cli.main(["simulate", pd_file, "--seed", "6", "--T", "1", "--paths", "1",
+                   "--stat", stat, "--out", str(tmp_path / "path")])
+    assert rc == 1
+    assert "--stat not read by --paths 1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["pd.json"]
+
+
 def test_simulate_batch_reports_clamped_paths(pd_file, tmp_path, capsys):
     out = str(tmp_path / "batch")
     assert cli.main(["simulate", pd_file, "--seed", "3", "--h", "0.1", "--T", "600",
@@ -350,6 +359,10 @@ def test_simulate_batch_flags(flags, message, tmp_path, capsys):
     ({"n": 2, "A": [[0, 1], [1, 0]], "sigma": [0.1, "x"]},
      "g.json: 'sigma' must be a list of numbers: "
      "ValueError(\"could not convert string to float: 'x'\")"),
+    ({"n": 2, "A": [[0, 1], [1, 0]], "sigma": [0.1, 0.1], "labels": "ab"},
+     "g.json: 'labels' must be a list of strings, got 'ab'\n"),
+    ({"n": 2, "A": [[0, 1], [1, 0]], "sigma": [0.1, 0.1], "labels": [1, None]},
+     "g.json: 'labels' must be a list of strings, got [1, None]\n"),
 ])
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_missing_or_miscounted_sigma_exits_1(payload, message, command, tmp_path, capsys):
@@ -699,6 +712,54 @@ def test_verify_refuses_flags_the_check_does_not_read(tag, game, flag, tmp_path,
     assert not os.path.exists(str(tmp_path / "v.json"))
 
 
+@pytest.mark.parametrize("tag, game, flags, condition", [
+    ("2.3a", "attrition_game.json", ["--sigma", "1,1,1"], "[noise-below-attraction-threshold]"),
+    ("4.1", "prisoners_dilemma.json", ["--k", "2", "--radius", "0.7"],
+     "radius must lie in (0, 0.5)"),
+    ("4.1", "prisoners_dilemma.json", ["--k", "1"],
+     "[noise-robust-strict-nash]: strategy 1 must beat every rival"),
+    ("3.1", "mixed_dominance.json", ["--k", "2"],
+     "[dominance]: no mix dominating strategy 2 was found"),
+    ("3.1", "mixed_dominance.json", ["--k", "1", "--sigma", "0.1,3,3"], "[extinction-drift]"),
+])
+def test_verify_refusals_exit_4_with_their_condition(tag, game, flags, condition, tmp_path,
+                                                     capsys):
+    # strategies are named 1-based, as --k names them
+    rc = cli.main(["verify", os.path.join(TESTBEDS, game), "--theorem", tag, "--seed", "1",
+                   "--T", "1", "--paths", "2", *flags, "--out", str(tmp_path / "v")])
+    assert rc == cli.EXIT_PRECONDITION == 4
+    assert condition in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("spec", [{"n": 2, "mode": "constant", "v": 1.0, "rho": 0.2},
+                                  {"costs": [0, 1, 2], "rewards": [1, 1, 1],
+                                   "rho": [0, 0, 0.2]}])
+def test_verify_persistence_refuses_a_perturbed_spec(spec, tmp_path, capsys):
+    # 5.1 simulates the unperturbed game, so a nonzero rho would go unread
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    rc = cli.main(["verify", str(path), "--theorem", "5.1", "--seed", "1", "--T", "1",
+                   "--paths", "2", "--out", str(tmp_path / "v")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "spec.json: 5.1 simulates the unperturbed game, so rho must be 0" in err
+    assert os.listdir(tmp_path) == ["spec.json"]
+
+
+def test_verify_persistence_reads_a_constant_spec_and_its_general_form_alike(tmp_path):
+    general = tmp_path / "general.json"
+    general.write_text(json.dumps({"costs": [0, 1, 2], "rewards": [1, 1, 1]}))
+    outputs = []
+    for spec in (os.path.join(TESTBEDS, "attrition_small.json"), str(general)):
+        out = str(tmp_path / f"v{len(outputs)}")
+        assert cli.main(["verify", spec, "--theorem", "5.1", "--seed", "1", "--T", "20",
+                         "--paths", "8", "--stride", "100", "--out", out]) == 0
+        outputs.append((open(out + ".json", "rb").read(), open(out + "_paths.csv", "rb").read()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0])["details"]["stable_weight"] == 0.2
+
+
 SMALL = ["--T", "20", "--paths", "8"]
 
 # sha256 of each check's report .json and _paths.csv on its standard testbed at
@@ -898,6 +959,17 @@ def test_manifest_lists_exactly_what_the_command_wrote(argv, tmp_path, capsys):
     before = {p: sha(p) for p in files}
     assert cli.main(["rerun", manifest_path]) == code
     assert {p: sha(p) for p in sorted(str(p) for p in written.iterdir())} == before
+
+
+@pytest.mark.parametrize("name", ["g.json", "g.manifest.json"])
+def test_a_command_never_writes_over_its_input(name, tmp_path, capsys):
+    # --out g writes g.json and then g.manifest.json
+    game = write_game(tmp_path / name, [[0, 1], [1, 0]], [0.1, 0.1])
+    before = open(game, "rb").read()
+    assert cli.main(["analyze", game, "--out", str(tmp_path / "g")]) == 1
+    assert f"{name} would overwrite an input of the command" in capsys.readouterr().err
+    assert open(game, "rb").read() == before
+    assert os.listdir(tmp_path) == [name]
 
 
 def test_rerun_refuses_changed_or_missing_inputs(pd_file, tmp_path, capsys):
